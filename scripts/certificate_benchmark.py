@@ -23,7 +23,13 @@ def main() -> int:
     for n in range(args.min, args.max + 1):
         engine = CertificateEngine(n)
         t0 = time.perf_counter()
-        engine.seed_all()
+        try:
+            engine.seed_all()
+        except NotFound as exc:
+            print(f"n={n}: lemma ladder failed at {exc.lemma} after "
+                  f"{time.perf_counter() - t0:.1f}s ({exc.stats.candidates} "
+                  f"candidates, {exc.stats.expanded} expansions)")
+            continue
         seed_time = time.perf_counter() - t0
         p = van_buskirk(n)
         total_steps = 0

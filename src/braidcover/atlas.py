@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
-from .covering import RelatorImageReport, verify_relator_images
+from .covering import verify_relator_images
 from .enumeration import (
     GroupTable,
     alternating_table,
@@ -423,34 +423,19 @@ def _check_order_ledger(n: int) -> ClaimStatus:
     return ClaimStatus("order-ledger", status, detail, tuple(gaps))
 
 
-def _check_relator_images(n: int, budget: SearchBudget | None) -> ClaimStatus:
-    if n > 4:
-        return ClaimStatus(
-            "covering-relator-images",
-            "statement-only",
-            "lift pipeline not run beyond 4 strands (budget policy)",
-        )
-    if budget is None:
-        # 4 strands: certificates are findable, give the search headroom;
-        # beyond that the even-strand ambiguity rarely resolves, so keep
-        # the budget small and report the gap
-        budget = SearchBudget(max_candidates=500_000 if n == 2 else 20_000)
-    rep: RelatorImageReport = verify_relator_images(n, budget)
+def _check_relator_images(n: int) -> ClaimStatus:
+    rep = verify_relator_images(n)
     if not rep.ok:
-        bad = [e.label for e in rep.entries if not e.ok]
-        raise VerificationFailure(f"relator images nontrivial: {bad}")
-    gaps = tuple(
-        f"relator {e.label}: image trivial-or-full-twist, no certificate found"
-        for e in rep.entries
-        if not e.verified
-    )
-    status = "verified" if not gaps else "partially-verified"
+        bad = [f"{e.label} ({e.verdict.verdict})" for e in rep.entries if not e.ok]
+        raise VerificationFailure(f"relator images not trivial: {bad}")
     return ClaimStatus(
         "covering-relator-images",
-        status,
-        f"{sum(e.verified for e in rep.entries)}/{len(rep.entries)} relator "
-        "images certified trivial in the double-cover sphere group",
-        gaps,
+        "verified",
+        f"all {len(rep.entries)} relator images decided trivial "
+        "in the double-cover sphere group: the sphere action's kernel on pure "
+        "braids is {1, full twist} (Fadell-Van Buskirk), and forgetting all "
+        "but three strands maps the full twist to the central involution of "
+        "B_3(S^2)",
     )
 
 
@@ -496,7 +481,7 @@ def verify_suite(n: int, budget: SearchBudget | None = None) -> ClassificationRe
         _check_identities(n, budget),
         _check_order_ledger(n),
         _check_quotients(n),
-        _check_relator_images(n, budget),
+        _check_relator_images(n),
         _check_classification_consistency(n),
         _check_abelianization(n),
         ClaimStatus(

@@ -316,7 +316,8 @@ def group_table(t: CosetTable) -> GroupTable:
                 if words[d] is None:
                     words[d] = words[c] * BraidWord(((g, e),))
                     queue.append(d)
-    assert all(w is not None for w in words), "coset table not transitive"
+    if any(w is None for w in words):
+        raise TableNotClosed("coset table not transitive")
 
     def apply(c: int, w: BraidWord) -> int:
         gen_index = {g: k for k, g in enumerate(t.generators)}

@@ -162,7 +162,10 @@ class CertificateEngine:
                   relators=None) -> Lemma:
         if name in self.lemmas:
             return self.lemmas[name]
-        proof = self.prove(source * target.inverse(), EMPTY, use, budget, relators)
+        try:
+            proof = self.prove(source * target.inverse(), EMPTY, use, budget, relators)
+        except NotFound as exc:
+            raise NotFound(exc.stats, name) from None
         lemma = _lemma_from_proof(self.presentation, name, proof)
         self.lemmas[name] = lemma
         return lemma

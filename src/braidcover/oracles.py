@@ -3,9 +3,10 @@
 The disc braid group acts faithfully on the free group generated by loops
 around the punctures; this gives an exact triviality test for disc braids
 and, via an added fixed strand, for annulus braids.  The sphere variant
-acts on the rank m-1 quotient with kernel generated by the full twist, so
-sphere verdicts are layered: permutation, then action, then the exponent
-class of the full twist, then certificate search.
+acts on the rank m-1 quotient with kernel {1, full twist}, so sphere
+verdicts are layered: permutation, then action, then the forgetful map to
+the order-12 group B_3(S^2), which separates 1 from the full twist on
+every strand count.
 
 Free-group words are tuples of nonzero ints: letter +i / -i is the i-th
 basis letter x_i or its inverse; words are kept reduced.
@@ -14,10 +15,11 @@ basis letter x_i or its inverse; words are kept reduced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .presentations import sphere_presentation
-from .rewriting import Derivation, NotFound, SearchBudget, search_identity
-from .words import BraidWord, exponent_sums, gen_word, permutation_image, sigma
+from .enumeration import GroupTable, coset_enumerate, group_table
+from .presentations import full_twist, sphere_presentation
+from .words import BraidWord, gen_word, permutation_image, sigma
 
 FreeWord = tuple[int, ...]
 
@@ -205,42 +207,63 @@ def sphere_action(m: int, w: BraidWord) -> FreeEndo:
 class SphereWPVerdict:
     """Layered word-problem verdict for sphere braid words.
 
-    verdict is one of Nontrivial / Trivial / FullTwist / TrivialOrFullTwist;
-    evidence names the invariant that decided; certificate carries the
-    triviality derivation when one was found.
+    verdict is one of Nontrivial / Trivial / FullTwist; evidence names the
+    layer that decided.  certificate is always None: every layer decides
+    without a derivation, and the field stays for callers that read it.
     """
 
     verdict: str
     evidence: str
-    certificate: Derivation | None = None
+    certificate: None = None
 
 
-def sphere_word_problem(
-    m: int, w: BraidWord, budget: SearchBudget | None = None
-) -> SphereWPVerdict:
-    """Decide triviality in B_m(S^2) up to the central full twist.
+def _forget_strands(w: BraidWord, m: int, k: int) -> BraidWord:
+    """Delete every strand of an m-strand word except strands 1..k.
 
-    The action kernel is the order-2 center generated by the full twist, so
-    action-trivial words are resolved by the sigma exponent sum mod 2(m-1):
-    the full twist has class m(m-1), which is m-1 for odd m and 0 for even
-    m; the even case falls back to certificate search and reports honestly.
+    A crossing stays only when both of its strands are kept, and it is
+    renumbered by position among the kept strands.  This is the forgetful
+    map on pure braids, and on B_m(S^2) it sends the full twist to the
+    full twist on k strands.
+    """
+    at = list(range(1, m + 1))  # at[p - 1] is the strand at position p
+    letters = []
+    for g, e in w.letters:
+        i = g.index
+        if at[i - 1] <= k and at[i] <= k:
+            kept_upto_i = sum(1 for s in at[:i] if s <= k)
+            letters.append((sigma(kept_upto_i), e))
+        at[i - 1], at[i] = at[i], at[i - 1]
+    return BraidWord(tuple(letters))
+
+
+@lru_cache(maxsize=None)
+def _sphere_table(k: int) -> tuple[GroupTable, int]:
+    """Group table of B_k(S^2), k <= 3, and the element of its full twist."""
+    table = group_table(coset_enumerate(sphere_presentation(k)))
+    return table, table.evaluate(full_twist(k))
+
+
+def sphere_word_problem(m: int, w: BraidWord) -> SphereWPVerdict:
+    """Decide w in B_m(S^2): Nontrivial, Trivial, or FullTwist.
+
+    A pure braid that the sphere action fixes is 1 or the full twist
+    (Fadell-Van Buskirk; Gillette-Van Buskirk).  Forgetting every strand
+    but the first min(m, 3) sends the full twist to the central involution
+    of B_3(S^2) (to 1 in B_2(S^2), where it is trivial), so evaluating the
+    forgotten word in that finite group's table separates the two.
     """
     if not permutation_image(w, m).is_identity():
         return SphereWPVerdict("Nontrivial", "permutation")
     if not sphere_action(m, w).is_identity():
         return SphereWPVerdict("Nontrivial", "action")
-    cls = exponent_sums(w)[0] % (2 * (m - 1))
-    if m % 2 == 1:
-        if cls == m - 1:
-            return SphereWPVerdict("FullTwist", "exponent class")
-        if cls == 0:
-            return SphereWPVerdict("Trivial", "action + exponent class")
-        raise AssertionError("action-trivial word with impossible exponent class")
-    try:
-        d = search_identity(sphere_presentation(m), w, budget or SearchBudget())
-        return SphereWPVerdict("Trivial", "certificate", d)
-    except NotFound:
-        return SphereWPVerdict("TrivialOrFullTwist", "exponent class ambiguous")
+    k = min(m, 3)
+    table, twist = _sphere_table(k)
+    x = table.evaluate(_forget_strands(w, m, k))
+    if x == 0:
+        return SphereWPVerdict("Trivial", "forgetful map")
+    if x == twist:
+        return SphereWPVerdict("FullTwist", "forgetful map")
+    raise AssertionError(f"action-trivial word maps to element {x} of B_{k}(S^2)")
 
 
 def annulus_to_disc(n: int, w: BraidWord) -> BraidWord:

@@ -12,7 +12,7 @@ simply not emitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .words import (
     EMPTY,

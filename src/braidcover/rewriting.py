@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .presentations import Presentation
 from .words import EMPTY, BraidWord, Letter, format_word, parse_word
@@ -251,9 +251,11 @@ class SearchStats:
 
 
 class NotFound(Exception):
-    def __init__(self, stats: SearchStats):
-        super().__init__(f"no certificate within budget ({stats.candidates} candidates)")
+    def __init__(self, stats: SearchStats, lemma: str | None = None):
+        where = f"lemma {lemma}: " if lemma else ""
+        super().__init__(f"{where}no certificate within budget ({stats.candidates} candidates)")
         self.stats = stats
+        self.lemma = lemma
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import pytest
 from braidcover.atlas import (
     REPORT_SCHEMA,
     ClassificationEntry,
+    _check_relator_images,
     center_quotient_entry,
     classify,
     eliminate_candidates,
@@ -107,12 +108,13 @@ def test_verify_suite_n2_all_verified():
 
 
 def test_verify_suite_n6_reports_policy_gaps():
-    # beyond the budget policy bounds the heavy checks become statements,
-    # the rest still runs; nothing may silently upgrade to verified
+    # beyond the budget policy bound the certificate search becomes a
+    # statement, the rest still runs; nothing may silently upgrade to
+    # verified.  The relator images are decided exactly at every n.
     report = verify_suite(6)
     statuses = {c.name: c.status for c in report.claims}
     assert statuses["identity-certificates"] == "statement-only"
-    assert statuses["covering-relator-images"] == "statement-only"
+    assert statuses["covering-relator-images"] == "verified"
     assert statuses["classification-consistency"] == "verified"
     assert statuses["abelianization"] == "verified"
     assert statuses["order-ledger"] == "partially-verified"
@@ -120,6 +122,15 @@ def test_verify_suite_n6_reports_policy_gaps():
     assert report.has_gaps
     with pytest.raises(ValueError):
         verify_suite(1)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_relator_images_verified_exactly(n):
+    claim = _check_relator_images(n)
+    assert claim.status == "verified" and not claim.gaps
+    # the status rests on the exact oracle, not on a certificate
+    assert "certif" not in claim.detail
+    assert "{1, full twist}" in claim.detail and "B_3(S^2)" in claim.detail
 
 
 def test_report_serialization():

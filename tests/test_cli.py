@@ -16,9 +16,11 @@ def test_config_loading(tmp_path, monkeypatch):
     cfg = ToolkitConfig.load(None)
     assert cfg.max_candidates is None and cfg.budget() is None
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"max_candidates": 123, "seed": 5}))
+    # keys the toolkit does not read, such as the retired seed and
+    # tolerance, are ignored
+    path.write_text(json.dumps({"max_candidates": 123, "seed": 5, "tolerance": 1e-6}))
     cfg = ToolkitConfig.load(str(path))
-    assert cfg.max_candidates == 123 and cfg.seed == 5
+    assert cfg == ToolkitConfig(max_candidates=123)
     assert cfg.budget().max_candidates == 123
     monkeypatch.setenv("BRAIDCOVER_MAX_CANDIDATES", "77")
     assert ToolkitConfig.load(str(path)).max_candidates == 77
@@ -73,6 +75,9 @@ def test_enumerate_overflow_is_gap(tmp_path, capsys, monkeypatch):
 def test_wp_verdicts(capsys):
     code, out, _ = run(capsys, "wp", "s2", "3", "s1 s2 s1 s2 s1 s2")
     assert code == EXIT_OK and "FullTwist" in out
+    # an even strand count is decided too: no undecided exit 2
+    code, out, _ = run(capsys, "wp", "s2", "4", "s1 s2 s3 " * 4)
+    assert code == EXIT_OK and out == "FullTwist (forgetful map)\n"
     code, out, _ = run(capsys, "wp", "annulus", "2", "t1")
     assert code == EXIT_OK and "Nontrivial" in out
     code, out, _ = run(capsys, "wp", "disc", "3", "s1 s1^-1")

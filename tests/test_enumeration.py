@@ -1,7 +1,9 @@
 import pytest
 
 from braidcover.enumeration import (
+    CosetTable,
     EnumerationOverflow,
+    TableNotClosed,
     abelianization,
     alternating_table,
     center_and_quotient,
@@ -51,6 +53,13 @@ def test_subgroup_index():
     assert not t.subgroup_trivial
     with pytest.raises(ValueError):
         group_table(t)
+
+
+def test_group_table_rejects_unreachable_cosets():
+    # coset 1 is never reached from coset 0; this must raise under -O too
+    split = CosetTable("split", (sigma(1),), ((0, 0), (1, 1)), True)
+    with pytest.raises(TableNotClosed):
+        group_table(split)
 
 
 def test_overflow():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,8 +20,7 @@ from braidcover.presentations import (
     full_twist,
     sphere_presentation,
 )
-from braidcover.rewriting import SearchBudget
-from braidcover.words import BraidWord, parse_word
+from braidcover.words import BraidWord, parse_word, sigma
 
 from .test_words import words_over
 
@@ -99,17 +100,28 @@ def test_sphere_word_problem_layers():
     assert sphere_word_problem(3, parse_word("s1")).verdict == "Nontrivial"
     v = sphere_word_problem(3, full_twist(3))
     assert v.verdict == "FullTwist"
-    assert v.evidence == "exponent class"
-    # squared full twist is honestly trivial on an odd strand count
+    assert v.evidence == "forgetful map"
     assert sphere_word_problem(3, full_twist(3) ** 2).verdict == "Trivial"
     rel = sphere_presentation(4).relators[-1]
-    got = sphere_word_problem(4, rel, SearchBudget(max_candidates=5_000))
-    assert got.verdict == "Trivial"
-    assert got.certificate is not None
-    # the even-strand full twist is action-trivial and class 0: the oracle
-    # must not claim triviality without a certificate
-    und = sphere_word_problem(4, full_twist(4), SearchBudget(max_candidates=2_000))
-    assert und.verdict == "TrivialOrFullTwist"
+    got = sphere_word_problem(4, rel)
+    assert (got.verdict, got.evidence) == ("Trivial", "forgetful map")
+    assert got.certificate is None
+    # the even-strand full twist is action-trivial and has exponent class
+    # 0 like the identity; the forgetful map still tells them apart
+    assert sphere_word_problem(4, full_twist(4)).verdict == "FullTwist"
+    # on two strands the full twist sigma_1^2 is itself a relator
+    assert sphere_word_problem(2, full_twist(2)).verdict == "Trivial"
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_sphere_word_problem_decides_twist_conjugates(m):
+    rng = random.Random(m)
+    for _ in range(3):
+        c = BraidWord(tuple((sigma(rng.randint(1, m - 1)), rng.choice((1, -1)))
+                            for _ in range(6)))
+        twist = c * full_twist(m) * c.inverse()
+        assert sphere_word_problem(m, twist).verdict == "FullTwist"
+        assert sphere_word_problem(m, twist * twist).verdict == "Trivial"
 
 
 def test_annulus_to_disc():
