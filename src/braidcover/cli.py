@@ -6,7 +6,8 @@ check contradicted a claim, or bad input).
 
 The certificate search budget can be overridden with the
 BRAIDCOVER_MAX_CANDIDATES environment variable or the max_candidates key
-of an optional JSON config file passed with --config.
+of an optional JSON config file passed with --config; either must be a
+positive integer.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ EXIT_FAILURE = 1
 EXIT_GAPS = 2
 
 
+class ConfigError(ValueError):
+    """Raised by ToolkitConfig.load on a config file or environment value
+    it cannot use."""
+
+
 @dataclass(frozen=True)
 class ToolkitConfig:
     max_candidates: int | None = None
@@ -43,10 +49,18 @@ class ToolkitConfig:
         if path:
             with open(path) as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ConfigError(f"{path}: config must be a JSON object")
+        budget = data.get("max_candidates")
         env = os.environ.get(ENV_BUDGET)
         if env is not None:
-            data["max_candidates"] = int(env)
-        return ToolkitConfig(max_candidates=data.get("max_candidates"))
+            try:
+                budget = int(env)
+            except ValueError:
+                raise ConfigError(f"{ENV_BUDGET}={env!r} is not an integer") from None
+        if budget is not None and (type(budget) is not int or budget < 1):
+            raise ConfigError(f"max_candidates must be a positive integer, got {budget!r}")
+        return ToolkitConfig(max_candidates=budget)
 
     def budget(self) -> SearchBudget | None:
         if self.max_candidates is None:

@@ -38,6 +38,11 @@ FREE_INSERT = "FreeInsert"
 ACTIONS = (INSERT_RELATOR, DELETE_RELATOR, FREE_CANCEL, FREE_INSERT)
 
 
+class CertificateFormatError(ValueError):
+    """Raised by Derivation.from_json on text that is not a derivation-v1
+    certificate."""
+
+
 class DerivationError(ValueError):
     """Raised on a malformed or inapplicable step; carries the step index."""
 
@@ -87,68 +92,112 @@ class Derivation:
 
     @staticmethod
     def from_json(text: str) -> "Derivation":
-        payload = json.loads(text)
+        """Parse a derivation-v1 certificate; any malformed input raises
+        CertificateFormatError."""
+        try:
+            payload = json.loads(text)
+        except (TypeError, ValueError) as exc:
+            raise CertificateFormatError(f"not JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise CertificateFormatError("certificate must be a JSON object")
         if payload.get("format") != "derivation-v1":
-            raise ValueError("unknown certificate format")
-        steps = tuple(
-            DerivationStep(
-                action=s["action"],
-                position=s["position"],
-                relator_index=s.get("relator_index", 0),
-                inverse_flag=s.get("inverse_flag", False),
-                conjugator=parse_word(s.get("conjugator", "")),
-            )
-            for s in payload["steps"]
-        )
-        return Derivation(parse_word(payload["from"]), parse_word(payload["to"]), steps)
+            raise CertificateFormatError("unknown certificate format")
+        raw_steps = payload.get("steps")
+        if not isinstance(raw_steps, list):
+            raise CertificateFormatError("steps must be a list")
+        steps = tuple(_step_from_json(i, s) for i, s in enumerate(raw_steps))
+        return Derivation(_word_field(payload, "from", "certificate"),
+                          _word_field(payload, "to", "certificate"), steps)
 
 
-def _inserted_word(p: Presentation, step: DerivationStep, index: int) -> BraidWord:
+def _word_field(obj: dict, key: str, where: str, default: str | None = None) -> BraidWord:
+    text = obj.get(key, default)
+    if not isinstance(text, str):
+        raise CertificateFormatError(f"{where}: {key!r} must be a word string")
+    try:
+        return parse_word(text)
+    except ValueError as exc:
+        raise CertificateFormatError(f"{where}: {key!r}: {exc}") from None
+
+
+def _int_field(obj: dict, key: str, where: str, default: int | None = None) -> int:
+    value = obj.get(key, default)
+    if type(value) is not int:
+        raise CertificateFormatError(f"{where}: {key!r} must be an integer")
+    return value
+
+
+def _step_from_json(index: int, s) -> DerivationStep:
+    where = f"step {index}"
+    if not isinstance(s, dict):
+        raise CertificateFormatError(f"{where}: must be a JSON object")
+    action = s.get("action")
+    if action not in ACTIONS:
+        raise CertificateFormatError(f"{where}: unknown action {action!r}")
+    position = _int_field(s, "position", where)
+    if position < 0:
+        raise CertificateFormatError(f"{where}: negative position")
+    inverse_flag = s.get("inverse_flag", False)
+    if type(inverse_flag) is not bool:
+        raise CertificateFormatError(f"{where}: 'inverse_flag' must be a boolean")
+    return DerivationStep(action, position, _int_field(s, "relator_index", where, 0),
+                          inverse_flag, _word_field(s, "conjugator", where, ""))
+
+
+def _inverse_letters(letters) -> tuple[Letter, ...]:
+    return tuple((g, -e) for g, e in reversed(letters))
+
+
+def _inserted_letters(p: Presentation, step: DerivationStep, index: int) -> tuple[Letter, ...]:
     if not (0 <= step.relator_index < len(p.relators)):
         raise DerivationError(index, f"relator index {step.relator_index} out of range")
-    r = p.relators[step.relator_index]
+    r = p.relators[step.relator_index].letters
     if step.inverse_flag:
-        r = r.inverse()
-    return step.conjugator * r * step.conjugator.inverse()
+        r = _inverse_letters(r)
+    c = step.conjugator.letters
+    return c + r + _inverse_letters(c)
 
 
-def apply_step(p: Presentation, w: BraidWord, step: DerivationStep, index: int = 0) -> BraidWord:
-    """Apply one move to w, raising DerivationError if it does not apply."""
-    letters = w.letters
+def _apply(p: Presentation, letters: tuple[Letter, ...], step: DerivationStep,
+           index: int) -> tuple[Letter, ...]:
+    """apply_step on a letter tuple.  Every letter it handles comes from a
+    validated word, so the result needs no revalidation."""
     pos = step.position
-    if step.action == INSERT_RELATOR:
-        if pos > len(letters):
-            raise DerivationError(index, f"position {pos} beyond word of length {len(letters)}")
-        ins = _inserted_word(p, step, index)
-        return BraidWord(letters[:pos] + ins.letters + letters[pos:])
-    if step.action == DELETE_RELATOR:
-        ins = _inserted_word(p, step, index)
-        k = len(ins)
-        if letters[pos : pos + k] != ins.letters:
-            raise DerivationError(index, "relator conjugate not present at position")
-        return BraidWord(letters[:pos] + letters[pos + k :])
-    if step.action == FREE_CANCEL:
+    action = step.action
+    if action == FREE_CANCEL:
         if pos + 1 >= len(letters):
             raise DerivationError(index, "cancel position beyond word end")
         (g1, e1), (g2, e2) = letters[pos], letters[pos + 1]
         if g1 != g2 or e1 != -e2:
             raise DerivationError(index, "letters at position are not an inverse pair")
-        return BraidWord(letters[:pos] + letters[pos + 2 :])
-    # FREE_INSERT
+        return letters[:pos] + letters[pos + 2 :]
+    if action == DELETE_RELATOR:
+        ins = _inserted_letters(p, step, index)
+        k = len(ins)
+        if letters[pos : pos + k] != ins:
+            raise DerivationError(index, "relator conjugate not present at position")
+        return letters[:pos] + letters[pos + k :]
     if pos > len(letters):
         raise DerivationError(index, f"position {pos} beyond word of length {len(letters)}")
-    if len(step.conjugator) == 0:
+    if action == INSERT_RELATOR:
+        return letters[:pos] + _inserted_letters(p, step, index) + letters[pos:]
+    # FREE_INSERT
+    c = step.conjugator.letters
+    if not c:
         raise DerivationError(index, "free insert needs a nonempty word")
-    c = step.conjugator
-    pair = c * c.inverse()
-    return BraidWord(letters[:pos] + pair.letters + letters[pos:])
+    return letters[:pos] + c + _inverse_letters(c) + letters[pos:]
+
+
+def apply_step(p: Presentation, w: BraidWord, step: DerivationStep, index: int = 0) -> BraidWord:
+    """Apply one move to w, raising DerivationError if it does not apply."""
+    return BraidWord(_apply(p, w.letters, step, index))
 
 
 def replay(p: Presentation, d: Derivation) -> BraidWord:
-    w = d.source
+    letters = d.source.letters
     for i, step in enumerate(d.steps):
-        w = apply_step(p, w, step, i)
-    return w
+        letters = _apply(p, letters, step, i)
+    return BraidWord(letters)
 
 
 def verify_derivation(p: Presentation, d: Derivation) -> bool:
@@ -164,20 +213,26 @@ def verify_derivation(p: Presentation, d: Derivation) -> bool:
 # proof algebra: mechanical step-sequence constructors
 
 
+def _reduction_steps(letters) -> tuple[list[DerivationStep], tuple[Letter, ...]]:
+    steps: list[DerivationStep] = []
+    letters = list(letters)
+    i = 0
+    while i < len(letters) - 1:
+        (g1, e1), (g2, e2) = letters[i], letters[i + 1]
+        if g1 == g2 and e1 == -e2:
+            steps.append(DerivationStep(FREE_CANCEL, i))
+            del letters[i : i + 2]
+            # no pair lies left of i - 1: the next leftmost pair is there or later
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return steps, tuple(letters)
+
+
 def reduction_steps(w: BraidWord) -> tuple[list[DerivationStep], BraidWord]:
     """FreeCancels performing canonical (leftmost-pair) free reduction of w."""
-    steps: list[DerivationStep] = []
-    letters = list(w.letters)
-    while True:
-        for i in range(len(letters) - 1):
-            (g1, e1), (g2, e2) = letters[i], letters[i + 1]
-            if g1 == g2 and e1 == -e2:
-                steps.append(DerivationStep(FREE_CANCEL, i))
-                del letters[i : i + 2]
-                break
-        else:
-            break
-    return steps, BraidWord(tuple(letters))
+    steps, letters = _reduction_steps(w.letters)
+    return steps, BraidWord(letters)
 
 
 def pair_insert_steps(c: BraidWord, pos: int) -> list[DerivationStep]:
@@ -200,20 +255,21 @@ def invert_steps(p: Presentation, start: BraidWord, steps) -> list[DerivationSte
     """Steps transforming replay(start, steps) back to start, by replaying
     forward and emitting each step's exact inverse in reverse order."""
     out: list[DerivationStep] = []
-    w = start
+    letters = start.letters
     for i, step in enumerate(steps):
+        after = _apply(p, letters, step, i)
         if step.action == INSERT_RELATOR:
-            inv = [DerivationStep(DELETE_RELATOR, step.position, step.relator_index, step.inverse_flag, step.conjugator)]
+            out.append(DerivationStep(DELETE_RELATOR, step.position, step.relator_index, step.inverse_flag, step.conjugator))
         elif step.action == DELETE_RELATOR:
-            inv = [DerivationStep(INSERT_RELATOR, step.position, step.relator_index, step.inverse_flag, step.conjugator)]
+            out.append(DerivationStep(INSERT_RELATOR, step.position, step.relator_index, step.inverse_flag, step.conjugator))
         elif step.action == FREE_CANCEL:
-            let = w.letters[step.position]
-            inv = [DerivationStep(FREE_INSERT, step.position, conjugator=BraidWord((let,)))]
+            let = letters[step.position]
+            out.append(DerivationStep(FREE_INSERT, step.position, conjugator=BraidWord((let,))))
         else:  # FREE_INSERT of c c^-1: cancel from the innermost pair outwards
             k = len(step.conjugator)
-            inv = [DerivationStep(FREE_CANCEL, step.position + k - 1 - j) for j in range(k)]
-        out = inv + out
-        w = apply_step(p, w, step, i)
+            out.extend(DerivationStep(FREE_CANCEL, step.position + j) for j in range(k))
+        letters = after
+    out.reverse()
     return out
 
 
@@ -318,6 +374,8 @@ class _MoveTable:
                     self.moves.append(rot)
                     self.origins.append((kind, ref, inv, k))
         self.lemmas = lemmas
+        # the freely reduced form of each move is what a splice inserts
+        self.reduced = [_reduce_enc(mv) for mv in self.moves]
         # moves indexed by the letter their first/last letter cancels against
         self.by_first: dict[int, list[int]] = {}
         self.by_last: dict[int, list[int]] = {}
@@ -345,11 +403,35 @@ def _reduce_enc(letters) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _splice(w: tuple[int, ...], q: int, mv: tuple[int, ...]) -> tuple[int, ...]:
+    """_reduce_enc(w[:q] + mv + w[q:]) for freely reduced w and mv.
+
+    Only the junctions can cancel: w[:q] against the head of mv, then the
+    tail of mv against w[q:], and, once mv is used up, w[:i] against w[l:].
+    Free reduction is confluent, so the result is the same word."""
+    lw, lm = len(w), len(mv)
+    i, j = q, 0
+    while i and j < lm and w[i - 1] == mv[j] ^ 1:
+        i -= 1
+        j += 1
+    k, l = lm, q
+    while l < lw and k > j and mv[k - 1] == w[l] ^ 1:
+        k -= 1
+        l += 1
+    if j == k:
+        while i and l < lw and w[i - 1] == w[l] ^ 1:
+            i -= 1
+            l += 1
+    return w[:i] + mv[j:k] + w[l:]
+
+
 def _search_reduced(table: _MoveTable, start: tuple[int, ...], goal: tuple[int, ...],
                     budget: SearchBudget, cap: int):
     """Best-first search on free-reduced encoded words.  Neighbors insert a
     relator (or lemma) rotation at a position where it cancels against the
     word boundary; bare insertions are allowed only into the empty word.
+    Each candidate is spliced from the move's reduced form, cancelling only
+    at the two junctions (see _splice) instead of re-reducing the word.
     Returns the move path as [(move_index, position, word_before)]."""
     if start == goal:
         return [], SearchStats(0, 0, True)
@@ -361,6 +443,8 @@ def _search_reduced(table: _MoveTable, start: tuple[int, ...], goal: tuple[int, 
     candidates = 0
     expanded = 0
     moves = table.moves
+    reduced = table.reduced
+    max_candidates = budget.max_candidates
     while heap:
         _, _, w, depth = heapq.heappop(heap)
         expanded += 1
@@ -380,10 +464,9 @@ def _search_reduced(table: _MoveTable, start: tuple[int, ...], goal: tuple[int, 
                         if not (q > 0 and moves[mi][0] ^ 1 == w[q - 1])
                     )
         for mi, q in pairs:
-            mv = moves[mi]
-            cand = _reduce_enc(w[:q] + mv + w[q:])
+            cand = _splice(w, q, reduced[mi])
             candidates += 1
-            if candidates > budget.max_candidates:
+            if candidates > max_candidates:
                 raise NotFound(SearchStats(candidates, expanded, False))
             if len(cand) > cap or cand in parent:
                 continue
@@ -406,7 +489,7 @@ def _compile_path(table: _MoveTable, start_word: BraidWord, path) -> list[Deriva
     free reduction after each insertion."""
     p = table.presentation
     steps: list[DerivationStep] = []
-    w = start_word
+    w = start_word.letters
     for mi, pos, _before in path:
         kind, ref, inv, rot = table.origins[mi]
         base = p.relators[ref] if kind == "relator" else table.lemmas[ref].relator
@@ -415,18 +498,15 @@ def _compile_path(table: _MoveTable, start_word: BraidWord, path) -> list[Deriva
         prefix = BraidWord(base.letters[:rot])
         if kind == "relator":
             steps.append(DerivationStep(INSERT_RELATOR, pos, ref, inv, prefix.inverse()))
-            w = apply_step(p, w, steps[-1])
+            w = _apply(p, w, steps[-1], len(steps) - 1)
         else:
             lem = table.lemmas[ref]
             pre = pair_insert_steps(prefix.inverse(), pos)
-            for s in pre:
-                steps.append(s)
-                w = apply_step(p, w, s)
             body = lem.build_inverse if inv else lem.build
-            for s in shift_steps(body, pos + len(prefix)):
+            for s in pre + shift_steps(body, pos + len(prefix)):
                 steps.append(s)
-                w = apply_step(p, w, s)
-        red, w = reduction_steps(w)
+                w = _apply(p, w, s, len(steps) - 1)
+        red, w = _reduction_steps(w)
         steps.extend(red)
     return steps
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from braidcover.cli import EXIT_FAILURE, EXIT_GAPS, EXIT_OK, ToolkitConfig, main
+from braidcover.cli import EXIT_FAILURE, EXIT_GAPS, EXIT_OK, ConfigError, ToolkitConfig, main
 from braidcover.presentations import Presentation, finite_group_presentation
 
 
@@ -32,6 +32,27 @@ def test_bad_config_is_hard_failure(tmp_path, capsys):
     code, _out, err = run(capsys, "--config", str(path), "classify", "rp2", "3")
     assert code == EXIT_FAILURE
     assert "bad config" in err
+
+
+@pytest.mark.parametrize("text", ("[1, 2]", '"budget"', '{"max_candidates": 0}',
+                                  '{"max_candidates": -5}', '{"max_candidates": 2.5}',
+                                  '{"max_candidates": "100"}', '{"max_candidates": true}'))
+def test_config_file_rejects_bad_values(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError):
+        ToolkitConfig.load(str(path))
+    code, _out, err = run(capsys, "--config", str(path), "classify", "rp2", "3")
+    assert code == EXIT_FAILURE
+    assert "bad config" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ("-5", "0", "many"))
+def test_env_budget_must_be_positive(capsys, monkeypatch, value):
+    monkeypatch.setenv("BRAIDCOVER_MAX_CANDIDATES", value)
+    code, out, err = run(capsys, "derive", "delta4", "2")
+    assert code == EXIT_FAILURE
+    assert "bad config" in err and "no certificate" not in out
 
 
 def test_present_roundtrips(capsys):

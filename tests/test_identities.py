@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from braidcover.identities import CertificateEngine, paper_claims
@@ -30,6 +32,17 @@ def test_engine_certifies_and_replays(engine_factory):
             assert d.source == claim.source
             assert d.target == claim.target
             assert verify_derivation(p, d)
+
+
+@pytest.mark.parametrize("n, digest, steps", [(2, "9d9cd65a9a88a431", 868),
+                                              (3, "5e3208cfa828bd4f", 3514)])
+def test_certificates_are_pinned(engine_factory, n, digest, steps):
+    # a change to the search or the compiler that alters any certificate
+    # shows here; one that does so on purpose updates the pin
+    certs = engine_factory(n).certify_all()
+    text = "".join(certs[k].to_json() for k in sorted(certs))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    assert sum(len(d.steps) for d in certs.values()) == steps
 
 
 def test_certificates_use_only_presentation_relators(engine_factory):
