@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Benchmark the certificate engine: time the lemma-ladder seeding and the
-per-claim certification at each strand count, and report certificate sizes.
+per-claim certification at each strand count, and report how many lemmas
+were scripted or searched, the search's candidates and expansions, and
+certificate sizes.
 Every certificate is replayed against the presentation; the exit status is 1
 if any is rejected.
 
@@ -34,6 +36,11 @@ def main() -> int:
                   f"candidates, {exc.stats.expanded} expansions)")
             continue
         seed_time = time.perf_counter() - t0
+        searched = [r for r in engine.records.values() if r.method == "searched"]
+        print(f"n={n}: {len(engine.records) - len(searched)} scripted lemmas, "
+              f"{len(searched)} searched lemmas, "
+              f"{sum(r.candidates for r in searched)} candidates, "
+              f"{sum(r.expanded for r in searched)} expansions")
         p = van_buskirk(n)
         total_steps = 0
         longest = ("", 0)

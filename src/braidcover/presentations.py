@@ -27,6 +27,10 @@ from .words import (
 )
 
 
+class PresentationFormatError(ValueError):
+    """Raised by Presentation.from_text on text that is not a presentation."""
+
+
 @dataclass(frozen=True)
 class Presentation:
     name: str
@@ -51,15 +55,26 @@ class Presentation:
 
     @staticmethod
     def from_text(text: str) -> "Presentation":
+        """Parse the format to_text writes; any malformed input raises
+        PresentationFormatError."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines[0].startswith("presentation "):
-            raise ValueError("missing presentation header")
-        name = lines[0].split(None, 1)[1]
-        gens = tuple(
-            parse_word(tok).letters[0][0] for tok in lines[1].split()[1:]
-        )
-        relators = tuple(parse_word(ln) for ln in lines[2:])
-        return Presentation(name, gens, relators)
+        header = lines[0].split(None, 1) if lines else []
+        if len(header) != 2 or header[0] != "presentation":
+            raise PresentationFormatError("missing 'presentation NAME' header")
+        tokens = lines[1].split() if len(lines) > 1 else []
+        if not tokens or tokens[0] != "generators":
+            raise PresentationFormatError("missing 'generators' line")
+        try:
+            gens = []
+            for tok in tokens[1:]:
+                g, e = parse_word(tok).letters[0]
+                if e != 1:
+                    raise ValueError(f"inverted generator {tok!r}")
+                gens.append(g)
+            relators = tuple(parse_word(ln) for ln in lines[2:])
+            return Presentation(header[1].strip(), tuple(gens), relators)
+        except ValueError as exc:
+            raise PresentationFormatError(str(exc)) from None
 
 
 def _relator(lhs: BraidWord, rhs: BraidWord = EMPTY) -> BraidWord:

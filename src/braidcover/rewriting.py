@@ -511,30 +511,55 @@ def _compile_path(table: _MoveTable, start_word: BraidWord, path) -> list[Deriva
     return steps
 
 
+def _move_cost(table: _MoveTable, mi: int) -> int:
+    """The steps _compile_path spends on move mi, up to a constant shared by
+    all moves that turn one word into the same next word.  A rotation by k
+    adds a conjugator of k letters on each side, which costs k more
+    FreeCancels; a lemma rotation also spends k FreeInserts on it and
+    replays the lemma's build (build_inverse for the inverse)."""
+    kind, ref, inv, rot = table.origins[mi]
+    if kind == "relator":
+        return rot
+    lemma = table.lemmas[ref]
+    return 2 * rot + len(lemma.build_inverse if inv else lemma.build)
+
+
+def _checked_derivation(p: Presentation, source: BraidWord, target: BraidWord,
+                        body: list[DerivationStep]) -> Derivation:
+    """The derivation source -> target made of the free reduction of source,
+    then body (which takes the reduced source to the reduced target), then
+    the undone free reduction of target; replay-checked, so compile bugs
+    never escape."""
+    pre_steps, _ = reduction_steps(source)
+    post_steps, _ = reduction_steps(target)
+    steps = pre_steps + body + invert_steps(p, target, post_steps)
+    d = Derivation(source, target, tuple(steps))
+    if not verify_derivation(p, d):
+        raise AssertionError("compiled certificate failed replay")
+    return d
+
+
 def find_equality(p: Presentation, source: BraidWord, target: BraidWord,
                   budget: SearchBudget = SearchBudget(),
                   lemmas: tuple[Lemma, ...] = (),
-                  relator_subset=None) -> Derivation:
+                  relator_subset=None,
+                  stats: list[SearchStats] | None = None) -> Derivation:
     """Certificate for source = target in the presented group, or NotFound.
 
     The returned derivation references only presentation relators; lemma
     applications found by the search are compiled into their stored
-    presentation-level step sequences.
+    presentation-level step sequences.  If stats is a list, the search's
+    SearchStats is appended to it.
     """
     table = _MoveTable(p, lemmas, relator_subset)
-    pre_steps, src_red = reduction_steps(source)
-    tgt_red_steps, tgt_red = reduction_steps(target)
+    src_red = source.free_reduce()
     cap = budget.length_cap(source, target, p.relators)
-    path, _stats = _search_reduced(
-        table, table.encode(src_red), table.encode(tgt_red), budget, cap
+    path, search_stats = _search_reduced(
+        table, table.encode(src_red), table.encode(target.free_reduce()), budget, cap
     )
-    steps = list(pre_steps)
-    steps += _compile_path(table, src_red, path)
-    steps += invert_steps(p, target, tgt_red_steps)
-    d = Derivation(source, target, tuple(steps))
-    if not verify_derivation(p, d):  # self-check; compile bugs must not escape
-        raise AssertionError("compiled certificate failed replay")
-    return d
+    if stats is not None:
+        stats.append(search_stats)
+    return _checked_derivation(p, source, target, _compile_path(table, src_red, path))
 
 
 def search_identity(p: Presentation, w: BraidWord,

@@ -76,6 +76,17 @@ def test_enumerate(tmp_path, capsys):
     assert "order 8" in out
 
 
+@pytest.mark.parametrize("text", ["", "presentation Q8\n", "presentation Q8\ns1 s2\n",
+                                  "presentation Q8\ngenerators s1 s2\ns1 q2\n"])
+def test_enumerate_rejects_malformed_presentation(tmp_path, capsys, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "enumerate", str(path))
+    assert code == EXIT_FAILURE
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == ""
+
+
 def test_enumerate_overflow_is_gap(tmp_path, capsys, monkeypatch):
     # a free group never closes; cap the enumeration via the env budget?
     # coset enumeration has its own internal cap, so use a presentation

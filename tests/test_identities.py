@@ -2,10 +2,11 @@ import hashlib
 
 import pytest
 
-from braidcover.identities import CertificateEngine, paper_claims
-from braidcover.presentations import van_buskirk
-from braidcover.rewriting import verify_derivation
-from braidcover.words import permutation_image
+from braidcover import identities
+from braidcover.identities import CertificateEngine, ScriptError, paper_claims
+from braidcover.presentations import half_twist, van_buskirk
+from braidcover.rewriting import Derivation, verify_derivation
+from braidcover.words import EMPTY, gen_word, permutation_image, rho, sigma
 
 
 def test_claim_labels_unique():
@@ -34,8 +35,8 @@ def test_engine_certifies_and_replays(engine_factory):
             assert verify_derivation(p, d)
 
 
-@pytest.mark.parametrize("n, digest, steps", [(2, "9d9cd65a9a88a431", 868),
-                                              (3, "5e3208cfa828bd4f", 3514)])
+@pytest.mark.parametrize("n, digest, steps", [(2, "4aca164a219e4941", 896),
+                                              (3, "c26a6b605e85368e", 3167)])
 def test_certificates_are_pinned(engine_factory, n, digest, steps):
     # a change to the search or the compiler that alters any certificate
     # shows here; one that does so on purpose updates the pin
@@ -58,3 +59,61 @@ def test_certificates_use_only_presentation_relators(engine_factory):
 def test_engine_validation():
     with pytest.raises(ValueError):
         CertificateEngine(1)
+
+
+def _scripted(engine):
+    return {name for name, rec in engine.records.items() if rec.method == "scripted"}
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_scripted_lemmas_replay(engine_factory, n):
+    # build and build_inverse take the empty word to L and to L^-1 against
+    # the bare presentation
+    engine = engine_factory(n)
+    p = van_buskirk(n)
+    scripted = _scripted(engine)
+    assert scripted == ({f"conjri_{i}" for i in range(2, n + 1)}
+                        | {f"permute_rho_{i}" for i in range(2, n)} | {"mirror"})
+    for name in scripted:
+        lemma = engine.lemmas[name]
+        assert verify_derivation(p, Derivation(EMPTY, lemma.relator, lemma.build))
+        assert verify_derivation(p, Derivation(EMPTY, lemma.relator.inverse(),
+                                               lemma.build_inverse))
+
+
+def test_scripted_lemmas_never_search(monkeypatch):
+    # every find_equality call of the seeding belongs to a searched lemma
+    calls = []
+    real = identities.find_equality
+    monkeypatch.setattr(identities, "find_equality",
+                        lambda *args, **kw: calls.append(args[1]) or real(*args, **kw))
+    engine = CertificateEngine(4)
+    engine.seed_all()
+    searched = [name for name, rec in engine.records.items() if rec.method == "searched"]
+    assert len(calls) == len(searched)
+    assert [engine.lemmas[name].relator for name in searched] == calls
+    for name in _scripted(engine):
+        assert engine.records[name].candidates == engine.records[name].expanded == 0
+    assert sum(engine.records[name].candidates for name in searched) > 0
+
+
+def test_script_step_that_does_not_apply():
+    engine = CertificateEngine(3)
+    engine.seed()
+    d = half_twist(3)
+    r2, r1 = gen_word(rho(2)), gen_word(rho(1))
+    s1i = gen_word(sigma(1), -1)
+    # sirisi_1 rewrites rho_2 to s1^-1 rho_1 s1^-1, never to rho_1
+    with pytest.raises(ScriptError) as err:
+        engine.add_scripted_lemma("bad", d.inverse() * r2 * d, r1, [
+            ("sirisi_1", d.inverse() * s1i * r1 * s1i * d),
+            ("sirisi_1", d.inverse() * r1 * d),
+        ])
+    assert err.value.lemma == "bad" and err.value.step == 1
+    with pytest.raises(ScriptError) as err:
+        engine.add_scripted_lemma("bad", r2, r1, [("no_such_lemma", r1)])
+    assert err.value.step == 0
+    with pytest.raises(ScriptError) as err:  # stops short of the target
+        engine.add_scripted_lemma("bad", r2, r1, [("sirisi_1", s1i * r1 * s1i)])
+    assert err.value.step == 1
+    assert "bad" not in engine.lemmas and "bad" not in engine.records

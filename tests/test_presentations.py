@@ -2,6 +2,7 @@ import pytest
 
 from braidcover.presentations import (
     Presentation,
+    PresentationFormatError,
     annulus_presentation,
     element_a,
     element_b,
@@ -52,6 +53,24 @@ def test_presentation_text_roundtrip():
         assert q.name == p.name
         assert q.generators == p.generators
         assert q.relators == p.relators
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "\n  \n",
+    "presentation Q8",
+    "presentation\ngenerators s1",
+    "group Q8\ngenerators s1",
+    "presentation Q8\ns1 s2\ns1 s1",
+    "presentation Q8\ngenerators\ns1",
+    "presentation Q8\ngenerators s1 x2",
+    "presentation Q8\ngenerators s1^-1",
+    "presentation Q8\ngenerators s1 s2\ns1 q2",
+    "presentation Q8\ngenerators s1\ns2",
+])
+def test_presentation_from_text_rejects_malformed(text):
+    with pytest.raises(PresentationFormatError):
+        Presentation.from_text(text)
 
 
 def test_presentation_validation():
