@@ -85,8 +85,12 @@ def test_scripted_lemmas_never_search(monkeypatch):
     # every find_equality call of the seeding belongs to a searched lemma
     calls = []
     real = identities.find_equality
-    monkeypatch.setattr(identities, "find_equality",
-                        lambda *args, **kw: calls.append(args[1]) or real(*args, **kw))
+
+    def counting(p, source, *args):
+        calls.append(source)
+        return real(p, source, *args)
+
+    monkeypatch.setattr(identities, "find_equality", counting)
     engine = CertificateEngine(4)
     engine.seed_all()
     searched = [name for name, rec in engine.records.items() if rec.method == "searched"]
