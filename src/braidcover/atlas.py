@@ -369,12 +369,6 @@ def _check_quotients(n: int) -> ClaimStatus:
 
 
 def _check_identities(n: int, budget: SearchBudget | None) -> ClaimStatus:
-    if n > 5:
-        return ClaimStatus(
-            "identity-certificates",
-            "statement-only",
-            "certificate search not attempted beyond 5 strands (budget policy)",
-        )
     engine = CertificateEngine(n, budget)
     gaps = []
     done = 0

@@ -4,13 +4,14 @@ and a certificate engine that proves them.
 Claims are pairs of words (source, target) asserted equal in van_buskirk(n).
 The engine proves them with the rewriting search, seeded with a ladder of
 auxiliary identities (disc braid shuffles, half twist conjugation, the
-rho_j expansion) proved in dependency order.  The ladder is part scripted
-and part searched: the inductive steps (conjri_i and permute_rho_i for
-i >= 2, and mirror) follow a script of single lemma or relator moves that
-is checked, not searched; the bases and the disc braid lemmas are found by
-search.  Each auxiliary identity is compiled down to presentation relators
-at registration time, so every certificate the engine emits replays
-against the bare presentation.
+rho_j expansion) proved in dependency order.  Every lemma of the ladder is
+proved by a script of single lemma or relator moves that is checked, not
+searched: the disc braid lemmas equate positive sigma-words and follow the
+braid and commutation moves of _positive_script, and the rest are
+inductions on the strand or generator index.  Only two cores, whose size
+does not depend on n, are searched.  Each auxiliary identity is compiled
+down to presentation relators at registration time, so every certificate
+the engine emits replays against the bare presentation.
 """
 
 from __future__ import annotations
@@ -95,12 +96,70 @@ def paper_claims(n: int) -> list[Claim]:
 
 class ScriptError(ValueError):
     """Raised when a lemma script step does not apply: no insertion of the
-    step's lemma or relator turns the current word into the stated one."""
+    step's lemma or relator turns the current word into the stated one.
+    _positive_script raises it for words that are not equal positive
+    braids."""
 
     def __init__(self, lemma: str, step: int, message: str):
         super().__init__(f"lemma {lemma}: script step {step}: {message}")
         self.lemma = lemma
         self.step = step
+
+
+def _positive_script(name: str, source: BraidWord, target: BraidWord):
+    """A script of braid and commutation moves from source to target, two
+    positive sigma-words equal in the positive braid monoid.
+
+    Right division: for t = len(target), ..., 1 the first t letters of the
+    current word are rearranged until the t-th one is target's t-th.  To
+    make a prefix u s_j end in s_k: if j = k nothing moves; if |j - k| >= 2,
+    make u end in s_k, then s_k s_j -> s_j s_k (comm_s); if |j - k| = 1,
+    make u end in s_k, then the part before that s_k end in s_j, then
+    s_j s_k s_j -> s_k s_j s_k (braid).  The right lcm of s_j and s_k is
+    s_k s_j (resp. s_j s_k s_j) and the monoid is cancellative, so this
+    fails only where s_k does not right-divide the prefix, that is, only on
+    words that are not equal; then it raises ScriptError.  Working from the
+    right keeps every move left of the suffix that already matches target,
+    so no move falls in the part that the script check cancels against
+    target^-1.
+    """
+    u, v = [], []
+    for word, out in ((source, u), (target, v)):
+        for g, e in word:
+            if g.kind != "s" or e != 1:
+                raise ScriptError(name, 0, f"{word} is not a positive sigma-word")
+            out.append(g.index)
+    if len(u) != len(v):
+        raise ScriptError(name, 0, "positive words of different lengths are not equal")
+    script: list[tuple[str, BraidWord]] = []
+
+    def record(label: str) -> None:
+        script.append((label, BraidWord(tuple((sigma(i), 1) for i in u))))
+
+    for t in range(len(v), 0, -1):
+        # make u[:t] end in s_(v[t-1]).  Tasks: ("pull", end, _, k) makes
+        # u[:end] end in s_k; ("swap", end, j, k) and ("braid", end, j, k)
+        # run once u[:end] ends in s_k s_j, resp. s_j s_k s_j
+        tasks = [("pull", t, v[t - 1], v[t - 1])]
+        while tasks:
+            kind, end, j, k = tasks.pop()
+            if kind == "pull":
+                if end == 0:
+                    raise ScriptError(name, len(script),
+                                      f"s{k} does not right-divide what is left of {source}")
+                j = u[end - 1]
+                if j != k:
+                    tasks += [("swap", end, j, k), ("pull", end - 1, k, k)]
+            elif kind == "swap" and abs(j - k) >= 2:
+                u[end - 2 : end] = [j, k]
+                record(f"comm_s_{min(j, k)}_{max(j, k)}")
+            elif kind == "swap":
+                # u[:end] ends in s_k s_j; make the part before them end in s_j
+                tasks += [("braid", end, j, k), ("pull", end - 2, j, j)]
+            else:
+                u[end - 3 : end] = [k, j, k]
+                record(f"braid_{min(j, k)}")
+    return script
 
 
 @dataclass(frozen=True)
@@ -116,8 +175,8 @@ class LemmaRecord:
 class CertificateEngine:
     """Proves identities in van_buskirk(n) from a ladder of auxiliary lemmas.
 
-    Lemmas are proved in dependency order, the inductive steps by script
-    (add_scripted_lemma) and the rest by seeded certificate search
+    Lemmas are proved in dependency order by script (add_scripted_lemma),
+    except two fixed-size cores proved by seeded certificate search
     (add_lemma).  Each becomes a single search move for later proofs but
     is stored compiled to presentation-level steps, so emitted
     certificates never reference anything but the presentation's own
@@ -133,6 +192,8 @@ class CertificateEngine:
         self.lemmas: dict[str, Lemma] = {}
         self.records: dict[str, LemmaRecord] = {}
         self.relator_ids = van_buskirk_relator_labels(n)
+        # one-label move tables of script steps; lemmas never change once banked
+        self._tables: dict[str, _MoveTable] = {}
         self._seeded = False
 
     # -- lemma plumbing -----------------------------------------------------
@@ -186,6 +247,18 @@ class CertificateEngine:
         return self._store(name, proof, LemmaRecord("searched", stats[0].candidates,
                                                     stats[0].expanded))
 
+    def _step_table(self, name: str, index: int, label: str) -> _MoveTable:
+        table = self._tables.get(label)
+        if table is None:
+            if label in self.lemmas:
+                table = _MoveTable(self.presentation, (self.lemmas[label],), ())
+            elif label in self.relator_ids:
+                table = _MoveTable(self.presentation, (), (self.relator_ids[label],))
+            else:
+                raise ScriptError(name, index, f"no lemma or relator {label}")
+            self._tables[label] = table
+        return table
+
     def add_scripted_lemma(self, name: str, source: BraidWord, target: BraidWord,
                            script) -> Lemma:
         """Prove source = target from a script: (label, word) pairs whose
@@ -194,9 +267,13 @@ class CertificateEngine:
         A step inserts one rotation of the lemma or relator named by label,
         or of its inverse, and reduces freely; it must turn the current word
         into the stated one.  Words are compared as w target^-1, freely
-        reduced, so the proof runs from the lemma relator to the empty word.
-        Every move of the label is tried at every position: a bounded check,
-        not a search.  A step that does not apply raises ScriptError.
+        reduced, so the proof runs from the lemma relator to the empty word;
+        a step whose word reduces to the current one needs no move.  Every
+        move of the label is tried at every position where it can turn the
+        current word into the next: within the move's length, plus the
+        drop in length, of where the two words first and last differ.  That
+        is a bounded check, not a search.  A step that does not apply raises
+        ScriptError.
         """
         if name in self.lemmas:
             return self.lemmas[name]
@@ -204,16 +281,21 @@ class CertificateEngine:
         current = (source * tail).free_reduce()
         body = []
         for index, (label, word) in enumerate(script):
-            if label in self.lemmas:
-                table = _MoveTable(self.presentation, (self.lemmas[label],), ())
-            elif label in self.relator_ids:
-                table = _MoveTable(self.presentation, (), (self.relator_ids[label],))
-            else:
-                raise ScriptError(name, index, f"no lemma or relator {label}")
+            table = self._step_table(name, index, label)
             following = (word * tail).free_reduce()
+            if following == current:
+                continue
             w, goal = table.encode(current), table.encode(following)
-            hits = [(mi, q) for q in range(len(w) + 1)
-                    for mi, mv in enumerate(table.reduced) if _splice(w, q, mv) == goal]
+            lw, lg = len(w), len(goal)
+            pre = next((i for i, (x, y) in enumerate(zip(w, goal)) if x != y), min(lw, lg))
+            suf = next((i for i, (x, y) in enumerate(zip(reversed(w), reversed(goal)))
+                        if x != y), min(lw, lg))
+            # a splice at q replaces w[i:l] by part of mv, with i <= q <= l,
+            # i <= pre, l >= lw - suf and l - i <= lw - lg + len(mv)
+            hits = [(mi, q) for mi, mv in enumerate(table.reduced)
+                    for q in range(max(0, lg - suf - len(mv)),
+                                   min(lw, pre + lw - lg + len(mv)) + 1)
+                    if _splice(w, q, mv) == goal]
             if not hits:
                 raise ScriptError(name, index, f"no {label} move reaches {word}")
             # every hit lands on the same word; take the one that compiles shortest
@@ -225,84 +307,72 @@ class CertificateEngine:
         proof = _checked_derivation(self.presentation, source * tail, EMPTY, body)
         return self._store(name, proof, LemmaRecord("scripted"))
 
+    def _add_disc_lemma(self, name: str, source: BraidWord, target: BraidWord) -> Lemma:
+        return self.add_scripted_lemma(name, source, target,
+                                       _positive_script(name, source, target))
+
     # -- the seeding ladder -------------------------------------------------
 
     def seed(self) -> None:
-        """Prove the auxiliary identity ladder, in dependency order."""
+        """The disc braid lemmas of the half twist, the rho_j expansion and
+        rho_n^-2.
+
+        The chain shuffles, twist_split_k (Delta_k = Delta_(k-1)
+        s_(k-1)..s_1) and twist_conj_k_i (s_i Delta_k = Delta_k s_(k-i))
+        equate positive sigma-words and follow _positive_script.  rjr1_j is
+        the induction rho_j = s_(j-1)^-1 rho_(j-1) s_(j-1)^-1 (sirisi_(j-1)),
+        then the expansion of rho_(j-1) (rjr1_(j-1)).  With c = s_1..s_(n-1),
+        rjr1_n reads rho_n^-1 = rev(c) rho_1^-1 c, so rn2 expands both
+        rho_n^-1 (rjr1_n twice) and contracts c rev(c) = rho_1^2 (surface).
+        """
         if self._seeded:
             return
         n = self.n
-        add = self.add_lemma
-
+        disc = self._add_disc_lemma
         # ascending-chain shuffle: (s1..sk) si = s(i+1) (s1..sk)
         for k in range(2, n):
             for i in range(1, k):
-                add(
-                    f"chain_up_{k}_{i}",
-                    _chain_up(sigma, 1, k) * _s(i),
-                    _s(i + 1) * _chain_up(sigma, 1, k),
-                    use=[],
-                    relators=["comm_s", "braid"],
-                )
+                disc(f"chain_up_{k}_{i}", _chain_up(sigma, 1, k) * _s(i),
+                     _s(i + 1) * _chain_up(sigma, 1, k))
         # descending-chain shuffle: (s(k-1)..s1) sj = s(j-1) (s(k-1)..s1)
         for k in range(3, n + 1):
             for j in range(2, k):
-                add(
-                    f"chain_down_{k}_{j}",
-                    _chain_down(sigma, k - 1, 1) * _s(j),
-                    _s(j - 1) * _chain_down(sigma, k - 1, 1),
-                    use=[],
-                    relators=["comm_s", "braid"],
-                )
+                disc(f"chain_down_{k}_{j}", _chain_down(sigma, k - 1, 1) * _s(j),
+                     _s(j - 1) * _chain_down(sigma, k - 1, 1))
         # half twist recursion and conjugation
         for k in range(2, n + 1):
             dk = half_twist(k)
             if k >= 3:
-                add(
-                    f"twist_split_{k}",
-                    dk,
-                    half_twist(k - 1) * _chain_down(sigma, k - 1, 1),
-                    use=[f"chain_up_{kk}_{i}" for kk in range(2, k) for i in range(1, kk)],
-                    relators=["comm_s", "braid"],
-                )
+                disc(f"twist_split_{k}", dk, half_twist(k - 1) * _chain_down(sigma, k - 1, 1))
             for i in range(1, k):
-                deps = [f"twist_split_{k}"] if k >= 3 else []
-                deps += [f"twist_conj_{k - 1}_{j}" for j in range(1, k - 1)]
-                deps += [f"chain_down_{k}_{j}" for j in range(2, k)]
-                deps += [f"chain_up_{kk}_{j}" for kk in range(2, k) for j in range(1, kk)]
-                add(
-                    f"twist_conj_{k}_{i}",
-                    dk.inverse() * _s(i) * dk,
-                    _s(k - i),
-                    use=deps,
-                    relators=["comm_s", "braid"],
-                )
+                disc(f"twist_conj_{k}_{i}", _s(i) * dk, dk * _s(k - i))
         # rho_j expansion over sigma and rho_1
         for j in range(2, n + 1):
-            add(
-                f"rjr1_{j}",
-                _r(j),
-                rho_expanded(j),
-                use=[f"rjr1_{j - 1}"] if j >= 3 else [],
-                relators=["sirisi", "comm_sr", "comm_s"],
-            )
+            script = [(f"sirisi_{j - 1}", _s(j - 1, -1) * _r(j - 1) * _s(j - 1, -1))]
+            if j >= 3:
+                script.append((f"rjr1_{j - 1}", rho_expanded(j)))
+            self.add_scripted_lemma(f"rjr1_{j}", _r(j), rho_expanded(j), script)
         # rho_n^-2 in terms of the sigmas
-        add(
-            "rn2",
-            _r(n, -1) * _r(n, -1),
-            _chain_down(sigma, n - 1, 2) * _s(1) * _s(1) * _chain_up(sigma, 2, n - 1),
-            use=[f"rjr1_{j}" for j in range(2, n + 1)],
-            relators=["surface", "sirisi", "comm_sr", "comm_s"],
-        )
+        c, rev_c = _chain_up(sigma, 1, n - 1), _chain_down(sigma, n - 1, 1)
+        expanded = rev_c * _r(1, -1) * c
+        self.add_scripted_lemma("rn2", _r(n, -1) * _r(n, -1), rev_c * c, [
+            (f"rjr1_{n}", expanded * _r(n, -1)),
+            (f"rjr1_{n}", expanded * expanded),
+            ("surface", rev_c * c),
+        ])
         self._seeded = True
 
     def seed_conjri(self) -> None:
         """Half twist conjugation of the rho generators, Delta^-1 rho_i Delta
         = rho_(n+1-i)^-1, by induction on i.
 
-        The base conjri_1 is searched.  With m = n - i, conjri_(i+1) is the
-        script: expand rho_(i+1) = s_i^-1 rho_i s_i^-1 (sirisi_i), move the
-        right s_i^-1 through Delta, where it becomes s_m^-1 (twist_conj_n_i),
+        Base: with c = s_1..s_(n-1) and D = Delta_(n-1), Delta = c D as
+        words.  c^-1 rho_1 becomes rev(c) rho_1^-1 (surface), rev(c)
+        rho_1^-1 c contracts to rho_n^-1 (rjr1_n), and rho_n^-1 commutes
+        out through D one letter at a time (comm_sr_i_n), leaving
+        D^-1 D rho_n^-1.  Step: with m = n - i, conjri_(i+1) is the script:
+        expand rho_(i+1) = s_i^-1 rho_i s_i^-1 (sirisi_i), move the right
+        s_i^-1 through Delta, where it becomes s_m^-1 (twist_conj_n_i),
         conjugate rho_i (conjri_i), move the left s_i^-1 through Delta, and
         contract s_m^-1 rho_(m+1)^-1 s_m^-1 = rho_m^-1 (sirisi_m).
         """
@@ -310,17 +380,13 @@ class CertificateEngine:
         n = self.n
         d = half_twist(n)
         di = d.inverse()
-        base_deps = [f"rjr1_{j}" for j in range(2, n + 1)] + ["rn2"]
-        base_deps += [f"twist_conj_{n}_{i}" for i in range(1, n)]
-        if n >= 3:
-            base_deps += [f"twist_split_{n}"]
-        self.add_lemma(
-            "conjri_1",
-            di * _r(1) * d,
-            _r(n, -1),
-            use=base_deps,
-            relators=["surface", "sirisi", "comm_sr", "comm_s"],
-        )
+        c, rev_c, dn1 = _chain_up(sigma, 1, n - 1), _chain_down(sigma, n - 1, 1), half_twist(n - 1)
+        base = [("surface", dn1.inverse() * rev_c * _r(1, -1) * c * dn1),
+                (f"rjr1_{n}", dn1.inverse() * _r(n, -1) * dn1)]
+        for t, (g, _e) in enumerate(dn1.letters):
+            base.append((f"comm_sr_{g.index}_{n}", dn1.inverse() * BraidWord(dn1.letters[: t + 1])
+                         * _r(n, -1) * BraidWord(dn1.letters[t + 1 :])))
+        self.add_scripted_lemma("conjri_1", di * _r(1) * d, _r(n, -1), base)
         for i in range(1, n):
             m = n - i
             self.add_scripted_lemma(f"conjri_{i + 1}", di * _r(i + 1) * d, _r(m, -1), [
@@ -332,37 +398,44 @@ class CertificateEngine:
             ])
 
     def seed_permute(self) -> None:
-        """Cyclic conjugation of the generators by a^-1.
+        """Cyclic conjugation of the generators by a^-1, where a = c^-1 rho_1
+        and c = s_1..s_(n-1).
 
-        The sigma entries follow from the ascending-chain shuffle in two
-        moves, and permute_rho_1 is searched.  For i >= 2, permute_rho_i,
-        a^-1 rho_i a = rho_(i+1), is the inductive script: expand rho_i =
-        s_(i-1)^-1 rho_(i-1) s_(i-1)^-1 (sirisi_(i-1)), move the left
-        s_(i-1)^-1 through a^-1, where it becomes s_i^-1 (permute_sigma_(i-1)),
-        then rho_(i-1) (permute_rho_(i-1)), then the right s_(i-1)^-1, and
-        contract s_i^-1 rho_i s_i^-1 = rho_(i+1) (sirisi_i).  Both wrap
-        entries come down to the surface relation via the rho_j expansion.
+        permute_sigma_i: c s_i = s_(i+1) c (chain_up_(n-1)_i), then rho_1
+        commutes with s_(i+1) (comm_sr_(i+1)_1).  permute_rho_1: in
+        rho_1^-1 c rho_1 c^-1 rho_1 the middle rho_1 commutes left past
+        s_(n-1), ..., s_2 (comm_sr_j_1), and the rest, rho_1^-1 s_1 rho_1
+        s_1^-1 rho_1 = rho_2, is the one searched core permute_rho_core
+        (over sirisi_1 and rhocomm_1, the same search at every n).  For
+        i >= 2, permute_rho_i, a^-1 rho_i a = rho_(i+1), is the induction:
+        expand rho_i = s_(i-1)^-1 rho_(i-1) s_(i-1)^-1 (sirisi_(i-1)), move
+        the left s_(i-1)^-1 through a^-1, where it becomes s_i^-1
+        (permute_sigma_(i-1)), then rho_(i-1) (permute_rho_(i-1)), then the
+        right s_(i-1)^-1, and contract s_i^-1 rho_i s_i^-1 = rho_(i+1)
+        (sirisi_i).  permute_rho_wrap expands rho_n (rjr1_n), which leaves
+        (c rev(c))^-1 rho_1 = rho_1^-1 (surface).
         """
         self.seed_conjri()
         n = self.n
         a = element_a(n)
         ai = a.inverse()
+        c, ci = _chain_up(sigma, 1, n - 1), _chain_down(sigma, n - 1, 1, -1)
         for i in range(1, n - 1):
-            self.add_lemma(
-                f"permute_sigma_{i}",
-                ai * _s(i) * a,
-                _s(i + 1),
-                use=[f"chain_up_{n - 1}_{i}"],
-                relators=[f"comm_sr_{i + 1}_1"],
-            )
+            self.add_scripted_lemma(f"permute_sigma_{i}", ai * _s(i) * a, _s(i + 1), [
+                (f"chain_up_{n - 1}_{i}", _r(1, -1) * _s(i + 1) * c * a),
+                (f"comm_sr_{i + 1}_1", _s(i + 1)),
+            ])
         self.add_lemma(
-            "permute_rho_1",
-            ai * _r(1) * a,
+            "permute_rho_core",
+            _r(1, -1) * _s(1) * _r(1) * _s(1, -1) * _r(1),
             _r(2),
             use=[],
-            relators=[f"comm_sr_{j}_1" for j in range(2, n)]
-            + ["sirisi_1", "rhocomm_1"],
+            relators=["sirisi_1", "rhocomm_1"],
         )
+        script = [(f"comm_sr_{j}_1", _r(1, -1) * _chain_up(sigma, 1, j - 1) * _r(1)
+                   * _chain_up(sigma, j, n - 1) * a) for j in range(n - 1, 1, -1)]
+        script.append(("permute_rho_core", _r(2)))
+        self.add_scripted_lemma("permute_rho_1", ai * _r(1) * a, _r(2), script)
         for i in range(2, n):
             self.add_scripted_lemma(f"permute_rho_{i}", ai * _r(i) * a, _r(i + 1), [
                 (f"sirisi_{i - 1}", ai * _s(i - 1, -1) * _r(i - 1) * _s(i - 1, -1) * a),
@@ -371,33 +444,38 @@ class CertificateEngine:
                 (f"permute_sigma_{i - 1}", _s(i, -1) * _r(i) * _s(i, -1)),
                 (f"sirisi_{i}", _r(i + 1)),
             ])
-        self.add_lemma(
-            "permute_rho_wrap",
-            ai * _r(n) * a,
-            _r(1, -1),
-            use=[f"rjr1_{n}"],
-            relators=["surface"],
-        )
+        self.add_scripted_lemma("permute_rho_wrap", ai * _r(n) * a, _r(1, -1), [
+            (f"rjr1_{n}", ai * rho_expanded(n) * ci * _r(1)),
+            ("surface", _r(1, -1)),
+        ])
 
     def seed_power(self) -> None:
         """The power formulas a^n = rho_n..rho_1 and b^(n-1) = rho_(n-1)..rho_1.
 
-        Each power telescopes: rho_j..rho_1 absorbs one copy of the
-        generator, emitting a block of sigmas.  The accumulated sigma word
-        is trivial in the disc braid group; it peels off block by block,
-        each peel resting on "slide" shuffles of ascending runs.
+        Write m = N_0 rho_1 for the generator with k copies (m = a, k = n or
+        m = b, k = n - 1), where N_j = (s_(j+1)..s_(k-1))^-1, and block_j =
+        N_j s_j..s_1.  powstep_j, (rho_j..rho_1) m = block_j
+        (rho_(j+1)..rho_1), is an induction on j: powstep_(j-1) turns
+        rho_j (rho_(j-1)..rho_1) m into rho_j block_(j-1) (rho_j..rho_1);
+        rho_j commutes right past N_j (comm_sr_i_j), rho_j s_j^-1 becomes
+        s_j rho_(j+1) (sirisi_j), and rho_(j+1) commutes right past
+        s_(j-1)..s_1 (comm_sr_i_(j+1)).  powerab absorbs one m at a time
+        (k - 1 powsteps), leaving block_0..block_(k-1) (rho_k..rho_1).  With
+        suffix(j) the product of the ascending runs (s_i..s_(i+k-1-j)) for
+        i = j..1, block_(k-1) = suffix(k-1), and the disc lemma jstep_k_j,
+        (s_j..s_1) suffix(j+1) = (s_(j+1)..s_(k-1)) suffix(j), peels
+        block_j suffix(j+1) to suffix(j) for j = k-2..1; N_0 suffix(1) is
+        freely trivial.  The jstep and slide lemmas follow _positive_script.
         """
         self.seed_permute()
         n = self.n
         # slide_i_x:  s_i (s_(i+1)..s_x) (s_i..s_(x-1)) = (s_(i+1)..s_x) (s_i..s_x)
         for x in range(2, n):
             for i in range(1, x):
-                self.add_lemma(
+                self._add_disc_lemma(
                     f"slide_{i}_{x}",
                     _s(i) * _chain_up(sigma, i + 1, x) * _chain_up(sigma, i, x - 1),
                     _chain_up(sigma, i + 1, x) * _chain_up(sigma, i, x),
-                    use=[f"slide_{i}_{x - 1}"] if x - 1 > i else [],
-                    relators=["comm_s", "braid"],
                 )
 
         def suffix(k: int, j: int) -> BraidWord:
@@ -409,47 +487,60 @@ class CertificateEngine:
 
         for name, m, k in (("a", element_a(n), n), ("b", element_b(n), n - 1)):
             if k < 2:
-                self.add_lemma(f"powerab_{name}", m**k, _chain_down(rho, k, 1), use=[])
+                self.add_scripted_lemma(f"powerab_{name}", m**k, _chain_down(rho, k, 1), [])
                 continue
-            for j in range(1, k):
+
+            def block(j: int) -> BraidWord:
+                return _chain_down(sigma, k - 1, j + 1, -1) * _chain_down(sigma, j, 1)
+
+            for j in range(1, k - 1):
                 # peel step: (s_j..s_1) suffix(j+1) = (s_(j+1)..s_(k-1)) suffix(j)
-                self.add_lemma(
+                self._add_disc_lemma(
                     f"jstep_{k}_{j}",
                     _chain_down(sigma, j, 1) * suffix(k, j + 1),
                     _chain_up(sigma, j + 1, k - 1) * suffix(k, j),
-                    use=[f"slide_{i}_{i + k - 1 - j}" for i in range(1, j + 1)
-                         if i + 1 <= i + k - 1 - j],
-                    relators=["comm_s", "braid"],
                 )
             for j in range(1, k):
                 # absorb step: (rho_j..rho_1) m = block_j (rho_(j+1)..rho_1)
-                block = _chain_down(sigma, k - 1, j + 1, -1) * _chain_down(sigma, j, 1)
-                rels = [f"comm_sr_{i}_{mm}" for i in range(1, n) for mm in (1, j, j + 1)
-                        if mm not in (i, i + 1)]
-                rels.append(f"sirisi_{j}")
-                self.add_lemma(
-                    f"powstep_{name}_{j}",
-                    _chain_down(rho, j, 1) * m,
-                    block * _chain_down(rho, j + 1, 1),
-                    use=[f"powstep_{name}_{j - 1}"] if j >= 2 else [],
-                    relators=rels,
-                )
-            self.add_lemma(
-                f"powerab_{name}",
-                m**k,
-                _chain_down(rho, k, 1),
-                use=[f"powstep_{name}_{j}" for j in range(1, k)]
-                + [f"jstep_{k}_{j}" for j in range(1, k)],
-                relators=["comm_s"],
-            )
+                rho_j = _chain_down(rho, j, 1)
+                script = []
+                if j >= 2:
+                    script.append((f"powstep_{name}_{j - 1}", _r(j) * block(j - 1) * rho_j))
+                for i in range(k - 1, j, -1):
+                    script.append((f"comm_sr_{i}_{j}", _chain_down(sigma, k - 1, i, -1) * _r(j)
+                                   * _chain_down(sigma, i - 1, j, -1) * _chain_down(sigma, j - 1, 1)
+                                   * rho_j))
+                script.append((f"sirisi_{j}", _chain_down(sigma, k - 1, j + 1, -1) * _s(j)
+                               * _r(j + 1) * _chain_down(sigma, j - 1, 1) * rho_j))
+                for i in range(j - 1, 0, -1):
+                    script.append((f"comm_sr_{i}_{j + 1}", _chain_down(sigma, k - 1, j + 1, -1)
+                                   * _chain_down(sigma, j, i) * _r(j + 1)
+                                   * _chain_down(sigma, i - 1, 1) * rho_j))
+                self.add_scripted_lemma(f"powstep_{name}_{j}", rho_j * m,
+                                        block(j) * _chain_down(rho, j + 1, 1), script)
+            blocks = [EMPTY]  # blocks[j] = block_0..block_(j-1)
+            for j in range(k):
+                blocks.append(blocks[-1] * block(j))
+            power = _chain_down(rho, k, 1)
+            script = [(f"powstep_{name}_{j}", blocks[j + 1] * _chain_down(rho, j + 1, 1)
+                       * m ** (k - 1 - j)) for j in range(1, k)]
+            script += [(f"jstep_{k}_{j}", blocks[j] * suffix(k, j) * power)
+                       for j in range(k - 2, 0, -1)]
+            self.add_scripted_lemma(f"powerab_{name}", m**k, power, script)
 
     def seed_invsig(self) -> None:
-        """Conjugation by rho_n..rho_1 inverts every sigma generator."""
+        """Conjugation by w = rho_n..rho_1 inverts every sigma generator.
+
+        The local core invsig_mid_j, (rho_(j+1) rho_j)^-1 s_j (rho_(j+1)
+        rho_j) = s_j^-1, is searched over sirisi_j and rhocomm_j, the same
+        search at every n.  invsig_j commutes s_j right past rho_n, ...,
+        rho_(j+2) (comm_sr_j_m), applies the core, and commutes s_j^-1 right
+        past rho_(j-1), ..., rho_1.
+        """
         self.seed_power()
         n = self.n
         w = _chain_down(rho, n, 1)
         for j in range(1, n):
-            # local core: (rho_(j+1) rho_j)^-1 s_j (rho_(j+1) rho_j) = s_j^-1
             core = _r(j + 1) * _r(j)
             self.add_lemma(
                 f"invsig_mid_{j}",
@@ -458,107 +549,102 @@ class CertificateEngine:
                 use=[],
                 relators=[f"sirisi_{j}", f"rhocomm_{j}"],
             )
-            self.add_lemma(
-                f"invsig_{j}",
-                w.inverse() * _s(j) * w,
-                _s(j, -1),
-                use=[f"invsig_mid_{j}"],
-                relators=[f"comm_sr_{j}_{m}" for m in range(1, n + 1)
-                          if m not in (j, j + 1)],
-            )
+            script = [(f"comm_sr_{j}_{m}", w.inverse() * _chain_down(rho, n, m) * _s(j)
+                       * _chain_down(rho, m - 1, 1)) for m in range(n, j + 1, -1)]
+            low = _chain_down(rho, j - 1, 1)
+            script.append((f"invsig_mid_{j}", low.inverse() * _s(j, -1) * low))
+            script += [(f"comm_sr_{j}_{m}", low.inverse() * _chain_down(rho, j - 1, m) * _s(j, -1)
+                        * _chain_down(rho, m - 1, 1)) for m in range(j - 1, 0, -1)]
+            self.add_scripted_lemma(f"invsig_{j}", w.inverse() * _s(j) * w, _s(j, -1), script)
 
     def seed_delta(self) -> None:
-        """Half twist facts: palindromicity, conjugation against rho_n..rho_1,
-        the order-4 relation, the two dicyclic relations, and the sigma
-        wrap-around entry of the cyclic conjugation table.
+        """Half twist facts: palindromicity, conjugation against w =
+        rho_n..rho_1, the order-4 relation, the two dicyclic relations, and
+        the sigma wrap-around entry of the cyclic conjugation table.
 
-        mirror, w^-1 Delta w = Delta^-1 for w = rho_n..rho_1, is a script of
-        |Delta| + 1 steps, an induction on the letters of Delta: after k
-        steps the word is s_(j1)^-1..s_(jk)^-1 w^-1 s_(j(k+1))..s_(jm) w,
-        and step k + 1 moves the next letter out by w^-1 s_j w = s_j^-1
-        (invsig_j).  That leaves rev(Delta)^-1, which is Delta^-1 by
-        pal_n.  With conjw it gives delta4, Delta^4 = 1."""
+        pal_k, rev(Delta_k) = Delta_k, follows _positive_script.  conjw,
+        Delta^-1 w Delta = w^-1, moves Delta^-1 right past rho_n, ..., rho_1,
+        each becoming rho_1^-1, ..., rho_n^-1 (conjri_n, ..., conjri_1).
+        mirror, w^-1 Delta w = Delta^-1, is a script of |Delta| + 1 steps,
+        an induction on the letters of Delta: after k steps the word is
+        s_(j1)^-1..s_(jk)^-1 w^-1 s_(j(k+1))..s_(jm) w, and step k + 1 moves
+        the next letter out by w^-1 s_j w = s_j^-1 (invsig_j).  That leaves
+        rev(Delta)^-1, which is Delta^-1 by pal_n.  delta4, Delta^4 = 1:
+        Delta = w Delta w (conjw), Delta w Delta = w (mirror), w Delta =
+        Delta w^-1 (conjw) and w Delta w^-1 Delta = 1 (mirror).
+
+        The wrap-around entry a^-2 s_(n-1) a^2 = s_1^-1 comes from a^n = w:
+        it is a^(n-2) (w^-1 s_(n-1) w) a^-(n-2) (powerab_a twice), that is
+        a^(n-2) s_(n-1)^-1 a^-(n-2) (invsig_(n-1)), and a^m s_(m+1)^-1 a^-m
+        = a^(m-1) s_m^-1 a^-(m-1) (permute_sigma_m) for m = n-2, ..., 1.
+
+        realdic_a moves a's sigma letters through Delta (twist_conj_n_i),
+        conjugates rho_1 (conjri_n) and contracts the rest (rjr1_n);
+        dconj_b does the same for a^-1 b a, which bconj gets letter by
+        letter (permute_sigma_i, permute_rho_1), and realdic_b chains
+        bconj, dconj_b and rjr1_(n-1).
+        """
         self.seed_invsig()
         n = self.n
         a = element_a(n)
+        ai = a.inverse()
         delta = half_twist(n)
+        di = delta.inverse()
         w = _chain_down(rho, n, 1)
-        # rev(Delta_k) = Delta_k, by induction on k
+        wi = w.inverse()
+        # rev(Delta_k) = Delta_k
         for k in range(2, n + 1):
             dk = half_twist(k)
-            rev = BraidWord(tuple(reversed(dk.letters)))
-            self.add_lemma(
-                f"pal_{k}",
-                rev,
-                dk,
-                use=([f"pal_{k - 1}", f"twist_split_{k}"] if k >= 3 else []),
-                relators=[],
-            )
+            self._add_disc_lemma(f"pal_{k}", BraidWord(tuple(reversed(dk.letters))), dk)
         # conjugation of w = rho_n..rho_1 by the half twist inverts it
-        self.add_lemma(
-            "conjw",
-            delta.inverse() * w * delta,
-            w.inverse(),
-            use=[f"conjri_{i}" for i in range(1, n + 1)],
-            relators=[],
-        )
+        self.add_scripted_lemma("conjw", di * w * delta, wi, [
+            (f"conjri_{n + 1 - t}",
+             _chain_up(rho, 1, t, -1) * di * _chain_down(rho, n - t, 1) * delta)
+            for t in range(1, n + 1)
+        ])
         # w conjugates the half twist to its inverse (see the docstring)
-        wi = w.inverse()
         script = []
         for k, (g, _e) in enumerate(delta.letters):
             inverted = BraidWord(tuple((h, -e) for h, e in delta.letters[: k + 1]))
             script.append((f"invsig_{g.index}",
                            inverted * wi * BraidWord(delta.letters[k + 1 :]) * w))
-        script.append((f"pal_{n}", delta.inverse()))
-        self.add_scripted_lemma("mirror", wi * delta * w, delta.inverse(), script)
-        self.add_lemma("delta4", delta**4, EMPTY, use=["conjw", "mirror"], relators=[])
-        # wrap-around entry: descend from conjugation by a^n = rho_n..rho_1
-        for m in range(n - 1, 0, -1):
-            name = "permute_sigma_wrap" if m == 1 else f"wrapchain_{m}"
-            if m == n - 1:
-                deps = ["powerab_a", f"invsig_{n - 1}"]
-            else:
-                prev = "permute_sigma_wrap" if m + 1 == 1 else f"wrapchain_{m + 1}"
-                deps = [prev, f"permute_sigma_{m}"]
-            self.add_lemma(
-                name,
-                a.inverse() ** (m + 1) * _s(n - 1) * a ** (m + 1),
-                _s(m, -1),
-                use=deps,
-                relators=[],
-            )
-        self.add_lemma(
-            "realdic_a",
-            delta * a * delta.inverse() * a,
-            EMPTY,
-            use=[f"twist_conj_{n}_{i}" for i in range(1, n)]
-            + [f"conjri_{n}", f"rjr1_{n}"],
-            relators=[],
-        )
+        script.append((f"pal_{n}", di))
+        self.add_scripted_lemma("mirror", wi * delta * w, di, script)
+        self.add_scripted_lemma("delta4", delta**4, EMPTY, [
+            ("conjw", w * delta * w * delta**3),
+            ("mirror", w * w * delta * delta),
+            ("conjw", w * delta * wi * delta),
+            ("mirror", EMPTY),
+        ])
+        # wrap-around entry (see the docstring)
+        script = [("powerab_a", a ** (n - 2) * wi * _s(n - 1) * a * a),
+                  ("powerab_a", a ** (n - 2) * wi * _s(n - 1) * w * ai ** (n - 2)),
+                  (f"invsig_{n - 1}", a ** (n - 2) * _s(n - 1, -1) * ai ** (n - 2))]
+        script += [(f"permute_sigma_{m}", a ** (m - 1) * _s(m, -1) * ai ** (m - 1))
+                   for m in range(n - 2, 0, -1)]
+        self.add_scripted_lemma("permute_sigma_wrap", ai * ai * _s(n - 1) * a * a, _s(1, -1),
+                                script)
+        script = [(f"twist_conj_{n}_{t}", _chain_up(sigma, 1, t, -1) * delta
+                   * _chain_down(sigma, n - 1 - t, 1, -1) * _r(1) * di * a) for t in range(1, n)]
+        script += [(f"conjri_{n}", _chain_up(sigma, 1, n - 1, -1) * _r(n, -1) * a),
+                   (f"rjr1_{n}", EMPTY)]
+        self.add_scripted_lemma("realdic_a", delta * a * di * a, EMPTY, script)
         b = element_b(n)
-        da = delta * a.inverse()
+        da = delta * ai
         shifted_b = _chain_down(sigma, n - 1, 2, -1) * _r(2)
-        self.add_lemma(
-            "bconj",
-            a.inverse() * b * a,
-            shifted_b,
-            use=[f"permute_sigma_{i}" for i in range(1, n - 1)] + ["permute_rho_1"],
-            relators=[],
-        )
-        self.add_lemma(
-            "dconj_b",
-            delta * shifted_b * delta.inverse(),
-            _chain_up(sigma, 1, n - 2, -1) * _r(n - 1, -1),
-            use=[f"twist_conj_{n}_{i}" for i in range(1, n)] + [f"conjri_{n - 1}"],
-            relators=[],
-        )
-        self.add_lemma(
-            "realdic_b",
-            da * b * da.inverse() * b,
-            EMPTY,
-            use=["bconj", "dconj_b"] + ([f"rjr1_{n - 1}"] if n >= 3 else []),
-            relators=[],
-        )
+        script = [(f"permute_sigma_{i}", _chain_down(sigma, n - 1, i + 1, -1) * ai
+                   * _chain_down(sigma, i - 1, 1, -1) * _r(1) * a) for i in range(n - 2, 0, -1)]
+        script.append(("permute_rho_1", shifted_b))
+        self.add_scripted_lemma("bconj", ai * b * a, shifted_b, script)
+        dconj_target = _chain_up(sigma, 1, n - 2, -1) * _r(n - 1, -1)
+        script = [(f"twist_conj_{n}_{t}", _chain_up(sigma, 1, t, -1) * delta
+                   * _chain_down(sigma, n - 1 - t, 2, -1) * _r(2) * di) for t in range(1, n - 1)]
+        script.append((f"conjri_{n - 1}", dconj_target))
+        self.add_scripted_lemma("dconj_b", delta * shifted_b * di, dconj_target, script)
+        script = [("bconj", delta * shifted_b * di * b), ("dconj_b", dconj_target * b)]
+        if n >= 3:
+            script.append((f"rjr1_{n - 1}", EMPTY))
+        self.add_scripted_lemma("realdic_b", da * b * da.inverse() * b, EMPTY, script)
 
     def seed_all(self) -> None:
         self.seed_delta()

@@ -11,9 +11,9 @@ settings.load_profile("suite")
 
 @functools.lru_cache(maxsize=None)
 def seeded_engine(n: int) -> CertificateEngine:
-    """Seeding takes about 3 s at 5 strands, nearly all of it in the
-    searched bases of the lemma ladder; share one engine per strand count
-    across the whole session."""
+    """Seeding takes about 1 s at 5 strands, most of it compiling and
+    replaying the scripted lemmas of the ladder; share one engine per
+    strand count across the whole session."""
     engine = CertificateEngine(n)
     engine.seed_all()
     return engine

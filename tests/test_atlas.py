@@ -107,13 +107,15 @@ def test_verify_suite_n2_all_verified():
     assert statuses["covering-relator-images"] == "verified"
 
 
-def test_verify_suite_n6_reports_policy_gaps():
-    # beyond the budget policy bound the certificate search becomes a
-    # statement, the rest still runs; nothing may silently upgrade to
-    # verified.  The relator images are decided exactly at every n.
+def test_verify_suite_n6_certifies_identities():
+    # the scripted lemma ladder certifies every claim at six strands; the
+    # order ledger keeps its gap.  The relator images are decided exactly
+    # at every n.
     report = verify_suite(6)
     statuses = {c.name: c.status for c in report.claims}
-    assert statuses["identity-certificates"] == "statement-only"
+    assert statuses["identity-certificates"] == "verified"
+    identities = next(c for c in report.claims if c.name == "identity-certificates")
+    assert not identities.gaps and identities.detail.startswith("29/29 ")
     assert statuses["covering-relator-images"] == "verified"
     assert statuses["classification-consistency"] == "verified"
     assert statuses["abelianization"] == "verified"

@@ -1,12 +1,14 @@
 import hashlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from braidcover import identities
-from braidcover.identities import CertificateEngine, ScriptError, paper_claims
+from braidcover.identities import CertificateEngine, ScriptError, _positive_script, paper_claims
 from braidcover.presentations import half_twist, van_buskirk
 from braidcover.rewriting import Derivation, verify_derivation
-from braidcover.words import EMPTY, gen_word, permutation_image, rho, sigma
+from braidcover.words import EMPTY, BraidWord, gen_word, permutation_image, rho, sigma
 
 
 def test_claim_labels_unique():
@@ -35,8 +37,8 @@ def test_engine_certifies_and_replays(engine_factory):
             assert verify_derivation(p, d)
 
 
-@pytest.mark.parametrize("n, digest, steps", [(2, "4aca164a219e4941", 896),
-                                              (3, "c26a6b605e85368e", 3167)])
+@pytest.mark.parametrize("n, digest, steps", [(2, "4efb6f87dfa60e07", 734),
+                                              (3, "0c3b5c83c520ec3b", 2714)])
 def test_certificates_are_pinned(engine_factory, n, digest, steps):
     # a change to the search or the compiler that alters any certificate
     # shows here; one that does so on purpose updates the pin
@@ -67,18 +69,34 @@ def _scripted(engine):
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_scripted_lemmas_replay(engine_factory, n):
-    # build and build_inverse take the empty word to L and to L^-1 against
-    # the bare presentation
+    # only the two cores whose size does not depend on n are searched; every
+    # other lemma is scripted, and build and build_inverse take the empty
+    # word to L and to L^-1 against the bare presentation
     engine = engine_factory(n)
     p = van_buskirk(n)
     scripted = _scripted(engine)
-    assert scripted == ({f"conjri_{i}" for i in range(2, n + 1)}
-                        | {f"permute_rho_{i}" for i in range(2, n)} | {"mirror"})
+    assert set(engine.lemmas) - scripted == ({"permute_rho_core"}
+                                             | {f"invsig_mid_{j}" for j in range(1, n)})
+    assert {f"twist_split_{k}" for k in range(3, n + 1)} <= scripted
+    assert {f"conjri_{i}" for i in range(1, n + 1)} <= scripted
+    assert {"realdic_a", "realdic_b", "rn2", "conjw", "dconj_b", "powerab_a", "powerab_b",
+            "mirror", "delta4", "permute_rho_1", f"pal_{n}"} <= scripted
     for name in scripted:
         lemma = engine.lemmas[name]
         assert verify_derivation(p, Derivation(EMPTY, lemma.relator, lemma.build))
         assert verify_derivation(p, Derivation(EMPTY, lemma.relator.inverse(),
                                                lemma.build_inverse))
+
+
+def test_certify_all_six_replays():
+    p = van_buskirk(6)
+    claims = paper_claims(6)
+    certs = CertificateEngine(6).certify_all()
+    assert sorted(certs) == sorted(c.label for c in claims)
+    for claim in claims:
+        d = certs[claim.label]
+        assert (d.source, d.target) == (claim.source, claim.target)
+        assert verify_derivation(p, d)
 
 
 def test_scripted_lemmas_never_search(monkeypatch):
@@ -121,3 +139,87 @@ def test_script_step_that_does_not_apply():
         engine.add_scripted_lemma("bad", r2, r1, [("sirisi_1", s1i * r1 * s1i)])
     assert err.value.step == 1
     assert "bad" not in engine.lemmas and "bad" not in engine.records
+
+
+def _positive(indices) -> BraidWord:
+    return BraidWord(tuple((sigma(i), 1) for i in indices))
+
+
+def _legal_move(label: str, before: list[int], after: list[int]) -> bool:
+    """after is before with one comm_s or braid move, named by label."""
+    if len(before) != len(after):
+        return False
+    diff = [p for p, (x, y) in enumerate(zip(before, after)) if x != y]
+    if not diff:
+        return False
+    lo, hi = diff[0], diff[-1] + 1
+    old, new = before[lo:hi], after[lo:hi]
+    if len(old) == 2:
+        j, k = old
+        return (abs(j - k) >= 2 and new == [k, j]
+                and label == f"comm_s_{min(j, k)}_{max(j, k)}")
+    if len(old) == 3:
+        j, k, _ = old
+        return (abs(j - k) == 1 and old == [j, k, j] and new == [k, j, k]
+                and label == f"braid_{min(j, k)}")
+    return False
+
+
+@st.composite
+def equal_positive_words(draw):
+    """A random positive word on m strands and the word that random braid
+    and commutation moves take it to."""
+    m = draw(st.integers(3, 6))
+    # letters and braid triples s_j s_(j+1) s_j, so that braid moves apply
+    pieces = draw(st.lists(st.one_of(st.tuples(st.integers(1, m - 1)),
+                                     st.integers(1, m - 2).map(lambda j: (j, j + 1, j))),
+                           max_size=6))
+    u = [i for piece in pieces for i in piece]
+    v = list(u)
+    for q in draw(st.lists(st.integers(0, 11), max_size=25)):
+        if q + 2 < len(v) and v[q] == v[q + 2] and abs(v[q] - v[q + 1]) == 1:
+            v[q : q + 3] = [v[q + 1], v[q], v[q + 1]]
+        elif q + 1 < len(v) and abs(v[q] - v[q + 1]) >= 2:
+            v[q], v[q + 1] = v[q + 1], v[q]
+    return u, v
+
+
+@given(equal_positive_words())
+def test_positive_script_reaches_target_by_legal_moves(words):
+    u, v = words
+    script = _positive_script("w", _positive(u), _positive(v))
+    current = u
+    for label, word in script:
+        nxt = [g.index for g, _e in word]
+        assert _legal_move(label, current, nxt)
+        current = nxt
+    assert current == v
+
+
+@given(st.lists(st.integers(1, 4), max_size=10), st.lists(st.integers(1, 4), max_size=10))
+def test_positive_script_rejects_unequal_words(u, v):
+    # length and permutation are invariants of the positive braid monoid
+    if len(u) == len(v) and \
+            permutation_image(_positive(u), 5) == permutation_image(_positive(v), 5):
+        return
+    with pytest.raises(ScriptError):
+        _positive_script("w", _positive(u), _positive(v))
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=10), st.data())
+def test_positive_script_rejects_inverse_and_rho_letters(u, data):
+    w = _positive(u)
+    p = data.draw(st.integers(0, len(u) - 1))
+    letter = data.draw(st.sampled_from([(sigma(u[p]), -1), (rho(1), 1)]))
+    bad = BraidWord(w.letters[:p] + (letter,) + w.letters[p + 1 :])
+    for source, target in ((bad, w), (w, bad)):
+        with pytest.raises(ScriptError):
+            _positive_script("w", source, target)
+
+
+def test_positive_script_rejects_unequal_pure_words():
+    # same length and permutation, different braids; the long pair would
+    # overflow a recursive pull
+    for u, v in (([1, 1], [2, 2]), ([1, 2, 2, 1], [2, 1, 1, 2]), ([2] * 1500, [3] * 1500)):
+        with pytest.raises(ScriptError):
+            _positive_script("w", _positive(u), _positive(v))
