@@ -297,6 +297,8 @@ def word_motion(w: BraidWord, n: int, surface: str = "rp2") -> StrandMotion:
     letter; strands follow the slot currently holding them, and each
     appended segment is kept continuous on the sphere (segments for
     projective-plane loops may need the antipodal representative)."""
+    if n < 1:
+        raise ValueError("strand count must be >= 1")
     base = rp2_basepoints(n) if surface == "rp2" else annulus_basepoints(n)
     antip = surface == "rp2"
     strand_paths: list[list[np.ndarray]] = [[np.stack([base[i]])] for i in range(n)]

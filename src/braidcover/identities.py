@@ -35,8 +35,8 @@ from .rewriting import (
     NotFound,
     SearchBudget,
     SearchStats,
-    _checked_derivation,
     _compile_path,
+    _derivation,
     _lemma_from_proof,
     _move_cost,
     _MoveTable,
@@ -300,11 +300,12 @@ class CertificateEngine:
                 raise ScriptError(name, index, f"no {label} move reaches {word}")
             # every hit lands on the same word; take the one that compiles shortest
             mi, q = min(hits, key=lambda hit: _move_cost(table, hit[0]))
-            body += _compile_path(table, current, [(mi, q, current)])
+            body += _compile_path(table, current, [(mi, q)])
             current = following
         if current.letters:
             raise ScriptError(name, len(script), "the script does not end at the target")
-        proof = _checked_derivation(self.presentation, source * tail, EMPTY, body)
+        # _store replays the proof once, as it inverts it into the lemma's build
+        proof = _derivation(self.presentation, source * tail, EMPTY, body)
         return self._store(name, proof, LemmaRecord("scripted"))
 
     def _add_disc_lemma(self, name: str, source: BraidWord, target: BraidWord) -> Lemma:

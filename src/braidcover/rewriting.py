@@ -254,8 +254,14 @@ def shift_steps(steps, offset: int) -> list[DerivationStep]:
 def invert_steps(p: Presentation, start: BraidWord, steps) -> list[DerivationStep]:
     """Steps transforming replay(start, steps) back to start, by replaying
     forward and emitting each step's exact inverse in reverse order."""
+    return _replay_inverted(p, start.letters, steps)[0]
+
+
+def _replay_inverted(p: Presentation, letters: tuple[Letter, ...],
+                     steps) -> tuple[list[DerivationStep], tuple[Letter, ...]]:
+    """invert_steps from a letter tuple, together with the word the replay
+    ends on."""
     out: list[DerivationStep] = []
-    letters = start.letters
     for i, step in enumerate(steps):
         after = _apply(p, letters, step, i)
         if step.action == INSERT_RELATOR:
@@ -270,7 +276,7 @@ def invert_steps(p: Presentation, start: BraidWord, steps) -> list[DerivationSte
             out.extend(DerivationStep(FREE_CANCEL, step.position + j) for j in range(k))
         letters = after
     out.reverse()
-    return out
+    return out, letters
 
 
 def concat_derivations(a: Derivation, b: Derivation) -> Derivation:
@@ -327,14 +333,24 @@ class Lemma:
 
 
 def _lemma_from_proof(p: Presentation, name: str, proof: Derivation) -> Lemma:
-    """proof must certify (L -> empty) with presentation-only steps."""
+    """The lemma L = 1 proved by proof, which takes L to the empty word with
+    presentation-only steps.
+
+    build (empty -> L) is made by replaying proof and inverting it step by
+    step: every step passes _apply's check on the way, and the replay must
+    end on the empty word, or AssertionError is raised and nothing is
+    banked.  For a scripted lemma this is the proof's only replay; a
+    searched one has also passed find_equality's check.  build_inverse
+    (empty -> L^-1) needs no replay: free inserts build L^-1 L, then proof,
+    shifted past L^-1, takes the L half to the empty word."""
     L = proof.source
-    build = invert_steps(p, L, proof.steps)  # empty -> L
-    # empty -> L^-1: invert (L^-1 -> L^-1 L -> empty)
-    fwd: list[DerivationStep] = list(shift_steps(build, len(L)))
-    for j in range(len(L)):
-        fwd.append(DerivationStep(FREE_CANCEL, len(L) - 1 - j))
-    build_inv = invert_steps(p, L.inverse(), fwd)
+    try:
+        build, end = _replay_inverted(p, L.letters, proof.steps)
+    except DerivationError as exc:
+        raise AssertionError(f"lemma {name}: proof failed replay: {exc}") from None
+    if end:
+        raise AssertionError(f"lemma {name}: proof failed replay: it does not end on the empty word")
+    build_inv = pair_insert_steps(L.inverse(), 0) + shift_steps(proof.steps, len(L))
     return Lemma(name, L, tuple(build), tuple(build_inv))
 
 
@@ -432,7 +448,7 @@ def _search_reduced(table: _MoveTable, start: tuple[int, ...], goal: tuple[int, 
     word boundary; bare insertions are allowed only into the empty word.
     Each candidate is spliced from the move's reduced form, cancelling only
     at the two junctions (see _splice) instead of re-reducing the word.
-    Returns the move path as [(move_index, position, word_before)]."""
+    Returns the move path as [(move_index, position)]."""
     if start == goal:
         return [], SearchStats(0, 0, True)
     counter = itertools.count()
@@ -476,7 +492,7 @@ def _search_reduced(table: _MoveTable, start: tuple[int, ...], goal: tuple[int, 
                 node = cand
                 while parent[node] is not None:
                     prev, mj, pos = parent[node]
-                    path.append((mj, pos, prev))
+                    path.append((mj, pos))
                     node = prev
                 path.reverse()
                 return path, SearchStats(candidates, expanded, True)
@@ -486,26 +502,33 @@ def _search_reduced(table: _MoveTable, start: tuple[int, ...], goal: tuple[int, 
 
 def _compile_path(table: _MoveTable, start_word: BraidWord, path) -> list[DerivationStep]:
     """Expand search moves into presentation-only steps with canonical
-    free reduction after each insertion."""
+    free reduction after each insertion.
+
+    A relator move is one step, applied with _apply's check.  A lemma move
+    inserts the rotation's conjugator by free inserts and then the lemma's
+    banked build (build_inverse for the inverse) shifted into place; those
+    steps are not applied one by one.  Their net effect is written down
+    directly: the conjugator c, then L (or L^-1), then c^-1 go in at the
+    move's position.  The body passed its replay when the lemma was banked,
+    and _checked_derivation or _lemma_from_proof replays the whole result."""
     p = table.presentation
     steps: list[DerivationStep] = []
     w = start_word.letters
-    for mi, pos, _before in path:
+    for mi, pos in path:
         kind, ref, inv, rot = table.origins[mi]
         base = p.relators[ref] if kind == "relator" else table.lemmas[ref].relator
         if inv:
             base = base.inverse()
         prefix = BraidWord(base.letters[:rot])
+        c = prefix.inverse()
         if kind == "relator":
-            steps.append(DerivationStep(INSERT_RELATOR, pos, ref, inv, prefix.inverse()))
+            steps.append(DerivationStep(INSERT_RELATOR, pos, ref, inv, c))
             w = _apply(p, w, steps[-1], len(steps) - 1)
         else:
             lem = table.lemmas[ref]
-            pre = pair_insert_steps(prefix.inverse(), pos)
-            body = lem.build_inverse if inv else lem.build
-            for s in pre + shift_steps(body, pos + len(prefix)):
-                steps.append(s)
-                w = _apply(p, w, s, len(steps) - 1)
+            steps += pair_insert_steps(c, pos)
+            steps += shift_steps(lem.build_inverse if inv else lem.build, pos + len(prefix))
+            w = w[:pos] + c.letters + base.letters + prefix.letters + w[pos:]
         red, w = _reduction_steps(w)
         steps.extend(red)
     return steps
@@ -516,7 +539,7 @@ def _move_cost(table: _MoveTable, mi: int) -> int:
     all moves that turn one word into the same next word.  A rotation by k
     adds a conjugator of k letters on each side, which costs k more
     FreeCancels; a lemma rotation also spends k FreeInserts on it and
-    replays the lemma's build (build_inverse for the inverse)."""
+    copies the lemma's build (build_inverse for the inverse)."""
     kind, ref, inv, rot = table.origins[mi]
     if kind == "relator":
         return rot
@@ -524,16 +547,25 @@ def _move_cost(table: _MoveTable, mi: int) -> int:
     return 2 * rot + len(lemma.build_inverse if inv else lemma.build)
 
 
-def _checked_derivation(p: Presentation, source: BraidWord, target: BraidWord,
-                        body: list[DerivationStep]) -> Derivation:
+def _derivation(p: Presentation, source: BraidWord, target: BraidWord,
+                body: list[DerivationStep]) -> Derivation:
     """The derivation source -> target made of the free reduction of source,
     then body (which takes the reduced source to the reduced target), then
-    the undone free reduction of target; replay-checked, so compile bugs
-    never escape."""
+    the undone free reduction of target.  Not replayed here."""
     pre_steps, _ = reduction_steps(source)
     post_steps, _ = reduction_steps(target)
     steps = pre_steps + body + invert_steps(p, target, post_steps)
-    d = Derivation(source, target, tuple(steps))
+    return Derivation(source, target, tuple(steps))
+
+
+def _checked_derivation(p: Presentation, source: BraidWord, target: BraidWord,
+                        body: list[DerivationStep]) -> Derivation:
+    """_derivation, replayed step by step against p and required to land on
+    target before it is returned, so compile bugs never escape.  Every
+    certificate find_equality returns passes this check.  A scripted lemma
+    proof is built with _derivation instead: its one replay is
+    _lemma_from_proof's."""
+    d = _derivation(p, source, target, body)
     if not verify_derivation(p, d):
         raise AssertionError("compiled certificate failed replay")
     return d

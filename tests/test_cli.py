@@ -142,6 +142,15 @@ def test_lift(tmp_path, capsys):
     assert (tmp_path / "scene.svg").exists()
 
 
+@pytest.mark.parametrize("word", ["s1", ""])
+def test_lift_needs_a_strand(tmp_path, capsys, word):
+    prefix = tmp_path / "scene"
+    code, out, err = run(capsys, "lift", "0", word, "--out", str(prefix))
+    assert code == EXIT_FAILURE
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == "" and not (tmp_path / "scene.txt").exists()
+
+
 def test_verify_and_report(capsys):
     code, out, _ = run(capsys, "verify", "2")
     assert code == EXIT_OK

@@ -83,6 +83,14 @@ def test_word_motion_returns_to_basepoints(n):
         assert m.n == n
 
 
+@pytest.mark.parametrize("surface", ("rp2", "annulus"))
+def test_word_motion_needs_a_strand(surface):
+    for n in (0, -1):
+        for w in (EMPTY, parse_word("s1")):
+            with pytest.raises(ValueError, match="strand count"):
+                word_motion(w, n, surface)
+
+
 def test_lift_scene_projects_back():
     m = word_motion(parse_word("s1 r2"), 2)
     scene = lift_motion(m, ANTIPODAL)

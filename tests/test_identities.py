@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidcover import identities
+from braidcover import identities, rewriting
 from braidcover.identities import CertificateEngine, ScriptError, _positive_script, paper_claims
 from braidcover.presentations import half_twist, van_buskirk
 from braidcover.rewriting import Derivation, verify_derivation
@@ -117,6 +118,64 @@ def test_scripted_lemmas_never_search(monkeypatch):
     for name in _scripted(engine):
         assert engine.records[name].candidates == engine.records[name].expanded == 0
     assert sum(engine.records[name].candidates for name in searched) > 0
+
+
+def test_claim_through_tampered_lemma_fails_replay():
+    # compiling a lemma move writes down the net effect of the lemma's
+    # banked body without applying it, so a broken body must be caught by
+    # the replay of the certificate it ends up in
+    engine = CertificateEngine(2)
+    engine.seed_all()
+    lemma = engine.lemmas["rn2"]
+    engine.lemmas["rn2"] = dataclasses.replace(lemma, build=lemma.build[:-1],
+                                               build_inverse=lemma.build_inverse[:-1])
+    claim = next(c for c in paper_claims(2) if c.label == "rn2")
+    with pytest.raises(AssertionError, match="failed replay"):
+        engine.certify(claim)
+
+
+@pytest.mark.parametrize("corrupt", [slice(None, -1), slice(1, None)])
+def test_corrupted_lemma_proof_is_not_banked(monkeypatch, corrupt):
+    # a scripted proof is replayed once, as it is banked: a compiled body
+    # that misses its last step ends off the empty word, one that misses its
+    # first step stops at a step that does not apply; neither is banked
+    real = identities._compile_path
+    monkeypatch.setattr(identities, "_compile_path", lambda *args: real(*args)[corrupt])
+    engine = CertificateEngine(3)
+    s1, s2 = gen_word(sigma(1)), gen_word(sigma(2))
+    with pytest.raises(AssertionError, match="failed replay"):
+        engine.add_scripted_lemma("braid", s1 * s2 * s1, s2 * s1 * s2,
+                                  [("braid_1", s2 * s1 * s2)])
+    assert "braid" not in engine.lemmas and "braid" not in engine.records
+
+
+def test_each_certificate_step_is_applied_once(monkeypatch):
+    # compiling applies only relator moves; a lemma body is copied, not
+    # replayed.  Each scripted lemma proof is replayed once, as it is
+    # banked; a searched core also passes find_equality's check, and every
+    # claim certificate is replayed once before it is returned
+    applied, relator_moves = [0], [0]
+    real_apply, real_compile = rewriting._apply, rewriting._compile_path
+
+    def counting_apply(*args):
+        applied[0] += 1
+        return real_apply(*args)
+
+    def counting_compile(table, start, path):
+        relator_moves[0] += sum(table.origins[move[0]][0] == "relator" for move in path)
+        return real_compile(table, start, path)
+
+    monkeypatch.setattr(rewriting, "_apply", counting_apply)
+    monkeypatch.setattr(rewriting, "_compile_path", counting_compile)
+    monkeypatch.setattr(identities, "_compile_path", counting_compile)
+    engine = CertificateEngine(4)
+    certs = engine.certify_all()
+    # a lemma's build has one step per step of its proof
+    proofs = sum(len(lemma.build) for lemma in engine.lemmas.values())
+    searched = sum(len(engine.lemmas[name].build) for name, rec in engine.records.items()
+                   if rec.method == "searched")
+    claims = sum(len(d.steps) for d in certs.values())
+    assert applied[0] <= proofs + searched + claims + relator_moves[0]
 
 
 def test_script_step_that_does_not_apply():
