@@ -22,6 +22,10 @@ def main() -> int:
     ap.add_argument("--max-len", type=int, default=8)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if min(args.degrees) < 2:
+        ap.error("every --degrees value must be >= 2")
+    if min(args.trials, args.max_n, args.max_len) < 1:
+        ap.error("--trials, --max-n and --max-len must be >= 1")
     total_checked = 0
     failed = False
     for d in args.degrees:

@@ -226,6 +226,7 @@ def _swap_segment(chart, coords: list[tuple[float, float]], i: int, T: int) -> l
     return out
 
 
+@lru_cache(maxsize=None)
 def generator_motion(g: Generator, n: int, surface: str = "rp2") -> StrandMotion:
     """Canonical motion representing a single braid generator.
 
@@ -234,6 +235,9 @@ def generator_motion(g: Generator, n: int, surface: str = "rp2") -> StrandMotion
     basepoint in the +y direction to the antipode (a loop on RP^2).
     annulus: sigma_i is the analogous half-turn in the band chart; tau
     takes strand 1 once around the band.
+
+    Cached: each motion is built and validated once per (g, n, surface),
+    and its paths are read-only so that no caller can alter the cache.
     """
     if surface == "rp2":
         base = rp2_basepoints(n)
@@ -243,8 +247,7 @@ def generator_motion(g: Generator, n: int, surface: str = "rp2") -> StrandMotion
             h = _CAP_SPREAD / n
             coords = [(h * (i - (n + 1) / 2.0), 0.0) for i in range(1, n + 1)]
             paths = _swap_segment(_cap_chart, coords, g.index, _SWAP_SAMPLES)
-            return StrandMotion(n, "rp2", tuple(paths))
-        if g.kind == "r":
+        elif g.kind == "r":
             if not 1 <= g.index <= n:
                 raise ValueError(f"invalid generator {g} for n={n}")
             T = _LOOP_SAMPLES
@@ -265,9 +268,9 @@ def generator_motion(g: Generator, n: int, surface: str = "rp2") -> StrandMotion
                     paths.append(np.stack(pts))
                 else:
                     paths.append(np.stack([base[j - 1]] * T))
-            return StrandMotion(n, "rp2", tuple(paths))
-        raise ValueError(f"generator {g} is not a projective-plane generator")
-    if surface == "annulus":
+        else:
+            raise ValueError(f"generator {g} is not a projective-plane generator")
+    elif surface == "annulus":
         base = annulus_basepoints(n)
         if g.kind == "s":
             if not 1 <= g.index <= n - 1:
@@ -279,17 +282,21 @@ def generator_motion(g: Generator, n: int, surface: str = "rp2") -> StrandMotion
             paths = _swap_segment(
                 lambda p, z: _band_chart(p, z), coords, g.index, _SWAP_SAMPLES
             )
-            return StrandMotion(n, "annulus", tuple(paths))
-        if g.kind == "t":
+        elif g.kind == "t":
             T = _LOOP_SAMPLES
             z1 = _BAND_HALF
             pts = [_band_chart(2 * math.pi * k / (T - 1), z1) for k in range(T)]
             paths = [np.stack(pts)]
             for j in range(2, n + 1):
                 paths.append(np.stack([base[j - 1]] * T))
-            return StrandMotion(n, "annulus", tuple(paths))
-        raise ValueError(f"generator {g} is not an annulus generator")
-    raise ValueError(f"unknown surface {surface!r}")
+        else:
+            raise ValueError(f"generator {g} is not an annulus generator")
+    else:
+        raise ValueError(f"unknown surface {surface!r}")
+    motion = StrandMotion(n, surface, tuple(paths))
+    for p in motion.paths:
+        p.flags.writeable = False
+    return motion
 
 
 def word_motion(w: BraidWord, n: int, surface: str = "rp2") -> StrandMotion:
@@ -363,7 +370,7 @@ def lift_motion(m: StrandMotion, cover: Cover) -> LiftScene:
 # word extraction
 
 
-class NonGenericScene(Exception):
+class NonGenericScene(ValueError):
     """Raised when the projected scene cannot be read as a braid diagram."""
 
 
@@ -424,10 +431,7 @@ def _read_diagram(u: np.ndarray, depth: np.ndarray) -> BraidWord:
         front_left = front_a if left == a else -front_a
         letters.append((sigma(min(pa, pb) + 1), front_left))
         pos[a], pos[b] = pb, pa
-    word = EMPTY
-    for g, e in letters:
-        word = word * gen_word(g, e)
-    return word
+    return BraidWord(tuple(letters))
 
 
 def extract_word(scene: LiftScene) -> BraidWord:
@@ -450,7 +454,7 @@ def extract_word(scene: LiftScene) -> BraidWord:
 
 @lru_cache(maxsize=None)
 def _psi_generator(n: int, g: Generator, e: int) -> BraidWord:
-    scene = lift_motion(generator_motion(g, n), ANTIPODAL)
+    scene = lift_motion(generator_motion(g, n, "rp2"), ANTIPODAL)
     w = extract_word(scene)
     return w if e == 1 else w.inverse()
 
@@ -460,10 +464,13 @@ def psi(n: int, w: BraidWord) -> BraidWord:
     the sphere braid group on 2n strands, by lifting through the
     antipodal cover.  Homomorphic on the nose: the image of a word is
     the concatenation of the letter images."""
-    out = EMPTY
-    for g, e in w.letters:
-        out = out * _psi_generator(n, g, 1 if e == 1 else -1)
-    return out
+    return BraidWord(
+        tuple(
+            letter
+            for g, e in w.letters
+            for letter in _psi_generator(n, g, 1 if e == 1 else -1).letters
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -536,6 +543,12 @@ def injectivity_spotcheck_annulus(
     cover embedding.  Both sides are decided exactly via the faithful
     disc action."""
     import random
+
+    if d < 2 or n < 1 or trials < 0 or max_len < 1:
+        raise ValueError(
+            f"spot check needs d >= 2, n >= 1, trials >= 0 and max_len >= 1; "
+            f"got d={d}, n={n}, trials={trials}, max_len={max_len}"
+        )
 
     from .oracles import annulus_oracle
     from .words import tau

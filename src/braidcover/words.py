@@ -114,19 +114,28 @@ def gen_word(g: Generator, e: int = 1) -> BraidWord:
     return BraidWord(((g, e),))
 
 
-_TOKEN = re.compile(r"^([srt])(\d+)(\^-1)?$")
+class WordFormatError(ValueError):
+    """Raised by `parse_word` on text outside the word grammar."""
+
+
+_TOKEN = re.compile(r"([srt])([0-9]+)(\^-1)?")
 
 
 def parse_word(text: str) -> BraidWord:
-    """Parse the whitespace-separated grammar `('s'|'r'|'t') INT ('^-1')?`."""
+    """Parse the whitespace-separated grammar `('s'|'r'|'t') [0-9]+ ('^-1')?`;
+    indices are ASCII digits, and any other text raises `WordFormatError`."""
     letters: list[Letter] = []
     for tok in text.split():
-        m = _TOKEN.match(tok)
+        m = _TOKEN.fullmatch(tok)
         if m is None:
-            raise ValueError(f"malformed token {tok!r}")
-        kind, idx, inv = m.group(1), int(m.group(2)), m.group(3)
+            raise WordFormatError(f"malformed token {tok!r}")
+        kind, digits, inv = m.groups()
+        try:
+            idx = int(digits)
+        except ValueError:  # more digits than int() converts
+            raise WordFormatError(f"index too long in token {tok!r}") from None
         if idx < 1:
-            raise ValueError(f"bad index in token {tok!r}")
+            raise WordFormatError(f"bad index in token {tok!r}")
         letters.append((Generator(kind, idx), -1 if inv else 1))
     return BraidWord(tuple(letters))
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from braidcover import cli
 from braidcover.cli import EXIT_FAILURE, EXIT_GAPS, EXIT_OK, ConfigError, ToolkitConfig, main
+from braidcover.covering import NonGenericScene
 from braidcover.presentations import Presentation, finite_group_presentation
 
 
@@ -149,6 +151,23 @@ def test_lift_needs_a_strand(tmp_path, capsys, word):
     assert code == EXIT_FAILURE
     assert err.startswith("error:") and "Traceback" not in err
     assert out == "" and not (tmp_path / "scene.txt").exists()
+
+
+def test_lift_reports_non_generic_scene(tmp_path, monkeypatch, capsys):
+    def degenerate(scene):
+        raise NonGenericScene("strands coincide in the order functional")
+
+    monkeypatch.setattr(cli, "extract_word", degenerate)
+    code, out, err = run(capsys, "lift", "2", "s1 r1", "--out", str(tmp_path / "scene"))
+    assert code == EXIT_FAILURE
+    assert err.startswith("error:") and "coincide" in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_wp_rejects_non_ascii_digits(capsys):
+    code, out, err = run(capsys, "wp", "disc", "2", "s\u0661")
+    assert code == EXIT_FAILURE
+    assert err.startswith("error: malformed token") and out == ""
 
 
 def test_verify_and_report(capsys):

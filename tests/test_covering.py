@@ -1,13 +1,17 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from braidcover import covering
 from braidcover.covering import (
     ANTIPODAL,
     Cover,
     LiftScene,
     NonGenericScene,
     StrandMotion,
+    _read_diagram,
     SurfacePoint,
     annulus_basepoints,
     annulus_cover_image,
@@ -25,7 +29,15 @@ from braidcover.covering import (
 )
 from braidcover.oracles import annulus_oracle, disc_action, sphere_word_problem
 from braidcover.presentations import _van_buskirk_relators, full_twist, van_buskirk
-from braidcover.words import EMPTY, gen_word, parse_word, permutation_image, rho, sigma
+from braidcover.words import (
+    EMPTY,
+    BraidWord,
+    gen_word,
+    parse_word,
+    permutation_image,
+    rho,
+    sigma,
+)
 
 from .test_words import words_over
 
@@ -75,6 +87,47 @@ def test_generator_motion_validation():
         annulus_dfold(1)
 
 
+def test_generator_motion_is_cached_read_only():
+    m = generator_motion(sigma(1), 2)
+    assert generator_motion(sigma(1), 2) is m
+    for p in m.paths:
+        with pytest.raises(ValueError):
+            p[0, 0] = 0.0
+
+
+def test_caller_paths_stay_writable():
+    fresh = generator_motion.__wrapped__(sigma(1), 2)
+    paths = tuple(np.array(p) for p in fresh.paths)
+    StrandMotion(2, "rp2", paths)
+    for p in paths:
+        assert p.flags.writeable
+        p[0, 0] = p[0, 0]
+
+
+_FIXED_WORDS = {
+    "rp2": ("r1 r1^-1 r1", "s1 r2^-1 s1^-1 r1", "r3 s2^-1 s1 r1^-1 s3 r2", "s1 s1 r1 r4^-1 s3^-1"),
+    "annulus": ("t1 t1^-1 t1", "s1 t1^-1 s1", "t1 s2^-1 s1 t1^-1 s2", "s3 t1 s1^-1 s2 t1"),
+}
+
+
+def _fits(w: BraidWord, n: int) -> bool:
+    bound = {"s": n - 1, "r": n, "t": 1}
+    return all(g.index <= bound[g.kind] for g, _e in w)
+
+
+@pytest.mark.parametrize("surface", ("rp2", "annulus"))
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_word_motion_matches_uncached_generators(monkeypatch, surface, n):
+    words = [w for w in map(parse_word, _FIXED_WORDS[surface]) if _fits(w, n)]
+    assert words
+    cached = [word_motion(w, n, surface) for w in words]
+    monkeypatch.setattr(covering, "generator_motion", generator_motion.__wrapped__)
+    for w, m in zip(words, cached):
+        fresh = word_motion(w, n, surface)
+        assert all(np.array_equal(a, b) for a, b in zip(m.paths, fresh.paths)), str(w)
+        assert all(p.flags.writeable for p in m.paths)
+
+
 @pytest.mark.parametrize("n", (2, 3))
 def test_word_motion_returns_to_basepoints(n):
     # the StrandMotion constructor checks endpoint return and disjointness
@@ -113,6 +166,20 @@ def test_psi_generator_images_regression():
     # orientation, so the two blocks cross with opposite signs
     assert psi(2, parse_word("s1")) == parse_word("s3 s1^-1")
     assert psi(2, parse_word("r1")) == parse_word("s1^-1 s2^-1 s1^-1")
+
+
+def test_whole_word_lift_equals_psi():
+    # the lift of a whole word's motion and the concatenated generator
+    # images are the same sphere braid, decided exactly
+    rng = random.Random(2009)
+    for n in (2, 3, 4):
+        gens = [sigma(i) for i in range(1, n)] + [rho(i) for i in range(1, n + 1)]
+        for _ in range(12):
+            w = BraidWord(tuple((rng.choice(gens), rng.choice((1, -1)))
+                                for _ in range(rng.randint(4, 12))))
+            lifted = extract_word(lift_motion(word_motion(w, n), ANTIPODAL))
+            diff = (lifted * psi(n, w).inverse()).free_reduce()
+            assert sphere_word_problem(2 * n, diff).verdict == "Trivial", (n, str(w))
 
 
 def test_psi_is_homomorphic_on_letters():
@@ -199,6 +266,18 @@ def test_annulus_cover_image():
     assert disc_action(5, img).is_identity()
 
 
+@pytest.mark.parametrize("d,n,trials,max_len", [(1, 2, 5, 8), (0, 2, 5, 8), (2, 0, 5, 8),
+                                                (2, 2, -1, 8), (2, 2, 5, 0)])
+def test_injectivity_spotcheck_rejects_bad_inputs(d, n, trials, max_len):
+    with pytest.raises(ValueError, match="spot check needs"):
+        injectivity_spotcheck_annulus(d, n, trials, max_len=max_len)
+
+
+def test_injectivity_spotcheck_zero_trials():
+    rep = injectivity_spotcheck_annulus(2, 2, 0)
+    assert rep.ok and rep.checked == rep.skipped_trivial == 0
+
+
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 3), (3, 2)])
 def test_injectivity_spotcheck(d, n):
     rep = injectivity_spotcheck_annulus(d, n, trials=15, seed=7)
@@ -229,3 +308,18 @@ def test_extract_word_matches_oracle_roundtrip():
 
 def test_non_generic_guard_exists():
     assert issubclass(NonGenericScene, Exception)
+
+
+def test_read_diagram_rejects_coincident_strands():
+    u = np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
+    with pytest.raises(NonGenericScene, match="coincide"):
+        _read_diagram(u, np.zeros_like(u))
+
+
+def test_read_diagram_rejects_non_adjacent_crossing():
+    # a triple point: all three strands cross at t = 1/2, and the pair
+    # read second is strands at the two outer positions
+    u = np.array([[1.0, 1.0], [0.0, 2.0], [2.0, 0.0]])
+    depth = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+    with pytest.raises(NonGenericScene, match="non-adjacent"):
+        _read_diagram(u, depth)

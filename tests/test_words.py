@@ -7,6 +7,7 @@ from braidcover.words import (
     BraidWord,
     Generator,
     Permutation,
+    WordFormatError,
     exponent_sums,
     format_word,
     gen_word,
@@ -60,6 +61,14 @@ def test_parse_format_examples():
         parse_word("s0")
     with pytest.raises(ValueError):
         parse_word("s1^2")
+
+
+@pytest.mark.parametrize("text", ("x1", "s1^2", "s", "s1 ^-1", "s0", "r00",
+                                  "s\u0661", "r\uff11", "s1\u00b2",
+                                  pytest.param("s" + "1" * 5000, id="s1...1")))
+def test_parse_word_raises_typed_error(text):
+    with pytest.raises(WordFormatError):
+        parse_word(text)
 
 
 @given(words_over(4, kinds="srt"))
