@@ -9,9 +9,10 @@ proved by a script of single lemma or relator moves that is checked, not
 searched: the disc braid lemmas equate positive sigma-words and follow the
 braid and commutation moves of _positive_script, and the rest are
 inductions on the strand or generator index.  Only two cores, whose size
-does not depend on n, are searched.  Each auxiliary identity is compiled
-down to presentation relators at registration time, so every certificate
-the engine emits replays against the bare presentation.
+does not depend on n, are searched.  Each auxiliary identity is banked
+as its proof in items that use earlier lemmas by reference; a certificate
+the engine emits is flattened to presentation relators and replays
+against the bare presentation.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ from .rewriting import (
     SearchStats,
     _compile_path,
     _derivation,
+    _hits,
     _lemma_from_proof,
     _move_cost,
     _MoveTable,
-    _splice,
     find_equality,
 )
 from .words import EMPTY, BraidWord, gen_word, rho, sigma
@@ -132,9 +133,10 @@ def _positive_script(name: str, source: BraidWord, target: BraidWord):
     if len(u) != len(v):
         raise ScriptError(name, 0, "positive words of different lengths are not equal")
     script: list[tuple[str, BraidWord]] = []
+    letter = {i: (sigma(i), 1) for i in {*u, *v}}
 
     def record(label: str) -> None:
-        script.append((label, BraidWord(tuple((sigma(i), 1) for i in u))))
+        script.append((label, BraidWord(tuple(map(letter.__getitem__, u)))))
 
     for t in range(len(v), 0, -1):
         # make u[:t] end in s_(v[t-1]).  Tasks: ("pull", end, _, k) makes
@@ -177,10 +179,11 @@ class CertificateEngine:
 
     Lemmas are proved in dependency order by script (add_scripted_lemma),
     except two fixed-size cores proved by seeded certificate search
-    (add_lemma).  Each becomes a single search move for later proofs but
-    is stored compiled to presentation-level steps, so emitted
-    certificates never reference anything but the presentation's own
-    relators.  records says how each lemma was proved.
+    (add_lemma).  Each becomes a single search move for later proofs and
+    is banked as its proof in items, using earlier lemmas by reference;
+    emitted certificates are flattened, so they never reference anything
+    but the presentation's own relators.  records says how each lemma was
+    proved.
     """
 
     def __init__(self, n: int, budget: SearchBudget | None = None):
@@ -213,8 +216,8 @@ class CertificateEngine:
                        if key == label or key.startswith(label + "_"))
         return out
 
-    def _store(self, name: str, proof: Derivation, record: LemmaRecord) -> Lemma:
-        lemma = _lemma_from_proof(self.presentation, name, proof)
+    def _store(self, name: str, relator: BraidWord, proof, record: LemmaRecord) -> Lemma:
+        lemma = _lemma_from_proof(self.presentation, name, relator, proof)
         self.lemmas[name] = lemma
         self.records[name] = record
         return lemma
@@ -244,8 +247,8 @@ class CertificateEngine:
             proof = self.prove(source * target.inverse(), EMPTY, use, budget, relators, stats)
         except NotFound as exc:
             raise NotFound(exc.stats, name) from None
-        return self._store(name, proof, LemmaRecord("searched", stats[0].candidates,
-                                                    stats[0].expanded))
+        return self._store(name, proof.source, proof.steps,
+                           LemmaRecord("searched", stats[0].candidates, stats[0].expanded))
 
     def _step_table(self, name: str, index: int, label: str) -> _MoveTable:
         table = self._tables.get(label)
@@ -268,12 +271,12 @@ class CertificateEngine:
         or of its inverse, and reduces freely; it must turn the current word
         into the stated one.  Words are compared as w target^-1, freely
         reduced, so the proof runs from the lemma relator to the empty word;
-        a step whose word reduces to the current one needs no move.  Every
-        move of the label is tried at every position where it can turn the
-        current word into the next: within the move's length, plus the
-        drop in length, of where the two words first and last differ.  That
-        is a bounded check, not a search.  A step that does not apply raises
-        ScriptError.
+        a step whose word reduces to the current one needs no move.  The
+        insertions of the label that turn the current word into the next
+        are found by one lookup per position (rewriting._hits) within the
+        move's length, plus the drop in length, of where the two words
+        first and last differ.  That is a bounded check, not a search.  A
+        step that does not apply raises ScriptError.
         """
         if name in self.lemmas:
             return self.lemmas[name]
@@ -285,28 +288,20 @@ class CertificateEngine:
             following = (word * tail).free_reduce()
             if following == current:
                 continue
-            w, goal = table.encode(current), table.encode(following)
-            lw, lg = len(w), len(goal)
-            pre = next((i for i, (x, y) in enumerate(zip(w, goal)) if x != y), min(lw, lg))
-            suf = next((i for i, (x, y) in enumerate(zip(reversed(w), reversed(goal)))
-                        if x != y), min(lw, lg))
-            # a splice at q replaces w[i:l] by part of mv, with i <= q <= l,
-            # i <= pre, l >= lw - suf and l - i <= lw - lg + len(mv)
-            hits = [(mi, q) for mi, mv in enumerate(table.reduced)
-                    for q in range(max(0, lg - suf - len(mv)),
-                                   min(lw, pre + lw - lg + len(mv)) + 1)
-                    if _splice(w, q, mv) == goal]
+            hits = _hits(table, table.encode(current), table.encode(following))
             if not hits:
                 raise ScriptError(name, index, f"no {label} move reaches {word}")
-            # every hit lands on the same word; take the one that compiles shortest
+            # every hit lands on the same word; take the one that compiles
+            # shortest, ties going to the first in (move, position) order
             mi, q = min(hits, key=lambda hit: _move_cost(table, hit[0]))
             body += _compile_path(table, current, [(mi, q)])
             current = following
         if current.letters:
             raise ScriptError(name, len(script), "the script does not end at the target")
-        # _store replays the proof once, as it inverts it into the lemma's build
-        proof = _derivation(self.presentation, source * tail, EMPTY, body)
-        return self._store(name, proof, LemmaRecord("scripted"))
+        # _store replays the proof items once, as it inverts them into the build
+        relator = source * tail
+        proof = _derivation(self.presentation, relator, EMPTY, body)
+        return self._store(name, relator, proof, LemmaRecord("scripted"))
 
     def _add_disc_lemma(self, name: str, source: BraidWord, target: BraidWord) -> Lemma:
         return self.add_scripted_lemma(name, source, target,

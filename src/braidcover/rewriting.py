@@ -15,9 +15,13 @@ Soundness is immediate: every move multiplies by a relator conjugate or
 by a word freely equal to the identity.
 
 The search half of the module finds certificates for short identities by
-best-first insertion of cyclic rotations of relators (and of previously
-certified auxiliary identities, whose uses are compiled away so that the
-final certificate only ever references presentation relators).
+best-first insertion of cyclic rotations of relators and of previously
+certified auxiliary identities (lemmas).  A lemma is banked as its proof
+in items: an item is a step or a LemmaUse, which runs one of a banked
+lemma's bodies at an offset, so a lemma move costs one item however large
+the lemma's own proof is.  Only a certificate that is returned is
+flattened into steps that reference presentation relators alone, and it
+is replayed flat before it is returned.
 """
 
 from __future__ import annotations
@@ -243,12 +247,122 @@ def pair_insert_steps(c: BraidWord, pos: int) -> list[DerivationStep]:
     return steps
 
 
-def shift_steps(steps, offset: int) -> list[DerivationStep]:
-    """Re-anchor a step sequence inside a larger word with a stable prefix."""
-    return [
-        DerivationStep(s.action, s.position + offset, s.relator_index, s.inverse_flag, s.conjugator)
-        for s in steps
-    ]
+BUILD = "build"
+BUILD_INVERSE = "build_inverse"
+PROOF = "proof"
+PROOF_INVERSE = "proof_inverse"
+
+# the kind of the use that undoes a use of each kind
+_INVERSE_KIND = {BUILD: PROOF, PROOF: BUILD, BUILD_INVERSE: PROOF_INVERSE,
+                 PROOF_INVERSE: BUILD_INVERSE}
+
+
+@dataclass(frozen=True, eq=False)
+class Lemma:
+    """A certified auxiliary identity L = 1, banked by reference.
+
+    proof_items take the relator word L to the empty word and build_items,
+    their item-wise inverse, take the empty word to L.  An item is a
+    DerivationStep or a LemmaUse of an earlier lemma, so a body holds one
+    item per move of the proof, not the flat steps of the lemmas it uses.
+    proof_steps and build_steps count the flat steps.  Every FreeInsert in
+    a proof is one letter, so inverting a flattened build step by step
+    gives back the flattened proof: inverting a use to the use of the
+    opposite body flattens to the same steps as inverting its flat body
+    would.  build and build_inverse are the flattened bodies
+    empty -> L and empty -> L^-1: len() reads the stored counts, iterating
+    flattens."""
+
+    name: str
+    relator: BraidWord
+    proof_items: tuple
+    build_items: tuple
+    proof_steps: int
+    build_steps: int
+
+    @property
+    def build(self) -> "LemmaUse":
+        return LemmaUse(self, BUILD)
+
+    @property
+    def build_inverse(self) -> "LemmaUse":
+        return LemmaUse(self, BUILD_INVERSE)
+
+    def body(self, kind: str) -> tuple:
+        """The items of one body at offset 0.  build_inverse free-inserts
+        L^-1 L and runs the proof on the L half; proof_inverse is its
+        inverse."""
+        if kind == PROOF:
+            return self.proof_items
+        if kind == BUILD:
+            return self.build_items
+        k = len(self.relator)
+        if kind == BUILD_INVERSE:
+            return (*pair_insert_steps(self.relator.inverse(), 0), LemmaUse(self, PROOF, k))
+        return (LemmaUse(self, BUILD, k),
+                *(DerivationStep(FREE_CANCEL, j) for j in reversed(range(k))))
+
+    def step_count(self, kind: str) -> int:
+        """The flat step count of one body."""
+        own = self.proof_steps if kind in (PROOF, BUILD_INVERSE) else self.build_steps
+        return own if kind in (PROOF, BUILD) else own + len(self.relator)
+
+
+@dataclass(frozen=True)
+class LemmaUse:
+    """An item that runs one body of a banked lemma L at offset: build
+    (empty -> L), build_inverse (empty -> L^-1), proof (L -> empty) or
+    proof_inverse (L^-1 -> empty).  As a step sequence it is its flattened
+    body: len() reads the lemma's stored counts, iterating flattens."""
+
+    lemma: Lemma
+    kind: str
+    offset: int = 0
+
+    def __len__(self) -> int:
+        return self.lemma.step_count(self.kind)
+
+    def __iter__(self):
+        return iter(flatten((self,)))
+
+    def _apply(self, letters: tuple[Letter, ...], index: int) -> tuple[Letter, ...]:
+        """The body's net effect on a letter tuple: a build places its
+        word at offset, a proof checks that its word is there and deletes
+        it.  The body itself passed its replay when the lemma was banked."""
+        word = self.lemma.relator.letters
+        if self.kind in (BUILD_INVERSE, PROOF_INVERSE):
+            word = _inverse_letters(word)
+        pos = self.offset
+        if self.kind in (BUILD, BUILD_INVERSE):
+            if pos > len(letters):
+                raise DerivationError(index, f"position {pos} beyond word of length {len(letters)}")
+            return letters[:pos] + word + letters[pos:]
+        if letters[pos : pos + len(word)] != word:
+            raise DerivationError(index, f"lemma {self.lemma.name} not present at position")
+        return letters[:pos] + letters[pos + len(word) :]
+
+
+def flatten(items, offset: int = 0) -> list[DerivationStep]:
+    """The derivation-v1 steps of items, shifted right by offset: each use
+    expands, recursively, to its lemma's body."""
+    out: list[DerivationStep] = []
+    _flatten_into(items, offset, out)
+    return out
+
+
+def _flatten_into(items, offset: int, out: list[DerivationStep]) -> None:
+    for item in items:
+        if type(item) is LemmaUse:
+            _flatten_into(item.lemma.body(item.kind), offset + item.offset, out)
+        elif offset:
+            out.append(DerivationStep(item.action, item.position + offset, item.relator_index,
+                                      item.inverse_flag, item.conjugator))
+        else:
+            out.append(item)
+
+
+def _flat_len(items) -> int:
+    return sum(len(item) if type(item) is LemmaUse else 1 for item in items)
 
 
 def invert_steps(p: Presentation, start: BraidWord, steps) -> list[DerivationStep]:
@@ -258,11 +372,16 @@ def invert_steps(p: Presentation, start: BraidWord, steps) -> list[DerivationSte
 
 
 def _replay_inverted(p: Presentation, letters: tuple[Letter, ...],
-                     steps) -> tuple[list[DerivationStep], tuple[Letter, ...]]:
-    """invert_steps from a letter tuple, together with the word the replay
-    ends on."""
-    out: list[DerivationStep] = []
-    for i, step in enumerate(steps):
+                     items) -> tuple[list, tuple[Letter, ...]]:
+    """invert_steps on items from a letter tuple, together with the word
+    the replay ends on.  A use is inverted to the use of the opposite body
+    at the same offset, with no replay of the body."""
+    out: list = []
+    for i, step in enumerate(items):
+        if type(step) is LemmaUse:
+            letters = step._apply(letters, i)
+            out.append(LemmaUse(step.lemma, _INVERSE_KIND[step.kind], step.offset))
+            continue
         after = _apply(p, letters, step, i)
         if step.action == INSERT_RELATOR:
             out.append(DerivationStep(DELETE_RELATOR, step.position, step.relator_index, step.inverse_flag, step.conjugator))
@@ -277,16 +396,6 @@ def _replay_inverted(p: Presentation, letters: tuple[Letter, ...],
         letters = after
     out.reverse()
     return out, letters
-
-
-def concat_derivations(a: Derivation, b: Derivation) -> Derivation:
-    if a.target.letters != b.source.letters:
-        raise ValueError("derivations do not chain")
-    return Derivation(a.source, b.target, a.steps + b.steps)
-
-
-def invert_derivation(p: Presentation, d: Derivation) -> Derivation:
-    return Derivation(d.target, d.source, tuple(invert_steps(p, d.source, d.steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -320,38 +429,23 @@ class NotFound(Exception):
         self.lemma = lemma
 
 
-@dataclass(frozen=True)
-class Lemma:
-    """A certified auxiliary identity, stored as its trivial relator word L
-    together with presentation-only step sequences building L and L^-1
-    from the empty word (used to compile lemma applications away)."""
+def _lemma_from_proof(p: Presentation, name: str, relator: BraidWord, proof) -> Lemma:
+    """The lemma L = 1 proved by proof, items that take L to the empty
+    word.
 
-    name: str
-    relator: BraidWord
-    build: tuple[DerivationStep, ...]
-    build_inverse: tuple[DerivationStep, ...]
-
-
-def _lemma_from_proof(p: Presentation, name: str, proof: Derivation) -> Lemma:
-    """The lemma L = 1 proved by proof, which takes L to the empty word with
-    presentation-only steps.
-
-    build (empty -> L) is made by replaying proof and inverting it step by
-    step: every step passes _apply's check on the way, and the replay must
-    end on the empty word, or AssertionError is raised and nothing is
-    banked.  For a scripted lemma this is the proof's only replay; a
-    searched one has also passed find_equality's check.  build_inverse
-    (empty -> L^-1) needs no replay: free inserts build L^-1 L, then proof,
-    shifted past L^-1, takes the L half to the empty word."""
-    L = proof.source
+    The proof is replayed once, at the item level, and inverted item by
+    item into the build on the way: a step passes _apply's check, a use
+    checks that its lemma's word is present or places it, and inverts to
+    the use of the opposite body.  The replay must end on the empty word,
+    or AssertionError is raised and nothing is banked.  A searched lemma
+    has also passed find_equality's flat check."""
     try:
-        build, end = _replay_inverted(p, L.letters, proof.steps)
+        build, end = _replay_inverted(p, relator.letters, proof)
     except DerivationError as exc:
         raise AssertionError(f"lemma {name}: proof failed replay: {exc}") from None
     if end:
         raise AssertionError(f"lemma {name}: proof failed replay: it does not end on the empty word")
-    build_inv = pair_insert_steps(L.inverse(), 0) + shift_steps(proof.steps, len(L))
-    return Lemma(name, L, tuple(build), tuple(build_inv))
+    return Lemma(name, relator, tuple(proof), tuple(build), _flat_len(proof), _flat_len(build))
 
 
 class _MoveTable:
@@ -392,6 +486,9 @@ class _MoveTable:
         self.lemmas = lemmas
         # the freely reduced form of each move is what a splice inserts
         self.reduced = [_reduce_enc(mv) for mv in self.moves]
+        self.by_reduced: dict[tuple[int, ...], list[int]] = {}
+        for mi, red in enumerate(self.reduced):
+            self.by_reduced.setdefault(red, []).append(mi)
         # moves indexed by the letter their first/last letter cancels against
         self.by_first: dict[int, list[int]] = {}
         self.by_last: dict[int, list[int]] = {}
@@ -439,6 +536,48 @@ def _splice(w: tuple[int, ...], q: int, mv: tuple[int, ...]) -> tuple[int, ...]:
             i -= 1
             l += 1
     return w[:i] + mv[j:k] + w[l:]
+
+
+def _inverse_enc(letters: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(code ^ 1 for code in reversed(letters))
+
+
+def _conjugate_enc(key: tuple[int, ...], x: int) -> tuple[int, ...]:
+    """_reduce_enc(x^-1 key x) for a freely reduced key."""
+    key = key[1:] if key and key[0] == x else (x ^ 1,) + key
+    return key[:-1] if key and key[-1] == x ^ 1 else key + (x,)
+
+
+def _hits(table: _MoveTable, w: tuple[int, ...], goal: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Every (move, position) whose splice turns the reduced word w into
+    goal, in the order (move, position).
+
+    A splice at q replaces w[i:l] by part of the move mv, with i <= q <= l,
+    i <= pre, l >= lw - suf and l - i <= lw - lg + len(mv), where pre and
+    suf are the lengths of the common prefix and suffix of w and goal, so
+    only q in that window can hit.  _splice(w, q, mv) == goal exactly when
+    mv is w[:q]^-1 goal w[q:]^-1 freely reduced, because reduced words are
+    normal forms: each q is one lookup in table.by_reduced, and the key
+    for q + 1 is the key for q conjugated by w[q]."""
+    lw, lg = len(w), len(goal)
+    pre = next((i for i, (x, y) in enumerate(zip(w, goal)) if x != y), min(lw, lg))
+    suf = next((i for i, (x, y) in enumerate(zip(reversed(w), reversed(goal))) if x != y),
+               min(lw, lg))
+    longest = max(map(len, table.reduced), default=0)
+    lo, hi = max(0, lg - suf - longest), min(lw, pre + lw - lg + longest)
+    if lo > hi:
+        return []
+    key = _reduce_enc(_inverse_enc(w[:lo]) + goal + _inverse_enc(w[lo:]))
+    hits = []
+    for q in range(lo, hi + 1):
+        for mi in table.by_reduced.get(key, ()):
+            m = len(table.reduced[mi])
+            if lg - suf - m <= q <= pre + lw - lg + m:
+                hits.append((mi, q))
+        if q < hi:
+            key = _conjugate_enc(key, w[q])
+    hits.sort()
+    return hits
 
 
 def _search_reduced(table: _MoveTable, start: tuple[int, ...], goal: tuple[int, ...],
@@ -500,19 +639,19 @@ def _search_reduced(table: _MoveTable, start: tuple[int, ...], goal: tuple[int, 
     raise NotFound(SearchStats(candidates, expanded, False))
 
 
-def _compile_path(table: _MoveTable, start_word: BraidWord, path) -> list[DerivationStep]:
-    """Expand search moves into presentation-only steps with canonical
-    free reduction after each insertion.
+def _compile_path(table: _MoveTable, start_word: BraidWord, path) -> list:
+    """Expand search moves into items, with canonical free reduction after
+    each insertion.
 
     A relator move is one step, applied with _apply's check.  A lemma move
-    inserts the rotation's conjugator by free inserts and then the lemma's
-    banked build (build_inverse for the inverse) shifted into place; those
-    steps are not applied one by one.  Their net effect is written down
-    directly: the conjugator c, then L (or L^-1), then c^-1 go in at the
-    move's position.  The body passed its replay when the lemma was banked,
-    and _checked_derivation or _lemma_from_proof replays the whole result."""
+    free-inserts the rotation's conjugator c and then uses the lemma's
+    build (build_inverse for the inverse) just past c, so c, then L (or
+    L^-1), then c^-1 go in at the move's position: one use item, whatever
+    the size of the lemma's body.  The use is not applied here; its net
+    effect is written down, and _lemma_from_proof or, after flattening,
+    _checked_derivation replays the result."""
     p = table.presentation
-    steps: list[DerivationStep] = []
+    items: list = []
     w = start_word.letters
     for mi, pos in path:
         kind, ref, inv, rot = table.origins[mi]
@@ -522,50 +661,50 @@ def _compile_path(table: _MoveTable, start_word: BraidWord, path) -> list[Deriva
         prefix = BraidWord(base.letters[:rot])
         c = prefix.inverse()
         if kind == "relator":
-            steps.append(DerivationStep(INSERT_RELATOR, pos, ref, inv, c))
-            w = _apply(p, w, steps[-1], len(steps) - 1)
+            items.append(DerivationStep(INSERT_RELATOR, pos, ref, inv, c))
+            w = _apply(p, w, items[-1], len(items) - 1)
         else:
-            lem = table.lemmas[ref]
-            steps += pair_insert_steps(c, pos)
-            steps += shift_steps(lem.build_inverse if inv else lem.build, pos + len(prefix))
+            items += pair_insert_steps(c, pos)
+            items.append(LemmaUse(table.lemmas[ref], BUILD_INVERSE if inv else BUILD,
+                                  pos + len(prefix)))
             w = w[:pos] + c.letters + base.letters + prefix.letters + w[pos:]
         red, w = _reduction_steps(w)
-        steps.extend(red)
-    return steps
+        items.extend(red)
+    return items
 
 
 def _move_cost(table: _MoveTable, mi: int) -> int:
-    """The steps _compile_path spends on move mi, up to a constant shared by
-    all moves that turn one word into the same next word.  A rotation by k
-    adds a conjugator of k letters on each side, which costs k more
-    FreeCancels; a lemma rotation also spends k FreeInserts on it and
-    copies the lemma's build (build_inverse for the inverse)."""
+    """The flat steps _compile_path spends on move mi, up to a constant
+    shared by all moves that turn one word into the same next word.  A
+    rotation by k adds a conjugator of k letters on each side, which costs
+    k more FreeCancels; a lemma rotation also spends k FreeInserts on it
+    and uses the lemma's build (build_inverse for the inverse), whose flat
+    step count the lemma stores."""
     kind, ref, inv, rot = table.origins[mi]
     if kind == "relator":
         return rot
-    lemma = table.lemmas[ref]
-    return 2 * rot + len(lemma.build_inverse if inv else lemma.build)
+    return 2 * rot + table.lemmas[ref].step_count(BUILD_INVERSE if inv else BUILD)
 
 
-def _derivation(p: Presentation, source: BraidWord, target: BraidWord,
-                body: list[DerivationStep]) -> Derivation:
-    """The derivation source -> target made of the free reduction of source,
-    then body (which takes the reduced source to the reduced target), then
-    the undone free reduction of target.  Not replayed here."""
+def _derivation(p: Presentation, source: BraidWord, target: BraidWord, body: list) -> list:
+    """The items of a derivation source -> target: the free reduction of
+    source, then body (which takes the reduced source to the reduced
+    target), then the undone free reduction of target.  Not replayed
+    here."""
     pre_steps, _ = reduction_steps(source)
     post_steps, _ = reduction_steps(target)
-    steps = pre_steps + body + invert_steps(p, target, post_steps)
-    return Derivation(source, target, tuple(steps))
+    return pre_steps + body + invert_steps(p, target, post_steps)
 
 
 def _checked_derivation(p: Presentation, source: BraidWord, target: BraidWord,
-                        body: list[DerivationStep]) -> Derivation:
-    """_derivation, replayed step by step against p and required to land on
-    target before it is returned, so compile bugs never escape.  Every
-    certificate find_equality returns passes this check.  A scripted lemma
-    proof is built with _derivation instead: its one replay is
+                        body: list) -> Derivation:
+    """_derivation flattened into a v1 Derivation, replayed step by step
+    against p and required to land on target before it is returned, so
+    neither compile bugs nor a broken lemma body escape.  Every
+    certificate find_equality returns passes this check.  A scripted
+    lemma proof stays in items instead: its one replay is
     _lemma_from_proof's."""
-    d = _derivation(p, source, target, body)
+    d = Derivation(source, target, tuple(flatten(_derivation(p, source, target, body))))
     if not verify_derivation(p, d):
         raise AssertionError("compiled certificate failed replay")
     return d
@@ -578,10 +717,10 @@ def find_equality(p: Presentation, source: BraidWord, target: BraidWord,
                   stats: list[SearchStats] | None = None) -> Derivation:
     """Certificate for source = target in the presented group, or NotFound.
 
-    The returned derivation references only presentation relators; lemma
-    applications found by the search are compiled into their stored
-    presentation-level step sequences.  If stats is a list, the search's
-    SearchStats is appended to it.
+    The returned derivation references only presentation relators: lemma
+    moves found by the search compile to uses of the lemmas' banked
+    bodies, and the result is flattened into derivation-v1 steps.  If
+    stats is a list, the search's SearchStats is appended to it.
     """
     table = _MoveTable(p, lemmas, relator_subset)
     src_red = source.free_reduce()
@@ -592,11 +731,3 @@ def find_equality(p: Presentation, source: BraidWord, target: BraidWord,
     if stats is not None:
         stats.append(search_stats)
     return _checked_derivation(p, source, target, _compile_path(table, src_red, path))
-
-
-def search_identity(p: Presentation, w: BraidWord,
-                    budget: SearchBudget = SearchBudget(),
-                    lemmas: tuple[Lemma, ...] = (),
-                    relator_subset=None) -> Derivation:
-    """Certificate that w is trivial in the presented group, or NotFound."""
-    return find_equality(p, w, EMPTY, budget, lemmas, relator_subset)

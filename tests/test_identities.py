@@ -71,8 +71,9 @@ def _scripted(engine):
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_scripted_lemmas_replay(engine_factory, n):
     # only the two cores whose size does not depend on n are searched; every
-    # other lemma is scripted, and build and build_inverse take the empty
-    # word to L and to L^-1 against the bare presentation
+    # other lemma is scripted.  Flattened, every banked lemma's build and
+    # build_inverse take the empty word to L and to L^-1 against the bare
+    # presentation, in as many steps as the lemma's stored counts say
     engine = engine_factory(n)
     p = van_buskirk(n)
     scripted = _scripted(engine)
@@ -82,11 +83,24 @@ def test_scripted_lemmas_replay(engine_factory, n):
     assert {f"conjri_{i}" for i in range(1, n + 1)} <= scripted
     assert {"realdic_a", "realdic_b", "rn2", "conjw", "dconj_b", "powerab_a", "powerab_b",
             "mirror", "delta4", "permute_rho_1", f"pal_{n}"} <= scripted
-    for name in scripted:
-        lemma = engine.lemmas[name]
-        assert verify_derivation(p, Derivation(EMPTY, lemma.relator, lemma.build))
-        assert verify_derivation(p, Derivation(EMPTY, lemma.relator.inverse(),
-                                               lemma.build_inverse))
+    for lemma in engine.lemmas.values():
+        build, build_inverse = tuple(lemma.build), tuple(lemma.build_inverse)
+        assert (len(build), len(build_inverse)) == (len(lemma.build), len(lemma.build_inverse))
+        assert verify_derivation(p, Derivation(EMPTY, lemma.relator, build))
+        assert verify_derivation(p, Derivation(EMPTY, lemma.relator.inverse(), build_inverse))
+
+
+def test_lemma_bank_is_pinned(engine_factory):
+    # the flattened bodies of the n = 3 bank; a change to the compiler or
+    # the ladder that alters a lemma body on purpose updates the pin
+    engine = engine_factory(3)
+    text = "".join(Derivation(EMPTY, lemma.relator, tuple(lemma.build)).to_json()
+                   + Derivation(EMPTY, lemma.relator.inverse(),
+                                tuple(lemma.build_inverse)).to_json()
+                   for _name, lemma in sorted(engine.lemmas.items()))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "5ba2ae2650680c61"
+    assert len(engine.lemmas) == 38
+    assert sum(len(lem.build) + len(lem.build_inverse) for lem in engine.lemmas.values()) == 7026
 
 
 def test_certify_all_six_replays():
@@ -121,14 +135,14 @@ def test_scripted_lemmas_never_search(monkeypatch):
 
 
 def test_claim_through_tampered_lemma_fails_replay():
-    # compiling a lemma move writes down the net effect of the lemma's
-    # banked body without applying it, so a broken body must be caught by
-    # the replay of the certificate it ends up in
+    # compiling a lemma move writes down a use of the lemma's banked body
+    # without applying it, so a broken body must be caught by the flat
+    # replay of the certificate it ends up in
     engine = CertificateEngine(2)
     engine.seed_all()
     lemma = engine.lemmas["rn2"]
-    engine.lemmas["rn2"] = dataclasses.replace(lemma, build=lemma.build[:-1],
-                                               build_inverse=lemma.build_inverse[:-1])
+    engine.lemmas["rn2"] = dataclasses.replace(lemma, proof_items=lemma.proof_items[:-1],
+                                               build_items=lemma.build_items[:-1])
     claim = next(c for c in paper_claims(2) if c.label == "rn2")
     with pytest.raises(AssertionError, match="failed replay"):
         engine.certify(claim)
@@ -149,11 +163,28 @@ def test_corrupted_lemma_proof_is_not_banked(monkeypatch, corrupt):
     assert "braid" not in engine.lemmas and "braid" not in engine.records
 
 
+def test_item_replay_checks_each_use(engine_factory):
+    # a build replays item by item from the empty word to L and inverts back
+    # to the proof, each use to the use of the opposite body; a use whose
+    # lemma word is not at its offset fails the replay
+    p = van_buskirk(3)
+    lemma = engine_factory(3).lemmas["rn2"]
+    proof, end = rewriting._replay_inverted(p, (), lemma.build_items)
+    assert end == lemma.relator.letters and tuple(proof) == lemma.proof_items
+    k, use = next((k, item) for k, item in enumerate(lemma.build_items)
+                  if type(item) is rewriting.LemmaUse and item.kind.startswith("proof"))
+    moved = list(lemma.build_items)
+    moved[k] = dataclasses.replace(use, offset=use.offset + 1)
+    with pytest.raises(rewriting.DerivationError, match="not present"):
+        rewriting._replay_inverted(p, (), moved)
+
+
 def test_each_certificate_step_is_applied_once(monkeypatch):
-    # compiling applies only relator moves; a lemma body is copied, not
-    # replayed.  Each scripted lemma proof is replayed once, as it is
-    # banked; a searched core also passes find_equality's check, and every
-    # claim certificate is replayed once before it is returned
+    # compiling applies only relator moves; a lemma move compiles to a use
+    # of the lemma's banked body.  Seeding replays each lemma proof once at
+    # the item level, where a use applies no step of the body it runs, and
+    # a searched core's flat proof also passes find_equality's check.
+    # Every claim certificate is replayed once, flat, before it is returned
     applied, relator_moves = [0], [0]
     real_apply, real_compile = rewriting._apply, rewriting._compile_path
 
@@ -169,13 +200,15 @@ def test_each_certificate_step_is_applied_once(monkeypatch):
     monkeypatch.setattr(rewriting, "_compile_path", counting_compile)
     monkeypatch.setattr(identities, "_compile_path", counting_compile)
     engine = CertificateEngine(4)
-    certs = engine.certify_all()
-    # a lemma's build has one step per step of its proof
-    proofs = sum(len(lemma.build) for lemma in engine.lemmas.values())
-    searched = sum(len(engine.lemmas[name].build) for name, rec in engine.records.items()
+    engine.seed_all()
+    lemmas = engine.lemmas.values()
+    own = sum(type(item) is rewriting.DerivationStep for lem in lemmas for item in lem.proof_items)
+    searched = sum(len(engine.lemmas[name].proof_items) for name, rec in engine.records.items()
                    if rec.method == "searched")
-    claims = sum(len(d.steps) for d in certs.values())
-    assert applied[0] <= proofs + searched + claims + relator_moves[0]
+    assert applied[0] == own + searched + relator_moves[0]
+    applied[0] = relator_moves[0] = 0
+    certs = engine.certify_all()
+    assert applied[0] == sum(len(d.steps) for d in certs.values()) + relator_moves[0]
 
 
 def test_script_step_that_does_not_apply():

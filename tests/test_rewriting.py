@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidcover.presentations import sphere_presentation, van_buskirk
+from braidcover.presentations import Presentation, sphere_presentation, van_buskirk
 from braidcover.rewriting import (
     CertificateFormatError,
     Derivation,
@@ -12,16 +12,15 @@ from braidcover.rewriting import (
     DerivationStep,
     NotFound,
     SearchBudget,
+    _hits,
+    _MoveTable,
     _reduce_enc,
     _splice,
     apply_step,
-    concat_derivations,
     find_equality,
-    invert_derivation,
     invert_steps,
     reduction_steps,
     replay,
-    search_identity,
     verify_derivation,
 )
 from braidcover.words import EMPTY, BraidWord, parse_word
@@ -38,10 +37,10 @@ def test_find_equality_braid_relation(vb3):
     assert replay(vb3, d).letters == d.target.letters
 
 
-def test_search_identity_on_relator_conjugate(vb3):
+def test_find_equality_on_relator_conjugate(vb3):
     rel = vb3.relators[0]
     c = parse_word("r1 s2^-1")
-    d = search_identity(vb3, c * rel * c.inverse())
+    d = find_equality(vb3, c * rel * c.inverse(), EMPTY)
     assert verify_derivation(vb3, d)
     assert d.target == EMPTY
 
@@ -68,13 +67,11 @@ def test_corrupted_certificate_rejected(vb3):
 
 def test_inverted_and_chained_derivations(vb3):
     d = find_equality(vb3, parse_word("s1 s2 s1"), parse_word("s2 s1 s2"))
-    inv = invert_derivation(vb3, d)
+    inv = Derivation(d.target, d.source, tuple(invert_steps(vb3, d.source, d.steps)))
     assert verify_derivation(vb3, inv)
-    loop = concat_derivations(d, inv)
+    loop = Derivation(d.source, d.source, d.steps + inv.steps)
     assert verify_derivation(vb3, loop)
-    assert loop.source == loop.target
-    with pytest.raises(ValueError):
-        concat_derivations(d, d)
+    assert not verify_derivation(vb3, Derivation(d.source, d.source, d.steps + d.steps))
 
 
 def test_step_errors(vb3):
@@ -95,7 +92,7 @@ def test_budget_exhaustion_reports_stats():
     p = sphere_presentation(4)
     hard = parse_word("s1 s2 s3 s1 s2 s3") ** 4  # the full twist: not trivial
     with pytest.raises(NotFound) as err:
-        search_identity(p, hard, SearchBudget(max_candidates=200))
+        find_equality(p, hard, EMPTY, SearchBudget(max_candidates=200))
     assert err.value.stats.candidates > 0
     assert not err.value.stats.found
 
@@ -160,6 +157,36 @@ def test_splice_cancels_through_both_junctions():
     # both junctions cancel and part of the move survives
     assert _splice((a, b, c), 1, (A, d, B)) == (d, c)
     assert _splice((a, b, c), 3, ()) == (a, b, c)
+
+
+@st.composite
+def hit_cases(draw):
+    """A move table over random relators (some not cyclically or freely
+    reduced, so that moves share reduced forms), a reduced word w and a
+    goal: one splice of a move into w, or a random reduced word."""
+    gens = VB3.generators
+    letters = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
+    relators = draw(st.lists(st.lists(letters, min_size=1, max_size=5), min_size=1, max_size=3))
+    table = _MoveTable(Presentation("random", gens, tuple(BraidWord(tuple(r)) for r in relators)),
+                       ())
+    word_codes = st.lists(st.integers(0, 2 * len(gens) - 1), max_size=10).map(_reduce_enc)
+    w = draw(word_codes)
+    if draw(st.booleans()):
+        goal = draw(word_codes)
+    else:
+        mv = draw(st.sampled_from(table.reduced))
+        goal = _splice(w, draw(st.integers(0, len(w))), mv)
+    return table, w, goal
+
+
+@given(hit_cases())
+def test_hits_match_splice_scan(case):
+    # one lookup per position finds exactly the splices that reach goal,
+    # at any position, in (move, position) order
+    table, w, goal = case
+    scan = [(mi, q) for mi, mv in enumerate(table.reduced) for q in range(len(w) + 1)
+            if _splice(w, q, mv) == goal]
+    assert _hits(table, w, goal) == scan
 
 
 def test_reduction_steps_match_leftmost_pair_scan():
