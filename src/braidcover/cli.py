@@ -1,22 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 = everything checked is verified; 2 = checks ran but left
-explicit gaps (search budget exhaustion); 1 = hard failure (a machine
-check contradicted a claim, or bad input).
-
-The certificate search budget can be overridden with the
-BRAIDCOVER_MAX_CANDIDATES environment variable or the max_candidates key
-of an optional JSON config file passed with --config; either must be a
-positive integer.
+explicit gaps (the order ledger beyond n = 2, or a coset enumeration that
+did not close); 1 = hard failure (a machine check contradicted a claim,
+or bad input).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
-from dataclasses import dataclass
 
 from .atlas import VerificationFailure, classify, verify_suite
 from .covering import ANTIPODAL, extract_word, lift_motion, scene_to_svg, scene_to_text, word_motion
@@ -24,48 +17,11 @@ from .enumeration import EnumerationOverflow, TableNotClosed, coset_enumerate
 from .identities import CertificateEngine, paper_claims
 from .oracles import annulus_oracle, disc_action, sphere_word_problem
 from .presentations import Presentation, annulus_presentation, sphere_presentation, van_buskirk
-from .rewriting import NotFound, SearchBudget
 from .words import format_word, parse_word
-
-ENV_BUDGET = "BRAIDCOVER_MAX_CANDIDATES"
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_GAPS = 2
-
-
-class ConfigError(ValueError):
-    """Raised by ToolkitConfig.load on a config file or environment value
-    it cannot use."""
-
-
-@dataclass(frozen=True)
-class ToolkitConfig:
-    max_candidates: int | None = None
-
-    @staticmethod
-    def load(path: str | None) -> "ToolkitConfig":
-        data = {}
-        if path:
-            with open(path) as fh:
-                data = json.load(fh)
-            if not isinstance(data, dict):
-                raise ConfigError(f"{path}: config must be a JSON object")
-        budget = data.get("max_candidates")
-        env = os.environ.get(ENV_BUDGET)
-        if env is not None:
-            try:
-                budget = int(env)
-            except ValueError:
-                raise ConfigError(f"{ENV_BUDGET}={env!r} is not an integer") from None
-        if budget is not None and (type(budget) is not int or budget < 1):
-            raise ConfigError(f"max_candidates must be a positive integer, got {budget!r}")
-        return ToolkitConfig(max_candidates=budget)
-
-    def budget(self) -> SearchBudget | None:
-        if self.max_candidates is None:
-            return None
-        return SearchBudget(max_candidates=self.max_candidates)
 
 
 def _presentation_for(surface: str, n: int) -> Presentation:
@@ -78,12 +34,12 @@ def _presentation_for(surface: str, n: int) -> Presentation:
     raise ValueError(f"unknown surface {surface!r}")
 
 
-def cmd_present(args, cfg) -> int:
+def cmd_present(args) -> int:
     print(_presentation_for(args.surface, args.n).to_text(), end="")
     return EXIT_OK
 
 
-def cmd_enumerate(args, cfg) -> int:
+def cmd_enumerate(args) -> int:
     with open(args.presentation_file) as fh:
         p = Presentation.from_text(fh.read())
     try:
@@ -95,26 +51,20 @@ def cmd_enumerate(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_derive(args, cfg) -> int:
+def cmd_derive(args) -> int:
     claims = {c.label: c for c in paper_claims(args.n)}
     if args.claim_id not in claims:
         print(f"unknown claim {args.claim_id!r}; available: "
               f"{' '.join(sorted(claims))}", file=sys.stderr)
         return EXIT_FAILURE
-    engine = CertificateEngine(args.n, cfg.budget())
-    claim = claims[args.claim_id]
-    try:
-        d = engine.certify(claim, cfg.budget())
-    except NotFound:
-        print(f"claim {args.claim_id}: no certificate within budget")
-        return EXIT_GAPS
+    d = CertificateEngine(args.n).certify(claims[args.claim_id])
     print(f"claim {args.claim_id}: certified in {len(d.steps)} steps")
     if args.json:
         print(d.to_json())
     return EXIT_OK
 
 
-def cmd_wp(args, cfg) -> int:
+def cmd_wp(args) -> int:
     w = parse_word(args.word)
     if args.surface == "s2":
         v = sphere_word_problem(args.m, w)
@@ -132,7 +82,7 @@ def cmd_wp(args, cfg) -> int:
     return EXIT_FAILURE
 
 
-def cmd_lift(args, cfg) -> int:
+def cmd_lift(args) -> int:
     w = parse_word(args.word)
     scene = lift_motion(word_motion(w, args.n, "rp2"), ANTIPODAL)
     word = extract_word(scene)
@@ -145,7 +95,7 @@ def cmd_lift(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_classify(args, cfg) -> int:
+def cmd_classify(args) -> int:
     for e in classify(args.surface, args.n):
         print(f"{e.describe():10s} order {e.order:4d}  ({e.condition})")
     return EXIT_OK
@@ -157,9 +107,9 @@ def _report_exit(report) -> int:
     return EXIT_GAPS
 
 
-def cmd_verify(args, cfg) -> int:
+def cmd_verify(args) -> int:
     try:
-        report = verify_suite(args.n, cfg.budget())
+        report = verify_suite(args.n)
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_FAILURE
@@ -170,9 +120,9 @@ def cmd_verify(args, cfg) -> int:
     return _report_exit(report)
 
 
-def cmd_report(args, cfg) -> int:
+def cmd_report(args) -> int:
     try:
-        report = verify_suite(args.n, cfg.budget())
+        report = verify_suite(args.n)
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_FAILURE
@@ -186,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="surface braid group toolkit: presentations, certificates, "
         "covering lifts, finite subgroup classification",
     )
-    ap.add_argument("--config", help="JSON config file (search budget: max_candidates)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("present", help="print a presentation")
@@ -198,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("presentation_file")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("derive", help="search a certificate for a named identity")
+    p = sub.add_parser("derive", help="certify a named identity")
     p.add_argument("claim_id")
     p.add_argument("n", type=int)
     p.add_argument("--json", action="store_true", help="print the derivation")
@@ -236,12 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = ToolkitConfig.load(args.config)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"bad config: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    try:
-        return args.func(args, cfg)
+        return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

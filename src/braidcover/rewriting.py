@@ -437,8 +437,7 @@ def _lemma_from_proof(p: Presentation, name: str, relator: BraidWord, proof) -> 
     item into the build on the way: a step passes _apply's check, a use
     checks that its lemma's word is present or places it, and inverts to
     the use of the opposite body.  The replay must end on the empty word,
-    or AssertionError is raised and nothing is banked.  A searched lemma
-    has also passed find_equality's flat check."""
+    or AssertionError is raised and nothing is banked."""
     try:
         build, end = _replay_inverted(p, relator.letters, proof)
     except DerivationError as exc:
@@ -701,33 +700,32 @@ def _checked_derivation(p: Presentation, source: BraidWord, target: BraidWord,
     """_derivation flattened into a v1 Derivation, replayed step by step
     against p and required to land on target before it is returned, so
     neither compile bugs nor a broken lemma body escape.  Every
-    certificate find_equality returns passes this check.  A scripted
-    lemma proof stays in items instead: its one replay is
-    _lemma_from_proof's."""
+    certificate find_equality or CertificateEngine.certify returns passes
+    this check.  A scripted lemma proof stays in items instead: its one
+    replay is _lemma_from_proof's."""
     d = Derivation(source, target, tuple(flatten(_derivation(p, source, target, body))))
     if not verify_derivation(p, d):
         raise AssertionError("compiled certificate failed replay")
     return d
 
 
+# The certificate engine proves by checked scripts and never searches.
+# find_equality, SearchBudget, SearchStats and NotFound stay as the public
+# certificate search for arbitrary words, and the benchmark harness wraps
+# find_equality and reads NotFound.
 def find_equality(p: Presentation, source: BraidWord, target: BraidWord,
                   budget: SearchBudget = SearchBudget(),
-                  lemmas: tuple[Lemma, ...] = (),
-                  relator_subset=None,
-                  stats: list[SearchStats] | None = None) -> Derivation:
+                  lemmas: tuple[Lemma, ...] = ()) -> Derivation:
     """Certificate for source = target in the presented group, or NotFound.
 
     The returned derivation references only presentation relators: lemma
     moves found by the search compile to uses of the lemmas' banked
-    bodies, and the result is flattened into derivation-v1 steps.  If
-    stats is a list, the search's SearchStats is appended to it.
+    bodies, and the result is flattened into derivation-v1 steps.
     """
-    table = _MoveTable(p, lemmas, relator_subset)
+    table = _MoveTable(p, lemmas)
     src_red = source.free_reduce()
     cap = budget.length_cap(source, target, p.relators)
-    path, search_stats = _search_reduced(
+    path, _stats = _search_reduced(
         table, table.encode(src_red), table.encode(target.free_reduce()), budget, cap
     )
-    if stats is not None:
-        stats.append(search_stats)
     return _checked_derivation(p, source, target, _compile_path(table, src_red, path))

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from braidcover import cli
-from braidcover.cli import EXIT_FAILURE, EXIT_GAPS, EXIT_OK, ConfigError, ToolkitConfig, main
+from braidcover.cli import EXIT_FAILURE, EXIT_GAPS, EXIT_OK, main
 from braidcover.covering import NonGenericScene
 from braidcover.presentations import Presentation, finite_group_presentation
 
@@ -12,49 +12,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def test_config_loading(tmp_path, monkeypatch):
-    cfg = ToolkitConfig.load(None)
-    assert cfg.max_candidates is None and cfg.budget() is None
-    path = tmp_path / "cfg.json"
-    # keys the toolkit does not read, such as the retired seed and
-    # tolerance, are ignored
-    path.write_text(json.dumps({"max_candidates": 123, "seed": 5, "tolerance": 1e-6}))
-    cfg = ToolkitConfig.load(str(path))
-    assert cfg == ToolkitConfig(max_candidates=123)
-    assert cfg.budget().max_candidates == 123
-    monkeypatch.setenv("BRAIDCOVER_MAX_CANDIDATES", "77")
-    assert ToolkitConfig.load(str(path)).max_candidates == 77
-
-
-def test_bad_config_is_hard_failure(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{nope")
-    code, _out, err = run(capsys, "--config", str(path), "classify", "rp2", "3")
-    assert code == EXIT_FAILURE
-    assert "bad config" in err
-
-
-@pytest.mark.parametrize("text", ("[1, 2]", '"budget"', '{"max_candidates": 0}',
-                                  '{"max_candidates": -5}', '{"max_candidates": 2.5}',
-                                  '{"max_candidates": "100"}', '{"max_candidates": true}'))
-def test_config_file_rejects_bad_values(tmp_path, capsys, text):
-    path = tmp_path / "cfg.json"
-    path.write_text(text)
-    with pytest.raises(ConfigError):
-        ToolkitConfig.load(str(path))
-    code, _out, err = run(capsys, "--config", str(path), "classify", "rp2", "3")
-    assert code == EXIT_FAILURE
-    assert "bad config" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("value", ("-5", "0", "many"))
-def test_env_budget_must_be_positive(capsys, monkeypatch, value):
-    monkeypatch.setenv("BRAIDCOVER_MAX_CANDIDATES", value)
-    code, out, err = run(capsys, "derive", "delta4", "2")
-    assert code == EXIT_FAILURE
-    assert "bad config" in err and "no certificate" not in out
 
 
 def test_present_roundtrips(capsys):
@@ -90,7 +47,6 @@ def test_enumerate_rejects_malformed_presentation(tmp_path, capsys, text):
 
 
 def test_enumerate_overflow_is_gap(tmp_path, capsys, monkeypatch):
-    # a free group never closes; cap the enumeration via the env budget?
     # coset enumeration has its own internal cap, so use a presentation
     # with an unbounded group: enumerate reports a gap, not a crash
     path = tmp_path / "free.txt"
@@ -124,15 +80,10 @@ def test_derive(capsys):
     code, out, _ = run(capsys, "derive", "rn2", "2", "--json")
     assert code == EXIT_OK
     assert "certified in" in out and '"derivation-v1"' in out
+    code, out, _ = run(capsys, "derive", "delta4", "3")
+    assert code == EXIT_OK and out.startswith("claim delta4: certified in ")
     code, _out, err = run(capsys, "derive", "nonsense", "2")
     assert code == EXIT_FAILURE and "unknown claim" in err
-
-
-def test_derive_budget_exhaustion(capsys, monkeypatch):
-    monkeypatch.setenv("BRAIDCOVER_MAX_CANDIDATES", "1")
-    code, out, _ = run(capsys, "derive", "rn2", "2")
-    assert code == EXIT_GAPS
-    assert "no certificate within budget" in out
 
 
 def test_lift(tmp_path, capsys):

@@ -38,10 +38,10 @@ def test_engine_certifies_and_replays(engine_factory):
             assert verify_derivation(p, d)
 
 
-@pytest.mark.parametrize("n, digest, steps", [(2, "4efb6f87dfa60e07", 734),
-                                              (3, "0c3b5c83c520ec3b", 2714)])
+@pytest.mark.parametrize("n, digest, steps", [(2, "9cdd91d135a5a900", 698),
+                                              (3, "618e8e4a6601b83a", 2657)])
 def test_certificates_are_pinned(engine_factory, n, digest, steps):
-    # a change to the search or the compiler that alters any certificate
+    # a change to the scripts or the compiler that alters any certificate
     # shows here; one that does so on purpose updates the pin
     certs = engine_factory(n).certify_all()
     text = "".join(certs[k].to_json() for k in sorted(certs))
@@ -64,25 +64,19 @@ def test_engine_validation():
         CertificateEngine(1)
 
 
-def _scripted(engine):
-    return {name for name, rec in engine.records.items() if rec.method == "scripted"}
-
-
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_scripted_lemmas_replay(engine_factory, n):
-    # only the two cores whose size does not depend on n are searched; every
-    # other lemma is scripted.  Flattened, every banked lemma's build and
-    # build_inverse take the empty word to L and to L^-1 against the bare
-    # presentation, in as many steps as the lemma's stored counts say
+    # every lemma is scripted, the two fixed-size cores included.  Flattened,
+    # every banked lemma's build and build_inverse take the empty word to L
+    # and to L^-1 against the bare presentation, in as many steps as the
+    # lemma's stored counts say
     engine = engine_factory(n)
     p = van_buskirk(n)
-    scripted = _scripted(engine)
-    assert set(engine.lemmas) - scripted == ({"permute_rho_core"}
-                                             | {f"invsig_mid_{j}" for j in range(1, n)})
-    assert {f"twist_split_{k}" for k in range(3, n + 1)} <= scripted
-    assert {f"conjri_{i}" for i in range(1, n + 1)} <= scripted
-    assert {"realdic_a", "realdic_b", "rn2", "conjw", "dconj_b", "powerab_a", "powerab_b",
-            "mirror", "delta4", "permute_rho_1", f"pal_{n}"} <= scripted
+    assert {"permute_rho_core", *(f"invsig_mid_{j}" for j in range(1, n)),
+            *(f"conjri_{i}" for i in range(1, n + 1)),
+            *(f"twist_conj_{n}_{i}" for i in range(1, n)),
+            "realdic_a", "realdic_b", "rn2", "conjw", "dconj_b", "powerab_a", "powerab_b",
+            "mirror", "delta4", "permute_rho_1", f"pal_{n}"} <= set(engine.lemmas)
     for lemma in engine.lemmas.values():
         build, build_inverse = tuple(lemma.build), tuple(lemma.build_inverse)
         assert (len(build), len(build_inverse)) == (len(lemma.build), len(lemma.build_inverse))
@@ -98,9 +92,23 @@ def test_lemma_bank_is_pinned(engine_factory):
                    + Derivation(EMPTY, lemma.relator.inverse(),
                                 tuple(lemma.build_inverse)).to_json()
                    for _name, lemma in sorted(engine.lemmas.items()))
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "5ba2ae2650680c61"
-    assert len(engine.lemmas) == 38
-    assert sum(len(lem.build) + len(lem.build_inverse) for lem in engine.lemmas.values()) == 7026
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "8a0ec2a5e721e3e3"
+    assert len(engine.lemmas) == 33
+    assert sum(len(lem.build) + len(lem.build_inverse) for lem in engine.lemmas.values()) == 6744
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_no_banked_lemma_is_dead(engine_factory, n):
+    # every lemma proves a claim or is used by another lemma's proof.  A
+    # lemma whose two sides are the same word is exempt: a script step that
+    # applies it changes nothing and is skipped
+    engine = engine_factory(n)
+    claims = {c.label for c in paper_claims(n)}
+    used = {item.lemma.name for lem in engine.lemmas.values() for item in lem.proof_items
+            if type(item) is rewriting.LemmaUse}
+    unused = set(engine.lemmas) - claims - used
+    assert unused == {2: {"pal_2", "twist_conj_2_1"}, 3: {"pal_3"}}.get(n, set())
+    assert not any(engine.lemmas[name].relator.free_reduce().letters for name in unused)
 
 
 def test_certify_all_six_replays():
@@ -115,23 +123,27 @@ def test_certify_all_six_replays():
 
 
 def test_scripted_lemmas_never_search(monkeypatch):
-    # every find_equality call of the seeding belongs to a searched lemma
-    calls = []
-    real = identities.find_equality
+    # seeding and certifying run no certificate search, and the ladder is
+    # proved once: a second certify_all proves no lemma again
+    def no_search(*args):
+        raise AssertionError("the engine searched")
 
-    def counting(p, source, *args):
-        calls.append(source)
-        return real(p, source, *args)
+    monkeypatch.setattr(rewriting, "_search_reduced", no_search)
+    proved = []
+    real = CertificateEngine.add_scripted_lemma
 
-    monkeypatch.setattr(identities, "find_equality", counting)
-    engine = CertificateEngine(4)
-    engine.seed_all()
-    searched = [name for name, rec in engine.records.items() if rec.method == "searched"]
-    assert len(calls) == len(searched)
-    assert [engine.lemmas[name].relator for name in searched] == calls
-    for name in _scripted(engine):
-        assert engine.records[name].candidates == engine.records[name].expanded == 0
-    assert sum(engine.records[name].candidates for name in searched) > 0
+    def counting(self, name, *args):
+        proved.append(name)
+        return real(self, name, *args)
+
+    monkeypatch.setattr(CertificateEngine, "add_scripted_lemma", counting)
+    engine = CertificateEngine(5)
+    first = engine.certify_all()
+    assert sorted(proved) == sorted(engine.lemmas)
+    proved.clear()
+    second = engine.certify_all()
+    assert proved == []
+    assert {k: d.to_json() for k, d in first.items()} == {k: d.to_json() for k, d in second.items()}
 
 
 def test_claim_through_tampered_lemma_fails_replay():
@@ -160,7 +172,7 @@ def test_corrupted_lemma_proof_is_not_banked(monkeypatch, corrupt):
     with pytest.raises(AssertionError, match="failed replay"):
         engine.add_scripted_lemma("braid", s1 * s2 * s1, s2 * s1 * s2,
                                   [("braid_1", s2 * s1 * s2)])
-    assert "braid" not in engine.lemmas and "braid" not in engine.records
+    assert "braid" not in engine.lemmas
 
 
 def test_item_replay_checks_each_use(engine_factory):
@@ -182,8 +194,7 @@ def test_item_replay_checks_each_use(engine_factory):
 def test_each_certificate_step_is_applied_once(monkeypatch):
     # compiling applies only relator moves; a lemma move compiles to a use
     # of the lemma's banked body.  Seeding replays each lemma proof once at
-    # the item level, where a use applies no step of the body it runs, and
-    # a searched core's flat proof also passes find_equality's check.
+    # the item level, where a use applies no step of the body it runs.
     # Every claim certificate is replayed once, flat, before it is returned
     applied, relator_moves = [0], [0]
     real_apply, real_compile = rewriting._apply, rewriting._compile_path
@@ -203,9 +214,7 @@ def test_each_certificate_step_is_applied_once(monkeypatch):
     engine.seed_all()
     lemmas = engine.lemmas.values()
     own = sum(type(item) is rewriting.DerivationStep for lem in lemmas for item in lem.proof_items)
-    searched = sum(len(engine.lemmas[name].proof_items) for name, rec in engine.records.items()
-                   if rec.method == "searched")
-    assert applied[0] == own + searched + relator_moves[0]
+    assert applied[0] == own + relator_moves[0]
     applied[0] = relator_moves[0] = 0
     certs = engine.certify_all()
     assert applied[0] == sum(len(d.steps) for d in certs.values()) + relator_moves[0]
@@ -230,7 +239,7 @@ def test_script_step_that_does_not_apply():
     with pytest.raises(ScriptError) as err:  # stops short of the target
         engine.add_scripted_lemma("bad", r2, r1, [("sirisi_1", s1i * r1 * s1i)])
     assert err.value.step == 1
-    assert "bad" not in engine.lemmas and "bad" not in engine.records
+    assert "bad" not in engine.lemmas
 
 
 def _positive(indices) -> BraidWord:
