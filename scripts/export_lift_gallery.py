@@ -38,14 +38,23 @@ def main() -> int:
                     help="extra braid word to export (repeatable)")
     ap.add_argument("--out-dir", default="lift_gallery")
     args = ap.parse_args()
+    if args.n < 1:
+        ap.error("n must be >= 1")
+    words = []
+    for text in args.words:
+        try:
+            words.append(parse_word(text))
+            word_motion(words[-1], args.n)  # rejects letters outside B_n(RP^2)
+        except ValueError as exc:
+            ap.error(f"--word {text!r}: {exc}")
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(1, args.n):
         export(gen_word(sigma(i)), f"sigma{i}", args.n, out_dir)
     for j in range(1, args.n + 1):
         export(gen_word(rho(j)), f"rho{j}", args.n, out_dir)
-    for k, text in enumerate(args.words, start=1):
-        export(parse_word(text), f"word{k}", args.n, out_dir)
+    for k, word in enumerate(words, start=1):
+        export(word, f"word{k}", args.n, out_dir)
     print(f"wrote scenes to {out_dir}/")
     return 0
 

@@ -225,23 +225,6 @@ def rho_expanded(j: int) -> BraidWord:
     return _chain_down(sigma, j - 1, 1, -1) * gen_word(rho(1)) * _chain_up(sigma, 1, j - 1, -1)
 
 
-def named_element(name: str, n: int, j: int | None = None) -> BraidWord:
-    """Look up the paper's named elements by label."""
-    if name == "a":
-        return element_a(n)
-    if name == "b":
-        return element_b(n)
-    if name == "delta":
-        return half_twist(n)
-    if name == "full_twist":
-        return full_twist(n)
-    if name == "rho_expanded":
-        if j is None:
-            raise ValueError("rho_expanded needs j")
-        return rho_expanded(j)
-    raise ValueError(f"unknown element name {name!r}")
-
-
 ABSTRACT_X = Generator("s", 1)  # reused letters for abstract finite groups
 ABSTRACT_Y = Generator("s", 2)
 ABSTRACT_Z = Generator("s", 3)

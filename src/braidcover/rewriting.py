@@ -454,16 +454,7 @@ class _MoveTable:
     def __init__(self, p: Presentation, lemmas: tuple[Lemma, ...],
                  relator_subset=None):
         self.presentation = p
-        gens: list = []
-        for r in itertools.chain(p.relators, (l.relator for l in lemmas)):
-            for g, _e in r:
-                if g not in gens:
-                    gens.append(g)
-        for g in p.generators:
-            if g not in gens:
-                gens.append(g)
-        self.gen_list = gens
-        self.gen_code = {g: 2 * i for i, g in enumerate(gens)}
+        self.gen_code = {g: 2 * i for i, g in enumerate(p.generators)}
         self.moves: list[tuple[int, ...]] = []
         # compile info per move: (kind, ref, inverse_flag, rotation)
         self.origins: list[tuple[str, int, bool, int]] = []
@@ -497,12 +488,6 @@ class _MoveTable:
 
     def encode(self, w: BraidWord) -> tuple[int, ...]:
         return tuple(self.gen_code[g] + (1 if e < 0 else 0) for g, e in w)
-
-    def decode(self, enc) -> BraidWord:
-        letters: list[Letter] = []
-        for code in enc:
-            letters.append((self.gen_list[code // 2], -1 if code % 2 else 1))
-        return BraidWord(tuple(letters))
 
 
 def _reduce_enc(letters) -> tuple[int, ...]:

@@ -217,11 +217,3 @@ def permutation_image(w: BraidWord, n: int) -> Permutation:
             occupant[i - 1], occupant[i] = occupant[i], occupant[i - 1]
     # strand-endpoint map is the inverse of the final occupancy row
     return Permutation(tuple(occupant)).inverse()
-
-
-def exponent_sums(w: BraidWord) -> tuple[int, int, int]:
-    """(sigma_sum, rho_sum, tau_sum); additive under concatenation."""
-    sums = {"s": 0, "r": 0, "t": 0}
-    for g, e in w.letters:
-        sums[g.kind] += e
-    return (sums["s"], sums["r"], sums["t"])

@@ -1,15 +1,16 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from braidcover.oracles import (
     FreeEndo,
+    _drop_last_letter,
+    _inner_conjugator,
     annulus_oracle,
     annulus_to_disc,
     disc_action,
-    format_free_word,
     free_invert,
     free_reduce,
     sphere_action,
@@ -39,7 +40,6 @@ def test_free_reduce_and_invert(w):
 
 def test_free_word_helpers():
     assert free_reduce((1, 2, -2, -1, 3)) == (3,)
-    assert format_free_word((1, -2)) == "x1 x2^-1"
     with pytest.raises(ValueError):
         free_reduce((0,))
     with pytest.raises(ValueError):
@@ -88,12 +88,50 @@ def test_sphere_action_kills_all_relators(m):
         assert sphere_action(m, r).is_identity()
 
 
+def _conjugation(rank: int, g):
+    gi = free_invert(g)
+    return FreeEndo(rank, tuple(free_reduce(g + (i,) + gi) for i in range(1, rank + 1)))
+
+
+@given(st.integers(1, 7).flatmap(lambda r: st.tuples(st.just(r), free_words(r, 12))))
+@example((2, (1,)))
+@example((3, (2, -1, -1)))
+def test_inner_conjugator_finds_a_witness(case):
+    rank, g = case
+    e = _conjugation(rank, g)
+    h = _inner_conjugator(e)
+    assert h is not None
+    assert _conjugation(rank, h) == e
+
+
+def test_inner_conjugator_rejects_outer_automorphisms():
+    assert _inner_conjugator(FreeEndo(1, ((-1,),))) is None
+    assert _inner_conjugator(FreeEndo(2, ((2,), (1,)))) is None
+    # x_1 is fixed, so only the comparison of the other images rejects it
+    assert _inner_conjugator(FreeEndo(3, ((1,), (3,), (2,)))) is None
+
+
+@pytest.mark.parametrize("m", range(3, 7))
+def test_sphere_action_of_a_generator_square(m):
+    w = parse_word("s1 s1")
+    raw = FreeEndo(m - 1, tuple(_drop_last_letter(x, m) for x in disc_action(m, w).images[:-1]))
+    if m == 3:
+        # P_3(S^2) is {1, full twist}, and both act by inner automorphisms
+        assert _inner_conjugator(raw) is not None
+        assert sphere_action(m, w).is_identity()
+    else:
+        assert _inner_conjugator(raw) is None
+        assert sphere_action(m, w) == raw
+
+
 @given(words_over(4, max_len=6, kinds="s"), words_over(4, max_len=4, kinds="s"))
 def test_sphere_action_constant_on_relator_insertions(w, c):
-    # inserting a conjugated sphere relator never changes the action
+    # a conjugated sphere relator acts innerly, and inserting one never
+    # changes whether the action is inner
     m = 4
-    rel = sphere_presentation(m).relators[-1]
-    assert sphere_action(m, w) == sphere_action(m, w * c * rel * c.inverse())
+    inserted = c * sphere_presentation(m).relators[-1] * c.inverse()
+    assert sphere_action(m, w * inserted * w.inverse()).is_identity()
+    assert sphere_action(m, w * inserted).is_identity() == sphere_action(m, w).is_identity()
 
 
 def test_sphere_word_problem_layers():

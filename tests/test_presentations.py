@@ -9,7 +9,6 @@ from braidcover.presentations import (
     finite_group_presentation,
     full_twist,
     half_twist,
-    named_element,
     rho_expanded,
     sphere_presentation,
     van_buskirk,
@@ -96,13 +95,6 @@ def test_named_elements():
     )
     assert element_b(3).letters == ((sigma(1), -1), (rho(1), 1))
     assert rho_expanded(1).letters == ((rho(1), 1),)
-    assert named_element("a", 3) == element_a(3)
-    assert named_element("delta", 4) == half_twist(4)
-    assert named_element("rho_expanded", 4, j=2) == rho_expanded(2)
-    with pytest.raises(ValueError):
-        named_element("rho_expanded", 4)
-    with pytest.raises(ValueError):
-        named_element("zz", 4)
     with pytest.raises(ValueError):
         element_b(1)
 

@@ -1,0 +1,41 @@
+"""The command-line scripts run against the library as it stands, so an API
+change that breaks one of them fails here."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_annulus_spotchecks_runs():
+    out = run_script("annulus_spotchecks.py", "--trials", "2", "--max-n", "2", "--degrees", "2")
+    assert out.returncode == 0, out.stderr
+    assert "total nontrivial words checked:" in out.stdout
+
+
+def test_export_lift_gallery_writes_scenes(tmp_path):
+    out = run_script("export_lift_gallery.py", "2", "--out-dir", str(tmp_path), "--word", "s1 r1")
+    assert out.returncode == 0, out.stderr
+    for name in ("sigma1.svg", "rho2.txt", "word1.svg"):
+        assert (tmp_path / name).is_file()
+
+
+@pytest.mark.parametrize("word", ["x1", "s9"])
+def test_export_lift_gallery_rejects_bad_words(tmp_path, word):
+    out = run_script("export_lift_gallery.py", "2", "--out-dir", str(tmp_path), "--word", word)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert "error:" in out.stderr

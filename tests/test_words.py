@@ -8,7 +8,6 @@ from braidcover.words import (
     Generator,
     Permutation,
     WordFormatError,
-    exponent_sums,
     format_word,
     gen_word,
     parse_word,
@@ -123,11 +122,3 @@ def test_permutation_basics():
     assert p.compose(p.inverse()).is_identity()
     with pytest.raises(ValueError):
         Permutation((1, 1, 2))
-
-
-@given(words_over(4, kinds="srt"), words_over(4, kinds="srt"))
-def test_exponent_sums_additive(u, v):
-    su = exponent_sums(u)
-    sv = exponent_sums(v)
-    assert exponent_sums(u * v) == tuple(a + b for a, b in zip(su, sv))
-    assert exponent_sums(u.inverse()) == tuple(-a for a in su)
