@@ -14,6 +14,13 @@ between steps, so certificates are deterministic and positionally stable.
 Soundness is immediate: every move multiplies by a relator conjugate or
 by a word freely equal to the identity.
 
+A replay edits one list of letters in place (_apply), so a step costs
+the letters it inserts, deletes or compares, plus one memmove, rather
+than a copy of the whole word.  Derivation.to_json writes the bytes of
+json.dumps(payload, indent=1) from a fixed per-step template, escaping
+strings with the C encoder, and from_json parses each distinct
+conjugator once per certificate.
+
 The search half of the module finds certificates for short identities by
 best-first insertion of cyclic rotations of relators and of previously
 certified auxiliary identities (lemmas).  A lemma is banked as its proof
@@ -30,9 +37,10 @@ import heapq
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .presentations import Presentation
-from .words import EMPTY, BraidWord, Letter, format_word, parse_word
+from .words import EMPTY, BraidWord, Generator, Letter, format_word, parse_word
 
 INSERT_RELATOR = "InsertRelatorConjugate"
 DELETE_RELATOR = "DeleteRelatorConjugate"
@@ -77,27 +85,31 @@ class Derivation:
     steps: tuple[DerivationStep, ...]
 
     def to_json(self) -> str:
-        payload = {
-            "format": "derivation-v1",
-            "from": format_word(self.source),
-            "to": format_word(self.target),
-            "steps": [
-                {
-                    "action": s.action,
-                    "position": s.position,
-                    "relator_index": s.relator_index,
-                    "inverse_flag": s.inverse_flag,
-                    "conjugator": format_word(s.conjugator),
-                }
-                for s in self.steps
-            ],
-        }
-        return json.dumps(payload, indent=1)
+        """The derivation-v1 text: byte for byte what
+        json.dumps(payload, indent=1) writes for the payload
+        {"format", "from", "to", "steps": [{"action", "position",
+        "relator_index", "inverse_flag", "conjugator"}, ...]}, with words
+        in format_word's spelling, for steps whose fields have their
+        declared types.  Each step fills one template, strings are escaped
+        by the C function encode_basestring_ascii (what ensure_ascii
+        selects), and each distinct conjugator is formatted once."""
+        conjugators: dict[BraidWord, str] = {}
+        parts = []
+        for s in self.steps:
+            c = conjugators.get(s.conjugator)
+            if c is None:
+                c = conjugators[s.conjugator] = _json_string(format_word(s.conjugator))
+            parts.append(_STEP_JSON % (_json_string(s.action), s.position, s.relator_index,
+                                       "true" if s.inverse_flag else "false", c))
+        steps = "[\n" + ",\n".join(parts) + "\n ]" if parts else "[]"
+        return _DERIVATION_JSON % (_json_string(format_word(self.source)),
+                                   _json_string(format_word(self.target)), steps)
 
     @staticmethod
     def from_json(text: str) -> "Derivation":
         """Parse a derivation-v1 certificate; any malformed input raises
-        CertificateFormatError."""
+        CertificateFormatError.  Each distinct conjugator string is parsed
+        once."""
         try:
             payload = json.loads(text)
         except (TypeError, ValueError) as exc:
@@ -109,9 +121,28 @@ class Derivation:
         raw_steps = payload.get("steps")
         if not isinstance(raw_steps, list):
             raise CertificateFormatError("steps must be a list")
-        steps = tuple(_step_from_json(i, s) for i, s in enumerate(raw_steps))
+        conjugators: dict[str, BraidWord] = {}
+        steps = tuple([_step_from_json(i, s, conjugators) for i, s in enumerate(raw_steps)])
         return Derivation(_word_field(payload, "from", "certificate"),
                           _word_field(payload, "to", "certificate"), steps)
+
+
+_json_string = json.encoder.encode_basestring_ascii
+
+# json.dumps(payload, indent=1) around one step and around the certificate
+_STEP_JSON = """  {
+   "action": %s,
+   "position": %d,
+   "relator_index": %d,
+   "inverse_flag": %s,
+   "conjugator": %s
+  }"""
+_DERIVATION_JSON = """{
+ "format": "derivation-v1",
+ "from": %s,
+ "to": %s,
+ "steps": %s
+}"""
 
 
 def _word_field(obj: dict, key: str, where: str, default: str | None = None) -> BraidWord:
@@ -124,88 +155,125 @@ def _word_field(obj: dict, key: str, where: str, default: str | None = None) -> 
         raise CertificateFormatError(f"{where}: {key!r}: {exc}") from None
 
 
-def _int_field(obj: dict, key: str, where: str, default: int | None = None) -> int:
+def _int_field(obj: dict, key: str, index: int, default: int | None = None) -> int:
     value = obj.get(key, default)
     if type(value) is not int:
-        raise CertificateFormatError(f"{where}: {key!r} must be an integer")
+        raise CertificateFormatError(f"step {index}: {key!r} must be an integer")
     return value
 
 
-def _step_from_json(index: int, s) -> DerivationStep:
-    where = f"step {index}"
+def _step_from_json(index: int, s, conjugators: dict[str, BraidWord]) -> DerivationStep:
+    """One step of a certificate; conjugators maps each conjugator string
+    already parsed in this certificate to its word."""
     if not isinstance(s, dict):
-        raise CertificateFormatError(f"{where}: must be a JSON object")
+        raise CertificateFormatError(f"step {index}: must be a JSON object")
     action = s.get("action")
     if action not in ACTIONS:
-        raise CertificateFormatError(f"{where}: unknown action {action!r}")
-    position = _int_field(s, "position", where)
+        raise CertificateFormatError(f"step {index}: unknown action {action!r}")
+    position = _int_field(s, "position", index)
     if position < 0:
-        raise CertificateFormatError(f"{where}: negative position")
+        raise CertificateFormatError(f"step {index}: negative position")
     inverse_flag = s.get("inverse_flag", False)
     if type(inverse_flag) is not bool:
-        raise CertificateFormatError(f"{where}: 'inverse_flag' must be a boolean")
-    return DerivationStep(action, position, _int_field(s, "relator_index", where, 0),
-                          inverse_flag, _word_field(s, "conjugator", where, ""))
+        raise CertificateFormatError(f"step {index}: 'inverse_flag' must be a boolean")
+    relator_index = _int_field(s, "relator_index", index, 0)
+    text = s.get("conjugator", "")
+    conjugator = conjugators.get(text) if type(text) is str else None
+    if conjugator is None:
+        conjugator = conjugators[text] = _word_field(s, "conjugator", f"step {index}", "")
+    return DerivationStep(action, position, relator_index, inverse_flag, conjugator)
 
 
-def _inverse_letters(letters) -> tuple[Letter, ...]:
-    return tuple((g, -e) for g, e in reversed(letters))
+def _inverse_letters(letters) -> list[Letter]:
+    return [(g, -e) for g, e in reversed(letters)]
 
 
-def _inserted_letters(p: Presentation, step: DerivationStep, index: int) -> tuple[Letter, ...]:
+def _inserted_letters(p: Presentation, step: DerivationStep, index: int) -> list[Letter]:
     if not (0 <= step.relator_index < len(p.relators)):
         raise DerivationError(index, f"relator index {step.relator_index} out of range")
     r = p.relators[step.relator_index].letters
     if step.inverse_flag:
         r = _inverse_letters(r)
     c = step.conjugator.letters
-    return c + r + _inverse_letters(c)
+    return [*c, *r, *_inverse_letters(c)]
 
 
-def _apply(p: Presentation, letters: tuple[Letter, ...], step: DerivationStep,
-           index: int) -> tuple[Letter, ...]:
-    """apply_step on a letter tuple.  Every letter it handles comes from a
-    validated word, so the result needs no revalidation."""
+def _apply(p: Presentation, letters: list[Letter], step: DerivationStep, index: int) -> None:
+    """Apply one move to the letter list in place, or raise DerivationError
+    (carrying index) and leave the list as it was.  A step deletes with
+    del letters[a:b] and inserts with letters[pos:pos] = ..., so it costs
+    the letters it handles rather than a copy of the word.  Every letter
+    it handles comes from a validated word, so the list needs no
+    revalidation."""
     pos = step.position
     action = step.action
     if action == FREE_CANCEL:
         if pos + 1 >= len(letters):
             raise DerivationError(index, "cancel position beyond word end")
-        (g1, e1), (g2, e2) = letters[pos], letters[pos + 1]
-        if g1 != g2 or e1 != -e2:
+        g, e = letters[pos]
+        # equal generators are usually one object, and the tuple compare
+        # takes identity before it calls Generator.__eq__
+        if letters[pos + 1] != (g, -e):
             raise DerivationError(index, "letters at position are not an inverse pair")
-        return letters[:pos] + letters[pos + 2 :]
+        del letters[pos : pos + 2]
+        return
     if action == DELETE_RELATOR:
         ins = _inserted_letters(p, step, index)
         k = len(ins)
         if letters[pos : pos + k] != ins:
             raise DerivationError(index, "relator conjugate not present at position")
-        return letters[:pos] + letters[pos + k :]
+        del letters[pos : pos + k]
+        return
     if pos > len(letters):
         raise DerivationError(index, f"position {pos} beyond word of length {len(letters)}")
     if action == INSERT_RELATOR:
-        return letters[:pos] + _inserted_letters(p, step, index) + letters[pos:]
+        letters[pos:pos] = _inserted_letters(p, step, index)
+        return
     # FREE_INSERT
     c = step.conjugator.letters
     if not c:
         raise DerivationError(index, "free insert needs a nonempty word")
-    return letters[:pos] + c + _inverse_letters(c) + letters[pos:]
+    letters[pos:pos] = [*c, *_inverse_letters(c)]
 
 
 def apply_step(p: Presentation, w: BraidWord, step: DerivationStep, index: int = 0) -> BraidWord:
-    """Apply one move to w, raising DerivationError if it does not apply."""
-    return BraidWord(_apply(p, w.letters, step, index))
+    """Apply one move to w, raising DerivationError if it does not apply.
+    w is left unchanged: the move edits a copy of its letters."""
+    letters = list(w.letters)
+    _apply(p, letters, step, index)
+    return BraidWord(tuple(letters))
 
 
 def replay(p: Presentation, d: Derivation) -> BraidWord:
-    letters = d.source.letters
+    """The word d's steps turn d.source into, or DerivationError at the
+    first step that does not apply.  All steps edit one copy of the
+    source's letters in place, so d is left unchanged."""
+    letters = list(d.source.letters)
     for i, step in enumerate(d.steps):
-        letters = _apply(p, letters, step, i)
-    return BraidWord(letters)
+        _apply(p, letters, step, i)
+    return BraidWord(tuple(letters))
+
+
+def _foreign_letter(p: Presentation, *words: BraidWord) -> Generator | None:
+    """The first generator in words that p does not have, or None."""
+    gens = set(p.generators)
+    return next((g for w in words for g, _e in w.letters if g not in gens), None)
 
 
 def verify_derivation(p: Presentation, d: Derivation) -> bool:
-    """True iff replay succeeds and lands exactly on the target word."""
+    """True iff source and target are words over p's generators, and
+    replay succeeds and lands exactly on the target word.
+
+    Steps may use letters outside p: a FreeInsert or a conjugator can.
+    That is sound.  Every move multiplies by a freely trivial word or by a
+    conjugate of a relator, so replay proves source = target in G * F(X),
+    the group of p with the extra letters X added freely.  G is a retract
+    of G * F(X): sending every letter of X to 1 is a homomorphism onto G
+    that fixes G's letters, and it carries that equation to source =
+    target in G.  The source and target themselves must lie in G, which
+    this checks in O(|source| + |target|)."""
+    if _foreign_letter(p, d.source, d.target) is not None:
+        return False
     try:
         final = replay(p, d)
     except DerivationError:
@@ -217,26 +285,27 @@ def verify_derivation(p: Presentation, d: Derivation) -> bool:
 # proof algebra: mechanical step-sequence constructors
 
 
-def _reduction_steps(letters) -> tuple[list[DerivationStep], tuple[Letter, ...]]:
+def _reduction_steps(letters: list[Letter]) -> list[DerivationStep]:
+    """reduction_steps on a letter list, which it reduces in place."""
     steps: list[DerivationStep] = []
-    letters = list(letters)
     i = 0
     while i < len(letters) - 1:
-        (g1, e1), (g2, e2) = letters[i], letters[i + 1]
-        if g1 == g2 and e1 == -e2:
+        g, e = letters[i]
+        if letters[i + 1] == (g, -e):
             steps.append(DerivationStep(FREE_CANCEL, i))
             del letters[i : i + 2]
             # no pair lies left of i - 1: the next leftmost pair is there or later
             i = max(i - 1, 0)
         else:
             i += 1
-    return steps, tuple(letters)
+    return steps
 
 
 def reduction_steps(w: BraidWord) -> tuple[list[DerivationStep], BraidWord]:
     """FreeCancels performing canonical (leftmost-pair) free reduction of w."""
-    steps, letters = _reduction_steps(w.letters)
-    return steps, BraidWord(letters)
+    letters = list(w.letters)
+    steps = _reduction_steps(letters)
+    return steps, BraidWord(tuple(letters))
 
 
 def pair_insert_steps(c: BraidWord, pos: int) -> list[DerivationStep]:
@@ -291,14 +360,21 @@ class Lemma:
     def body(self, kind: str) -> tuple:
         """The items of one body at offset 0.  build_inverse free-inserts
         L^-1 L and runs the proof on the L half; proof_inverse is its
-        inverse."""
+        inverse.  Both are built on first use and kept."""
         if kind == PROOF:
             return self.proof_items
         if kind == BUILD:
             return self.build_items
+        return self._build_inverse_items if kind == BUILD_INVERSE else self._proof_inverse_items
+
+    @cached_property
+    def _build_inverse_items(self) -> tuple:
         k = len(self.relator)
-        if kind == BUILD_INVERSE:
-            return (*pair_insert_steps(self.relator.inverse(), 0), LemmaUse(self, PROOF, k))
+        return (*pair_insert_steps(self.relator.inverse(), 0), LemmaUse(self, PROOF, k))
+
+    @cached_property
+    def _proof_inverse_items(self) -> tuple:
+        k = len(self.relator)
         return (LemmaUse(self, BUILD, k),
                 *(DerivationStep(FREE_CANCEL, j) for j in reversed(range(k))))
 
@@ -325,21 +401,23 @@ class LemmaUse:
     def __iter__(self):
         return iter(flatten((self,)))
 
-    def _apply(self, letters: tuple[Letter, ...], index: int) -> tuple[Letter, ...]:
-        """The body's net effect on a letter tuple: a build places its
-        word at offset, a proof checks that its word is there and deletes
-        it.  The body itself passed its replay when the lemma was banked."""
+    def _apply(self, letters: list[Letter], index: int) -> None:
+        """The body's net effect on a letter list, in place as _apply's: a
+        build places its word at offset, a proof checks that its word is
+        there and deletes it.  The body itself passed its replay when the
+        lemma was banked."""
         word = self.lemma.relator.letters
-        if self.kind in (BUILD_INVERSE, PROOF_INVERSE):
-            word = _inverse_letters(word)
+        word = _inverse_letters(word) if self.kind in (BUILD_INVERSE, PROOF_INVERSE) else [*word]
         pos = self.offset
         if self.kind in (BUILD, BUILD_INVERSE):
             if pos > len(letters):
                 raise DerivationError(index, f"position {pos} beyond word of length {len(letters)}")
-            return letters[:pos] + word + letters[pos:]
-        if letters[pos : pos + len(word)] != word:
+            letters[pos:pos] = word
+            return
+        k = len(word)
+        if letters[pos : pos + k] != word:
             raise DerivationError(index, f"lemma {self.lemma.name} not present at position")
-        return letters[:pos] + letters[pos + len(word) :]
+        del letters[pos : pos + k]
 
 
 def flatten(items, offset: int = 0) -> list[DerivationStep]:
@@ -371,31 +449,33 @@ def invert_steps(p: Presentation, start: BraidWord, steps) -> list[DerivationSte
     return _replay_inverted(p, start.letters, steps)[0]
 
 
-def _replay_inverted(p: Presentation, letters: tuple[Letter, ...],
-                     items) -> tuple[list, tuple[Letter, ...]]:
-    """invert_steps on items from a letter tuple, together with the word
-    the replay ends on.  A use is inverted to the use of the opposite body
-    at the same offset, with no replay of the body."""
+def _replay_inverted(p: Presentation, letters, items) -> tuple[list, tuple[Letter, ...]]:
+    """invert_steps on items from a letter sequence, together with the
+    word the replay ends on.  The replay edits one list in place.  A use is
+    inverted to the use of the opposite body at the same offset, with no
+    replay of the body."""
+    letters = list(letters)
     out: list = []
     for i, step in enumerate(items):
         if type(step) is LemmaUse:
-            letters = step._apply(letters, i)
+            step._apply(letters, i)
             out.append(LemmaUse(step.lemma, _INVERSE_KIND[step.kind], step.offset))
             continue
-        after = _apply(p, letters, step, i)
-        if step.action == INSERT_RELATOR:
+        action = step.action
+        # the letter a FreeCancel deletes, read before the step applies
+        cancelled = letters[step.position : step.position + 1] if action == FREE_CANCEL else None
+        _apply(p, letters, step, i)
+        if action == INSERT_RELATOR:
             out.append(DerivationStep(DELETE_RELATOR, step.position, step.relator_index, step.inverse_flag, step.conjugator))
-        elif step.action == DELETE_RELATOR:
+        elif action == DELETE_RELATOR:
             out.append(DerivationStep(INSERT_RELATOR, step.position, step.relator_index, step.inverse_flag, step.conjugator))
-        elif step.action == FREE_CANCEL:
-            let = letters[step.position]
-            out.append(DerivationStep(FREE_INSERT, step.position, conjugator=BraidWord((let,))))
+        elif action == FREE_CANCEL:
+            out.append(DerivationStep(FREE_INSERT, step.position, conjugator=BraidWord(tuple(cancelled))))
         else:  # FREE_INSERT of c c^-1: cancel from the innermost pair outwards
             k = len(step.conjugator)
             out.extend(DerivationStep(FREE_CANCEL, step.position + j) for j in range(k))
-        letters = after
     out.reverse()
-    return out, letters
+    return out, tuple(letters)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +716,7 @@ def _compile_path(table: _MoveTable, start_word: BraidWord, path) -> list:
     _checked_derivation replays the result."""
     p = table.presentation
     items: list = []
-    w = start_word.letters
+    w = list(start_word.letters)
     for mi, pos in path:
         kind, ref, inv, rot = table.origins[mi]
         base = p.relators[ref] if kind == "relator" else table.lemmas[ref].relator
@@ -646,14 +726,13 @@ def _compile_path(table: _MoveTable, start_word: BraidWord, path) -> list:
         c = prefix.inverse()
         if kind == "relator":
             items.append(DerivationStep(INSERT_RELATOR, pos, ref, inv, c))
-            w = _apply(p, w, items[-1], len(items) - 1)
+            _apply(p, w, items[-1], len(items) - 1)
         else:
             items += pair_insert_steps(c, pos)
             items.append(LemmaUse(table.lemmas[ref], BUILD_INVERSE if inv else BUILD,
                                   pos + len(prefix)))
-            w = w[:pos] + c.letters + base.letters + prefix.letters + w[pos:]
-        red, w = _reduction_steps(w)
-        items.extend(red)
+            w[pos:pos] = c.letters + base.letters + prefix.letters
+        items += _reduction_steps(w)
     return items
 
 
@@ -705,8 +784,12 @@ def find_equality(p: Presentation, source: BraidWord, target: BraidWord,
 
     The returned derivation references only presentation relators: lemma
     moves found by the search compile to uses of the lemmas' banked
-    bodies, and the result is flattened into derivation-v1 steps.
+    bodies, and the result is flattened into derivation-v1 steps.  A
+    source or target letter outside p's generators raises ValueError.
     """
+    foreign = _foreign_letter(p, source, target)
+    if foreign is not None:
+        raise ValueError(f"letter {foreign} is not a generator of {p.name}")
     table = _MoveTable(p, lemmas)
     src_red = source.free_reduce()
     cap = budget.length_cap(source, target, p.relators)

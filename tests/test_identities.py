@@ -39,7 +39,8 @@ def test_engine_certifies_and_replays(engine_factory):
 
 
 @pytest.mark.parametrize("n, digest, steps", [(2, "9cdd91d135a5a900", 698),
-                                              (3, "618e8e4a6601b83a", 2657)])
+                                              (3, "618e8e4a6601b83a", 2657),
+                                              (4, "dc1dbad8fd008a38", 6917)])
 def test_certificates_are_pinned(engine_factory, n, digest, steps):
     # a change to the scripts or the compiler that alters any certificate
     # shows here; one that does so on purpose updates the pin

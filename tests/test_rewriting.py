@@ -1,11 +1,13 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from braidcover import rewriting
 from braidcover.presentations import Presentation, sphere_presentation, van_buskirk
 from braidcover.rewriting import (
+    ACTIONS,
     CertificateFormatError,
     Derivation,
     DerivationError,
@@ -23,7 +25,7 @@ from braidcover.rewriting import (
     replay,
     verify_derivation,
 )
-from braidcover.words import EMPTY, BraidWord, parse_word
+from braidcover.words import EMPTY, BraidWord, format_word, parse_word, rho, sigma, tau
 
 
 @pytest.fixture(scope="module")
@@ -75,17 +77,74 @@ def test_inverted_and_chained_derivations(vb3):
 
 
 def test_step_errors(vb3):
+    # every way a step can fail raises DerivationError with the step's
+    # index and its own message, through apply_step, replay and _apply;
+    # _apply leaves the letter list as it was, and no caller's word changes
     w = parse_word("s1 s2")
-    with pytest.raises(DerivationError):
-        apply_step(vb3, w, DerivationStep("FreeCancel", 0))
-    with pytest.raises(DerivationError):
-        apply_step(vb3, w, DerivationStep("FreeCancel", 5))
-    with pytest.raises(DerivationError):
-        apply_step(vb3, w, DerivationStep("InsertRelatorConjugate", 9))
-    with pytest.raises(DerivationError):
-        apply_step(vb3, w, DerivationStep("FreeInsert", 0))
+    cases = [
+        (DerivationStep("FreeCancel", 1), "cancel position beyond word end"),
+        (DerivationStep("FreeCancel", 5), "cancel position beyond word end"),
+        (DerivationStep("FreeCancel", 0), "letters at position are not an inverse pair"),
+        (DerivationStep("DeleteRelatorConjugate", 0), "relator conjugate not present at position"),
+        (DerivationStep("DeleteRelatorConjugate", 0, 0, True), "relator conjugate not present at position"),
+        (DerivationStep("InsertRelatorConjugate", 9), "position 9 beyond word of length 2"),
+        (DerivationStep("FreeInsert", 3, conjugator=parse_word("s1")), "position 3 beyond word of length 2"),
+        (DerivationStep("FreeInsert", 0), "free insert needs a nonempty word"),
+        (DerivationStep("InsertRelatorConjugate", 0, len(vb3.relators)),
+         f"relator index {len(vb3.relators)} out of range"),
+        (DerivationStep("DeleteRelatorConjugate", 0, -1), "relator index -1 out of range"),
+    ]
+    for step, message in cases:
+        with pytest.raises(DerivationError) as err:
+            apply_step(vb3, w, step, 4)
+        assert (err.value.step_index, str(err.value)) == (4, f"step 4: {message}")
+        # the same step after a cancel that gives w fails at index 1
+        d = Derivation(parse_word("s1 s2 s2 s2^-1"), w, (DerivationStep("FreeCancel", 2), step))
+        with pytest.raises(DerivationError) as err:
+            replay(vb3, d)
+        assert (err.value.step_index, str(err.value)) == (1, f"step 1: {message}")
+        letters = list(w.letters)
+        with pytest.raises(DerivationError):
+            rewriting._apply(vb3, letters, step, 0)
+        assert letters == list(w.letters)
+    assert w == parse_word("s1 s2")
     with pytest.raises(ValueError):
         DerivationStep("Teleport", 0)
+
+
+def test_apply_step_and_replay_leave_their_input(vb3):
+    # the kernel edits a list in place; the words handed in stay as they were
+    w = parse_word("s1 s2 r1")
+    insert = DerivationStep("InsertRelatorConjugate", 1, 0, False, parse_word("s2"))
+    after = apply_step(vb3, w, insert)
+    assert w == parse_word("s1 s2 r1")
+    assert len(after) == len(w) + len(vb3.relators[0]) + 2
+    delete = DerivationStep("DeleteRelatorConjugate", 1, 0, False, parse_word("s2"))
+    d = Derivation(w, w, (insert, delete))
+    assert replay(vb3, d) == w and apply_step(vb3, after, delete) == w
+    assert d.source == parse_word("s1 s2 r1") and after == replay(vb3, Derivation(w, w, (insert,)))
+
+
+def test_verify_derivation_checks_the_alphabet():
+    p = van_buskirk(2)
+    s9 = parse_word("s9")
+    assert not verify_derivation(p, Derivation(s9, s9, ()))
+    assert not verify_derivation(p, Derivation(parse_word("s1"), parse_word("s1 s9 s9^-1"),
+                                               (DerivationStep("FreeInsert", 1, conjugator=s9),)))
+    # steps may pass through letters outside p: G is a retract of G * F
+    s1 = parse_word("s1")
+    through = (DerivationStep("FreeInsert", 1, conjugator=parse_word("s9 r7")),
+               DerivationStep("InsertRelatorConjugate", 2, 0, True, parse_word("t1")),
+               DerivationStep("DeleteRelatorConjugate", 2, 0, True, parse_word("t1")),
+               DerivationStep("FreeCancel", 2), DerivationStep("FreeCancel", 1))
+    assert verify_derivation(p, Derivation(s1, s1, through))
+
+
+def test_find_equality_rejects_a_foreign_letter():
+    p = van_buskirk(2)
+    for source, target in (("s5", "s5"), ("s1", "s1 r9")):
+        with pytest.raises(ValueError, match="letter (s5|r9) is not a generator"):
+            find_equality(p, parse_word(source), parse_word(target))
 
 
 def test_budget_exhaustion_reports_stats():
@@ -344,3 +403,44 @@ def test_from_json_is_total_on_steps(step):
     assert type(s.inverse_flag) is bool
     assert Derivation.from_json(d.to_json()) == d
     verify_derivation(VB3, d)  # replay either lands somewhere or rejects
+
+
+# ---------------------------------------------------------------------------
+# the v1 text is json.dumps(payload, indent=1), byte for byte
+
+
+def json_dumps_reference(d: Derivation) -> str:
+    """The encoder to_json replaces, kept as its oracle."""
+    payload = {
+        "format": "derivation-v1",
+        "from": format_word(d.source),
+        "to": format_word(d.target),
+        "steps": [
+            {
+                "action": s.action,
+                "position": s.position,
+                "relator_index": s.relator_index,
+                "inverse_flag": s.inverse_flag,
+                "conjugator": format_word(s.conjugator),
+            }
+            for s in d.steps
+        ],
+    }
+    return json.dumps(payload, indent=1)
+
+
+any_generators = st.one_of(st.builds(sigma, st.integers(1, 12)), st.builds(rho, st.integers(1, 12)),
+                           st.just(tau()))
+any_words = st.lists(st.tuples(any_generators, st.sampled_from((1, -1))),
+                     max_size=5).map(lambda ls: BraidWord(tuple(ls)))
+any_steps = st.builds(DerivationStep, st.sampled_from(ACTIONS),
+                      st.one_of(st.just(0), st.integers(0, 10**6)), st.integers(-3, 40),
+                      st.booleans(), any_words)
+
+
+@example(Derivation(EMPTY, EMPTY, ()))
+@given(st.builds(Derivation, any_words, any_words, st.lists(any_steps, max_size=6).map(tuple)))
+def test_to_json_matches_json_dumps(d):
+    text = d.to_json()
+    assert text == json_dumps_reference(d)
+    assert Derivation.from_json(text) == d
