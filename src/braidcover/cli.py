@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 = everything checked is verified; 2 = checks ran but left
-explicit gaps (the order ledger beyond n = 2, or a coset enumeration that
-did not close); 1 = hard failure (a machine check contradicted a claim,
-or bad input).
+Exit codes: 0 = everything checked is verified; 2 = only an explicit
+gap: a report claim that is partially-verified (the order ledger beyond
+n = 2), or a coset enumeration that did not close within MAX_COSETS
+cosets; 1 = hard failure (a machine check contradicted a claim, or bad
+input).
 """
 
 from __future__ import annotations
@@ -102,9 +103,7 @@ def cmd_classify(args) -> int:
 
 
 def _report_exit(report) -> int:
-    if report.all_verified and not report.has_gaps:
-        return EXIT_OK
-    return EXIT_GAPS
+    return EXIT_OK if report.all_verified else EXIT_GAPS
 
 
 def cmd_verify(args) -> int:

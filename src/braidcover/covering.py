@@ -19,14 +19,15 @@ problem oracles.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .oracles import SphereWPVerdict, disc_action, sphere_word_problem
-from .presentations import _van_buskirk_relators, van_buskirk
-from .words import EMPTY, BraidWord, Generator, gen_word, sigma
+from .oracles import SphereWPVerdict, annulus_oracle, disc_action, sphere_word_problem
+from .presentations import _van_buskirk_relators
+from .words import BraidWord, Generator, sigma, tau
 
 UNIT_TOL = 1e-9
 SEPARATION_TOL = 1e-6
@@ -37,21 +38,6 @@ _BAND_HALF = 0.25  # half-height (in z) of the annulus band basepoint range
 _SWAP_SAMPLES = 33
 _LOOP_SAMPLES = 129
 _PUNCTURE = (0.1, 0.07)  # plane position of the annulus puncture strand
-
-
-@dataclass(frozen=True)
-class SurfacePoint:
-    """Point on the unit sphere; on the projective plane it stands for
-    the antipodal pair {v, -v}."""
-
-    coords: tuple[float, float, float]
-
-    def __post_init__(self):
-        if abs(math.sqrt(sum(c * c for c in self.coords)) - 1.0) > UNIT_TOL:
-            raise ValueError("surface point must be a unit vector")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.coords, dtype=float)
 
 
 def _pairwise_min_distance(paths: tuple[np.ndarray, ...], antipodal: bool) -> float:
@@ -101,13 +87,6 @@ class StrandMotion:
         starts = [p[0] for p in self.paths]
         for p in self.paths:
             _match_point(p[-1], starts, antip)
-
-    @property
-    def samples(self) -> int:
-        return self.paths[0].shape[0]
-
-    def point(self, strand: int, k: int) -> SurfacePoint:
-        return SurfacePoint(tuple(self.paths[strand - 1][k]))
 
 
 @dataclass(frozen=True)
@@ -181,48 +160,54 @@ def _band_chart(phi: float, z: float) -> np.ndarray:
     return np.array([r * math.cos(phi), r * math.sin(phi), z])
 
 
+_CHARTS = {"rp2": _cap_chart, "annulus": _band_chart}
+_KINDS = {"rp2": "sr", "annulus": "st"}
+
+
+def _chart_coords(n: int, surface: str) -> list[tuple[float, float]]:
+    """Chart coordinates of the n basepoints: on the rp2 cap chart a line
+    through the north pole, on the annulus band chart (angle, z) at angle
+    0 with strand 1 innermost (largest z)."""
+    if surface == "rp2":
+        h = _CAP_SPREAD / n
+        return [(h * (i - (n + 1) / 2.0), 0.0) for i in range(1, n + 1)]
+    if n == 1:
+        return [(0.0, _BAND_HALF)]
+    return [(0.0, _BAND_HALF - 2 * _BAND_HALF * (i - 1) / (n - 1)) for i in range(1, n + 1)]
+
+
+def _basepoints(n: int, surface: str) -> list[np.ndarray]:
+    chart = _CHARTS[surface]
+    return [chart(x, y) for x, y in _chart_coords(n, surface)]
+
+
 def rp2_basepoints(n: int) -> list[np.ndarray]:
     """Basepoints in a small disc around the north pole, on a chart line."""
-    h = _CAP_SPREAD / n
-    return [_cap_chart(h * (i - (n + 1) / 2.0), 0.0) for i in range(1, n + 1)]
+    return _basepoints(n, "rp2")
 
 
 def annulus_basepoints(n: int) -> list[np.ndarray]:
     """Basepoints on the band at angle 0, strand 1 innermost (largest z)."""
-    if n == 1:
-        zs = [_BAND_HALF]
-    else:
-        zs = [_BAND_HALF - 2 * _BAND_HALF * (i - 1) / (n - 1) for i in range(1, n + 1)]
-    return [_band_chart(0.0, z) for z in zs]
+    return _basepoints(n, "annulus")
 
 
 def _swap_segment(chart, coords: list[tuple[float, float]], i: int, T: int) -> list[np.ndarray]:
     """Half-turn swap of chart points i, i+1 (1-based); others constant."""
-    paths = []
-    for j, (cx, cy) in enumerate(coords, start=1):
-        if j not in (i, i + 1):
-            paths.append(np.stack([chart(cx, cy)] * T))
     mx = (coords[i - 1][0] + coords[i][0]) / 2.0
     my = (coords[i - 1][1] + coords[i][1]) / 2.0
-    moving = []
-    for cx, cy in (coords[i - 1], coords[i]):
+    out = []
+    for j, (cx, cy) in enumerate(coords, start=1):
+        if j not in (i, i + 1):
+            out.append(np.stack([chart(cx, cy)] * T))
+            continue
+        dx, dy = cx - mx, cy - my
         pts = []
         for k in range(T):
             ang = math.pi * k / (T - 1)
-            dx, dy = cx - mx, cy - my
             rx = dx * math.cos(ang) - dy * math.sin(ang)
             ry = dx * math.sin(ang) + dy * math.cos(ang)
             pts.append(chart(mx + rx, my + ry))
-        moving.append(np.stack(pts))
-    out = []
-    fixed_iter = iter(paths)
-    for j in range(1, len(coords) + 1):
-        if j == i:
-            out.append(moving[0])
-        elif j == i + 1:
-            out.append(moving[1])
-        else:
-            out.append(next(fixed_iter))
+        out.append(np.stack(pts))
     return out
 
 
@@ -239,60 +224,35 @@ def generator_motion(g: Generator, n: int, surface: str = "rp2") -> StrandMotion
     Cached: each motion is built and validated once per (g, n, surface),
     and its paths are read-only so that no caller can alter the cache.
     """
-    if surface == "rp2":
-        base = rp2_basepoints(n)
-        if g.kind == "s":
-            if not 1 <= g.index <= n - 1:
-                raise ValueError(f"invalid generator {g} for n={n}")
-            h = _CAP_SPREAD / n
-            coords = [(h * (i - (n + 1) / 2.0), 0.0) for i in range(1, n + 1)]
-            paths = _swap_segment(_cap_chart, coords, g.index, _SWAP_SAMPLES)
-        elif g.kind == "r":
-            if not 1 <= g.index <= n:
-                raise ValueError(f"invalid generator {g} for n={n}")
-            T = _LOOP_SAMPLES
+    if surface not in _CHARTS:
+        raise ValueError(f"unknown surface {surface!r}")
+    if g.kind not in _KINDS[surface]:
+        name = "a projective-plane" if surface == "rp2" else "an annulus"
+        raise ValueError(f"generator {g} is not {name} generator")
+    g.check_bounds(n)
+    chart = _CHARTS[surface]
+    coords = _chart_coords(n, surface)
+    if g.kind == "s":
+        paths = _swap_segment(chart, coords, g.index, _SWAP_SAMPLES)
+    else:
+        T = _LOOP_SAMPLES
+        base = _basepoints(n, surface)
+        if g.kind == "r":
             b = base[g.index - 1]
             # the loop direction is calibrated against the presentation:
             # with the -y meridian every defining relator's image is
             # trivial; with +y the sirisi, rhocomm and surface images are
             # nontrivial by the sphere action from n = 3 on
             yhat = np.array([0.0, -1.0, 0.0])
-            pts = [
+            loop = [
                 math.cos(math.pi * k / (T - 1)) * b
                 + math.sin(math.pi * k / (T - 1)) * yhat
                 for k in range(T)
             ]
-            paths = []
-            for j in range(1, n + 1):
-                if j == g.index:
-                    paths.append(np.stack(pts))
-                else:
-                    paths.append(np.stack([base[j - 1]] * T))
         else:
-            raise ValueError(f"generator {g} is not a projective-plane generator")
-    elif surface == "annulus":
-        base = annulus_basepoints(n)
-        if g.kind == "s":
-            if not 1 <= g.index <= n - 1:
-                raise ValueError(f"invalid generator {g} for n={n}")
-            if n == 1:
-                raise ValueError("no sigma generators for n=1")
-            zs = [_BAND_HALF - 2 * _BAND_HALF * (i - 1) / (n - 1) for i in range(1, n + 1)]
-            coords = [(0.0, z) for z in zs]
-            paths = _swap_segment(
-                lambda p, z: _band_chart(p, z), coords, g.index, _SWAP_SAMPLES
-            )
-        elif g.kind == "t":
-            T = _LOOP_SAMPLES
-            z1 = _BAND_HALF
-            pts = [_band_chart(2 * math.pi * k / (T - 1), z1) for k in range(T)]
-            paths = [np.stack(pts)]
-            for j in range(2, n + 1):
-                paths.append(np.stack([base[j - 1]] * T))
-        else:
-            raise ValueError(f"generator {g} is not an annulus generator")
-    else:
-        raise ValueError(f"unknown surface {surface!r}")
+            loop = [_band_chart(2 * math.pi * k / (T - 1), _BAND_HALF) for k in range(T)]
+        paths = [np.stack(loop) if j == g.index else np.stack([base[j - 1]] * T)
+                 for j in range(1, n + 1)]
     motion = StrandMotion(n, surface, tuple(paths))
     for p in motion.paths:
         p.flags.writeable = False
@@ -342,13 +302,9 @@ def lift_motion(m: StrandMotion, cover: Cover) -> LiftScene:
     if cover.kind == "antipodal_sphere":
         if m.surface != "rp2":
             raise ValueError("antipodal cover lifts projective-plane motions")
-        lifts = []
-        for p in m.paths:
-            # stored paths are continuous on the sphere already; take the
-            # sheet through the stored representative and its antipode
-            lifts.append(p)
-        lifts += [-p for p in m.paths]
-        return LiftScene(m, cover, tuple(lifts))
+        # stored paths are continuous on the sphere already; take the
+        # sheet through the stored representative and its antipode
+        return LiftScene(m, cover, (*m.paths, *(-p for p in m.paths)))
     if cover.kind == "annulus_dfold":
         if m.surface != "annulus":
             raise ValueError("d-fold band cover lifts annulus motions")
@@ -542,26 +498,19 @@ def injectivity_spotcheck_annulus(
     cover braids; any trivial image would contradict injectivity of the
     cover embedding.  Both sides are decided exactly via the faithful
     disc action."""
-    import random
-
     if d < 2 or n < 1 or trials < 0 or max_len < 1:
         raise ValueError(
             f"spot check needs d >= 2, n >= 1, trials >= 0 and max_len >= 1; "
             f"got d={d}, n={n}, trials={trials}, max_len={max_len}"
         )
 
-    from .oracles import annulus_oracle
-    from .words import tau
-
     rng = random.Random(seed)
     gens: list[Generator] = [sigma(i) for i in range(1, n)] + [tau()]
     checked = skipped = 0
     failures = []
     for _ in range(trials):
-        w = EMPTY
-        for _k in range(rng.randint(1, max_len)):
-            w = w * gen_word(rng.choice(gens), rng.choice((1, -1)))
-        w = w.free_reduce()
+        w = BraidWord(tuple((rng.choice(gens), rng.choice((1, -1)))
+                            for _k in range(rng.randint(1, max_len)))).free_reduce()
         if len(w) == 0 or annulus_oracle(n, w):
             skipped += 1
             continue
@@ -590,9 +539,10 @@ def scene_to_text(scene: LiftScene) -> str:
     return "\n".join(lines) + "\n"
 
 
-def scene_to_svg(scene: LiftScene, width: int = 600, height: int = 400) -> str:
-    """SVG braid diagram of the scene: time runs downward, strand order
-    runs across, using the same projection as word extraction."""
+def scene_to_svg(scene: LiftScene) -> str:
+    """600x400 SVG braid diagram of the scene: time runs downward, strand
+    order runs across, using the same projection as word extraction."""
+    width, height = 600, 400
     u, depth = _scene_plane(scene)
     K, T = u.shape
     lo, hi = float(np.min(u)), float(np.max(u))

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from .presentations import Presentation
 from .words import EMPTY, BraidWord, Generator, Permutation
 
-DEFAULT_MAX_COSETS = 100_000
+MAX_COSETS = 100_000
 
 
 class EnumerationOverflow(Exception):
-    """max_cosets exceeded; inconclusive."""
+    """MAX_COSETS exceeded; inconclusive."""
 
 
 class TableNotClosed(Exception):
@@ -31,26 +31,17 @@ class TableNotClosed(Exception):
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Completed coset table: action[c][x] is the coset reached from c by
-    letter x, where letter 2k is generator k and 2k+1 its inverse."""
+    """Completed coset table of the trivial subgroup: action[c][x] is the
+    coset reached from c by letter x, where letter 2k is generator k and
+    2k+1 its inverse."""
 
     presentation_name: str
     generators: tuple[Generator, ...]
     action: tuple[tuple[int, ...], ...]
-    subgroup_trivial: bool
 
     @property
     def num_cosets(self) -> int:
         return len(self.action)
-
-    def to_text(self) -> str:
-        header = "coset-table {} cosets={} generators={}".format(
-            self.presentation_name,
-            self.num_cosets,
-            " ".join(str(g) for g in self.generators),
-        )
-        rows = [" ".join(str(v) for v in row) for row in self.action]
-        return "\n".join([header] + rows) + "\n"
 
 
 def _letters_of(word: BraidWord, gen_index: dict[Generator, int]) -> list[int]:
@@ -66,12 +57,9 @@ def _inv(x: int) -> int:
 
 
 class _Enumerator:
-    def __init__(self, p: Presentation, subgroup_words: list[list[int]],
-                 relator_words: list[list[int]], max_cosets: int):
+    def __init__(self, p: Presentation, relator_words: list[list[int]]):
         self.nletters = 2 * len(p.generators)
-        self.max_cosets = max_cosets
         self.relators = relator_words
-        self.subgroup_words = subgroup_words
         self.table: list[list[int | None]] = [[None] * self.nletters]
         self.parent = [0]
 
@@ -85,9 +73,8 @@ class _Enumerator:
         return self.parent[k] == k
 
     def define(self, a: int, x: int) -> int:
-        if len(self.table) >= self.max_cosets:
-            raise EnumerationOverflow(
-                f"exceeded max_cosets={self.max_cosets}")
+        if len(self.table) >= MAX_COSETS:
+            raise EnumerationOverflow(f"exceeded max_cosets={MAX_COSETS}")
         b = len(self.table)
         self.table.append([None] * self.nletters)
         self.parent.append(b)
@@ -152,9 +139,7 @@ class _Enumerator:
                 return
             self.define(f, word[i])
 
-    def run(self, fill_reversed: bool = False) -> list[list[int]]:
-        for w in self.subgroup_words:
-            self.scan_and_fill(0, w)
+    def run(self) -> list[list[int]]:
         alpha = 0
         while alpha < len(self.table):
             if not self.alive(alpha):
@@ -165,9 +150,7 @@ class _Enumerator:
                 if not self.alive(alpha):
                     break
             if self.alive(alpha):
-                letter_order = range(self.nletters - 1, -1, -1) if fill_reversed \
-                    else range(self.nletters)
-                for x in letter_order:
+                for x in range(self.nletters):
                     if not self.alive(alpha):
                         break
                     if self.table[alpha][x] is None:
@@ -188,34 +171,14 @@ class _Enumerator:
         return out
 
 
-def coset_enumerate(p: Presentation,
-                    subgroup_gens: list[BraidWord] | None = None,
-                    max_cosets: int = DEFAULT_MAX_COSETS,
-                    strategy: str = "hlt") -> CosetTable:
-    """Enumerate cosets of <subgroup_gens> in the group presented by p.
-
-    With no subgroup generators and a finite group, the coset count is the
-    group order.  Raises EnumerationOverflow past max_cosets.  `strategy`
-    is "hlt" or "hlt-reversed" (different relator and gap-fill order; both
-    must agree on the result).
-    """
-    subgroup_gens = subgroup_gens or []
+def coset_enumerate(p: Presentation) -> CosetTable:
+    """Enumerate the cosets of the trivial subgroup in the group presented
+    by p: for a finite group, the coset count is the group order.  Raises
+    EnumerationOverflow past MAX_COSETS cosets."""
     gen_index = {g: k for k, g in enumerate(p.generators)}
     relators = [_letters_of(r, gen_index) for r in p.relators]
-    sub = [_letters_of(w, gen_index) for w in subgroup_gens]
-    reversed_order = strategy == "hlt-reversed"
-    if reversed_order:
-        relators = relators[::-1]
-    elif strategy != "hlt":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    enum = _Enumerator(p, sub, relators, max_cosets)
-    action = enum.run(fill_reversed=reversed_order)
-    return CosetTable(
-        presentation_name=p.name,
-        generators=p.generators,
-        action=tuple(tuple(row) for row in action),
-        subgroup_trivial=not subgroup_gens,
-    )
+    action = _Enumerator(p, relators).run()
+    return CosetTable(p.name, p.generators, tuple(tuple(row) for row in action))
 
 
 @dataclass(frozen=True)
@@ -291,18 +254,9 @@ class GroupTable:
                     if self.mult[ab][c] != self.mult[a][self.mult[b][c]]:
                         raise AssertionError(f"associativity fails at {(a, b, c)}")
 
-    def to_text(self) -> str:
-        header = f"group-table {self.name} order={self.size}"
-        gens = "generators " + " ".join(
-            f"{g}={i}" for g, i in zip(self.generators, self.generator_ids))
-        rows = [" ".join(str(v) for v in row) for row in self.mult]
-        return "\n".join([header, gens] + rows) + "\n"
-
 
 def group_table(t: CosetTable) -> GroupTable:
-    """Materialize the group from a trivial-subgroup coset table."""
-    if not t.subgroup_trivial:
-        raise ValueError("group_table requires a trivial-subgroup enumeration")
+    """Materialize the group from a coset table of the trivial subgroup."""
     n = t.num_cosets
     # witness words by BFS from the identity coset
     words: list[BraidWord | None] = [None] * n
@@ -386,12 +340,6 @@ def alternating_table(k: int) -> GroupTable:
     else:
         cyc = Permutation(tuple([1] + list(range(3, k + 1)) + [2]))
     return table_from_permutations(f"A{k}", [three, cyc])
-
-
-def cyclic_table(k: int) -> GroupTable:
-    gen = Permutation(tuple(list(range(2, k + 1)) + [1])) if k > 1 \
-        else Permutation.identity(1)
-    return table_from_permutations(f"Z{k}", [gen])
 
 
 def _generating_set(t: GroupTable) -> list[int]:

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .enumeration import GroupTable, coset_enumerate, group_table
 from .presentations import full_twist, sphere_presentation
-from .words import BraidWord, gen_word, permutation_image, sigma
+from .words import BraidWord, Letter, permutation_image, sigma
 
 FreeWord = tuple[int, ...]
 
@@ -247,17 +247,16 @@ def annulus_to_disc(n: int, w: BraidWord) -> BraidWord:
     """Embed B_n(annulus) into B_{n+1} of the disc: the core-circle loop
     tau becomes sigma_1'^2 around an added fixed strand, sigma_i becomes
     sigma_{i+1}'."""
-    out = BraidWord()
+    letters: list[Letter] = []
     for g, e in w.letters:
-        if g.kind == "t":
-            out = out * gen_word(sigma(1), e) * gen_word(sigma(1), e)
-        elif g.kind == "s":
-            if not (1 <= g.index <= n - 1):
-                raise ValueError(f"sigma index {g.index} out of bounds for n={n}")
-            out = out * gen_word(sigma(g.index + 1), e)
-        else:
+        if g.kind == "r":
             raise ValueError(f"annulus words use sigma/tau only, got {g}")
-    return out
+        g.check_bounds(n)
+        if g.kind == "t":
+            letters += [(sigma(1), e), (sigma(1), e)]
+        else:
+            letters.append((sigma(g.index + 1), e))
+    return BraidWord(tuple(letters))
 
 
 def annulus_oracle(n: int, w: BraidWord) -> bool:

@@ -38,7 +38,11 @@ class Presentation:
     relators: tuple[BraidWord, ...]
 
     def __post_init__(self):
-        gens = set(self.generators)
+        gens = set()
+        for g in self.generators:
+            if g in gens:
+                raise ValueError(f"repeated generator {g}")
+            gens.add(g)
         for r in self.relators:
             if len(r) == 0:
                 raise ValueError("empty relator")

@@ -21,9 +21,11 @@ json.dumps(payload, indent=1) from a fixed per-step template, escaping
 strings with the C encoder, and from_json parses each distinct
 conjugator once per certificate.
 
-The search half of the module finds certificates for short identities by
-best-first insertion of cyclic rotations of relators and of previously
-certified auxiliary identities (lemmas).  A lemma is banked as its proof
+The search half of the module (find_equality) finds certificates for
+short identities by best-first insertion of cyclic rotations of relators.
+Its move tables also check the certificate engine's script steps, where a
+move may insert a previously certified auxiliary identity (a lemma), and
+its splice and compile code serves both.  A lemma is banked as its proof
 in items: an item is a step or a LemmaUse, which runs one of a banked
 lemma's bodies at an offset, so a lemma move costs one item however large
 the lemma's own proof is.  Only a certificate that is returned is
@@ -112,7 +114,7 @@ class Derivation:
         once."""
         try:
             payload = json.loads(text)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
             raise CertificateFormatError(f"not JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise CertificateFormatError("certificate must be a JSON object")
@@ -482,16 +484,8 @@ def _replay_inverted(p: Presentation, letters, items) -> tuple[list, tuple[Lette
 # certificate search
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_candidates: int = 1_000_000
-    max_length: int | None = None  # default: 4 * max(|from|, |to|, longest relator)
-
-    def length_cap(self, source: BraidWord, target: BraidWord, relators) -> int:
-        if self.max_length is not None:
-            return self.max_length
-        longest = max((len(r) for r in relators), default=1)
-        return 4 * max(len(source), len(target), longest, 1)
+# candidates find_equality splices before it gives up with NotFound
+MAX_CANDIDATES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -502,11 +496,9 @@ class SearchStats:
 
 
 class NotFound(Exception):
-    def __init__(self, stats: SearchStats, lemma: str | None = None):
-        where = f"lemma {lemma}: " if lemma else ""
-        super().__init__(f"{where}no certificate within budget ({stats.candidates} candidates)")
+    def __init__(self, stats: SearchStats):
+        super().__init__(f"no certificate within budget ({stats.candidates} candidates)")
         self.stats = stats
-        self.lemma = lemma
 
 
 def _lemma_from_proof(p: Presentation, name: str, relator: BraidWord, proof) -> Lemma:
@@ -644,14 +636,15 @@ def _hits(table: _MoveTable, w: tuple[int, ...], goal: tuple[int, ...]) -> list[
     return hits
 
 
-def _search_reduced(table: _MoveTable, start: tuple[int, ...], goal: tuple[int, ...],
-                    budget: SearchBudget, cap: int):
+def _search_reduced(table: _MoveTable, start: tuple[int, ...], goal: tuple[int, ...], cap: int):
     """Best-first search on free-reduced encoded words.  Neighbors insert a
     relator (or lemma) rotation at a position where it cancels against the
     word boundary; bare insertions are allowed only into the empty word.
     Each candidate is spliced from the move's reduced form, cancelling only
     at the two junctions (see _splice) instead of re-reducing the word.
-    Returns the move path as [(move_index, position)]."""
+    Words longer than cap are dropped, and NotFound is raised past
+    MAX_CANDIDATES candidates.  Returns the move path as
+    [(move_index, position)]."""
     if start == goal:
         return [], SearchStats(0, 0, True)
     counter = itertools.count()
@@ -663,7 +656,7 @@ def _search_reduced(table: _MoveTable, start: tuple[int, ...], goal: tuple[int, 
     expanded = 0
     moves = table.moves
     reduced = table.reduced
-    max_candidates = budget.max_candidates
+    max_candidates = MAX_CANDIDATES
     while heap:
         _, _, w, depth = heapq.heappop(heap)
         expanded += 1
@@ -774,26 +767,24 @@ def _checked_derivation(p: Presentation, source: BraidWord, target: BraidWord,
 
 
 # The certificate engine proves by checked scripts and never searches.
-# find_equality, SearchBudget, SearchStats and NotFound stay as the public
-# certificate search for arbitrary words, and the benchmark harness wraps
-# find_equality and reads NotFound.
-def find_equality(p: Presentation, source: BraidWord, target: BraidWord,
-                  budget: SearchBudget = SearchBudget(),
-                  lemmas: tuple[Lemma, ...] = ()) -> Derivation:
+# find_equality, SearchStats and NotFound stay as the public certificate
+# search for arbitrary words, and the benchmark harness wraps find_equality
+# and reads NotFound.
+def find_equality(p: Presentation, source: BraidWord, target: BraidWord) -> Derivation:
     """Certificate for source = target in the presented group, or NotFound.
 
-    The returned derivation references only presentation relators: lemma
-    moves found by the search compile to uses of the lemmas' banked
-    bodies, and the result is flattened into derivation-v1 steps.  A
-    source or target letter outside p's generators raises ValueError.
+    The search inserts relator rotations only, through words of at most
+    four times the longest of source, target and the relators, and the
+    result is flattened into derivation-v1 steps.  A source or target
+    letter outside p's generators raises ValueError.
     """
     foreign = _foreign_letter(p, source, target)
     if foreign is not None:
         raise ValueError(f"letter {foreign} is not a generator of {p.name}")
-    table = _MoveTable(p, lemmas)
+    table = _MoveTable(p, ())
     src_red = source.free_reduce()
-    cap = budget.length_cap(source, target, p.relators)
+    cap = 4 * max(len(source), len(target), *map(len, p.relators), 1)
     path, _stats = _search_reduced(
-        table, table.encode(src_red), table.encode(target.free_reduce()), budget, cap
+        table, table.encode(src_red), table.encode(target.free_reduce()), cap
     )
     return _checked_derivation(p, source, target, _compile_path(table, src_red, path))

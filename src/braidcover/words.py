@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 KINDS = ("s", "r", "t")  # sigma, rho, tau
 
@@ -96,18 +96,11 @@ class BraidWord:
                 out.append(let)
         return BraidWord(tuple(out))
 
-    def is_reduced(self) -> bool:
-        return len(self.free_reduce()) == len(self)
-
     def __str__(self):
         return format_word(self)
 
 
 EMPTY = BraidWord()
-
-
-def word(letters: Iterable[Letter]) -> BraidWord:
-    return BraidWord(tuple(letters))
 
 
 def gen_word(g: Generator, e: int = 1) -> BraidWord:
@@ -187,21 +180,6 @@ class Permutation:
             p = p.compose(self)
             k += 1
         return k
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        seen, out = set(), []
-        for start in range(1, len(self.images) + 1):
-            if start in seen:
-                continue
-            cyc, x = [start], self(start)
-            seen.add(start)
-            while x != start:
-                cyc.append(x)
-                seen.add(x)
-                x = self(x)
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
 
 
 def permutation_image(w: BraidWord, n: int) -> Permutation:

@@ -95,7 +95,6 @@ def test_verify_suite_n2_all_verified():
     report = verify_suite(2)
     assert report.surface == "rp2" and report.n == 2
     assert report.all_verified
-    assert not report.has_gaps
     assert report.elimination is None
     names = {c.name for c in report.claims}
     assert {"identity-certificates", "order-ledger", "quotient-structure",
@@ -121,7 +120,7 @@ def test_verify_suite_n6_certifies_identities():
     assert statuses["abelianization"] == "verified"
     assert statuses["order-ledger"] == "partially-verified"
     assert report.elimination is not None
-    assert report.has_gaps
+    assert not report.all_verified
     with pytest.raises(ValueError):
         verify_suite(1)
 

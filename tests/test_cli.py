@@ -46,20 +46,23 @@ def test_enumerate_rejects_malformed_presentation(tmp_path, capsys, text):
     assert out == ""
 
 
-def test_enumerate_overflow_is_gap(tmp_path, capsys, monkeypatch):
-    # coset enumeration has its own internal cap, so use a presentation
-    # with an unbounded group: enumerate reports a gap, not a crash
+def test_enumerate_overflow_is_gap(tmp_path, capsys):
+    # the infinite cyclic group <s1 | > runs the real enumeration past its
+    # coset cap (about 0.2 s): enumerate reports a gap, not a crash
     path = tmp_path / "free.txt"
     path.write_text("presentation F1\ngenerators s1\n")
-    import braidcover.cli as cli
-
-    monkeypatch.setattr(
-        cli, "coset_enumerate", lambda p: (_ for _ in ()).throw(
-            cli.EnumerationOverflow("capped"))
-    )
-    code, _out, err = run(capsys, "enumerate", str(path))
+    code, out, err = run(capsys, "enumerate", str(path))
     assert code == EXIT_GAPS
-    assert "did not close" in err
+    assert out == ""
+    assert err == "enumeration did not close: exceeded max_cosets=100000\n"
+
+
+def test_enumerate_rejects_a_repeated_generator(tmp_path, capsys):
+    path = tmp_path / "z2.txt"
+    path.write_text("presentation Z2\ngenerators s1 s1\ns1 s1\n")
+    code, out, err = run(capsys, "enumerate", str(path))
+    assert code == EXIT_FAILURE
+    assert err == "error: repeated generator s1\n" and out == ""
 
 
 def test_wp_verdicts(capsys):
@@ -74,6 +77,14 @@ def test_wp_verdicts(capsys):
     assert code == EXIT_OK and "Trivial" in out
     code, _out, err = run(capsys, "wp", "disc", "3", "q1")
     assert code == EXIT_FAILURE and "error" in err
+
+
+@pytest.mark.parametrize("word", ["t2", "s1 t1 t3^-1"])
+def test_wp_annulus_rejects_a_tau_index(capsys, word):
+    code, out, err = run(capsys, "wp", "annulus", "2", word)
+    assert code == EXIT_FAILURE
+    assert err.startswith("error: tau index must be 1") and "Traceback" not in err
+    assert out == ""
 
 
 def test_derive(capsys):

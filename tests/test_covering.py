@@ -12,7 +12,6 @@ from braidcover.covering import (
     NonGenericScene,
     StrandMotion,
     _read_diagram,
-    SurfacePoint,
     annulus_basepoints,
     annulus_cover_image,
     annulus_dfold,
@@ -42,12 +41,6 @@ from braidcover.words import (
 from .test_words import words_over
 
 
-def test_surface_point_validation():
-    SurfacePoint((0.0, 0.0, 1.0))
-    with pytest.raises(ValueError):
-        SurfacePoint((0.0, 0.0, 0.5))
-
-
 def test_basepoints_are_valid():
     for n in (1, 2, 5):
         for b in rp2_basepoints(n) + annulus_basepoints(n):
@@ -59,8 +52,6 @@ def test_basepoints_are_valid():
 
 def test_strand_motion_validation():
     good = generator_motion(sigma(1), 2)
-    assert good.samples == good.paths[0].shape[0]
-    assert good.point(1, 0).coords == tuple(good.paths[0][0])
     # non-unit samples rejected
     with pytest.raises(ValueError):
         StrandMotion(1, "rp2", (np.full((4, 3), 0.5),))
@@ -81,6 +72,10 @@ def test_generator_motion_validation():
         generator_motion(rho(3), 2)
     with pytest.raises(ValueError):
         generator_motion(parse_word("t1").letters[0][0], 2, "rp2")
+    with pytest.raises(ValueError, match="tau index must be 1"):
+        generator_motion(parse_word("t2").letters[0][0], 2, "annulus")
+    with pytest.raises(ValueError):
+        generator_motion(rho(1), 2, "annulus")
     with pytest.raises(ValueError):
         generator_motion(sigma(1), 2, "torus")
     with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from braidcover.enumeration import (
     alternating_table,
     center_and_quotient,
     coset_enumerate,
-    cyclic_table,
     group_table,
     isomorphic,
     smith_normal_form,
@@ -38,39 +37,27 @@ def test_small_orders():
 
 
 def test_strategies_agree():
-    p = finite_group_presentation("Dic", 5)
-    a = coset_enumerate(p, strategy="hlt")
-    b = coset_enumerate(p, strategy="hlt-reversed")
-    assert a.num_cosets == b.num_cosets == 20
-    with pytest.raises(ValueError):
-        coset_enumerate(p, strategy="felsch")
-
-
-def test_subgroup_index():
-    p = finite_group_presentation("Dic", 4)  # order 16
-    t = coset_enumerate(p, subgroup_gens=[parse_word("s1")])  # <x> has order 8
-    assert t.num_cosets == 2
-    assert not t.subgroup_trivial
-    with pytest.raises(ValueError):
-        group_table(t)
+    # reversing the generators and the relators reverses the order in which
+    # cosets are scanned and gaps are filled; the group must not change
+    for p, order in ((finite_group_presentation("Dic", 5), 20),
+                     (finite_group_presentation("Ostar"), 48), (van_buskirk(2), 16)):
+        flipped = Presentation(p.name, p.generators[::-1], p.relators[::-1])
+        a, b = group_table(coset_enumerate(p)), group_table(coset_enumerate(flipped))
+        assert a.size == b.size == order
+        assert isomorphic(a, b)[0]
 
 
 def test_group_table_rejects_unreachable_cosets():
     # coset 1 is never reached from coset 0; this must raise under -O too
-    split = CosetTable("split", (sigma(1),), ((0, 0), (1, 1)), True)
+    split = CosetTable("split", (sigma(1),), ((0, 0), (1, 1)))
     with pytest.raises(TableNotClosed):
         group_table(split)
 
 
 def test_overflow():
-    with pytest.raises(EnumerationOverflow):
-        coset_enumerate(finite_group_presentation("Istar"), max_cosets=10)
-
-
-def test_coset_table_text():
-    t = coset_enumerate(van_buskirk(1))
-    text = t.to_text()
-    assert text.startswith("coset-table B_1(RP2) cosets=2")
+    # the infinite cyclic group <s1 | > never closes
+    with pytest.raises(EnumerationOverflow, match="exceeded max_cosets=100000"):
+        coset_enumerate(Presentation("Z", (sigma(1),), ()))
 
 
 def test_group_table_basics():
@@ -82,15 +69,12 @@ def test_group_table_basics():
     assert t.evaluate(parse_word("s1 s1^-1")) == 0
     assert t.subgroup_generated([x]) == {0, x, t.mult[x][x], t.inverse(x)}
     assert len(t.center()) == 2
-    assert "group-table" in t.to_text()
 
 
 def test_permutation_tables():
     assert symmetric_table(4).size == 24
     assert alternating_table(5).size == 60
     assert alternating_table(4).size == 12
-    assert cyclic_table(7).size == 7
-    assert cyclic_table(1).size == 1
 
 
 def test_isomorphic_positive():
@@ -106,7 +90,7 @@ def test_isomorphic_negative():
     assert not ok and phi is None
     ok, _ = isomorphic(table_of("Q8"), table_of("Dih", 4))
     assert not ok
-    ok, _ = isomorphic(table_of("Q8"), cyclic_table(4))
+    ok, _ = isomorphic(table_of("Q8"), table_of("Dih", 2))  # orders 8 and 4
     assert not ok
 
 

@@ -171,6 +171,12 @@ def test_annulus_to_disc():
         annulus_to_disc(2, parse_word("s2"))
     with pytest.raises(ValueError):
         annulus_to_disc(2, parse_word("r1"))
+    # tau is the only t letter: t2 is not an annulus generator
+    for text in ("t2", "s1 t3^-1"):
+        with pytest.raises(ValueError, match="tau index must be 1"):
+            annulus_to_disc(2, parse_word(text))
+        with pytest.raises(ValueError, match="tau index must be 1"):
+            annulus_oracle(2, parse_word(text))
 
 
 def test_annulus_oracle():

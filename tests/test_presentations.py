@@ -21,7 +21,7 @@ from braidcover.words import permutation_image, rho, sigma
 def test_van_buskirk_shape(n):
     p = van_buskirk(n)
     assert len(p.generators) == 2 * n - 1
-    assert all(r.is_reduced() and len(r) > 0 for r in p.relators)
+    assert all(r.free_reduce() == r and len(r) > 0 for r in p.relators)
     labels = van_buskirk_relator_labels(n)
     assert sorted(labels.values()) == list(range(len(p.relators)))
     assert "surface" in labels
@@ -66,6 +66,7 @@ def test_presentation_text_roundtrip():
     "presentation Q8\ngenerators s1^-1",
     "presentation Q8\ngenerators s1 s2\ns1 q2",
     "presentation Q8\ngenerators s1\ns2",
+    "presentation Z2\ngenerators s1 s1\ns1 s1",
 ])
 def test_presentation_from_text_rejects_malformed(text):
     with pytest.raises(PresentationFormatError):
@@ -79,6 +80,10 @@ def test_presentation_validation():
         Presentation("bad", (sigma(1),), (gen_word(sigma(2)),))
     with pytest.raises(ValueError):
         Presentation("bad", (sigma(1),), (BraidWord(),))
+    # a repeated generator would leave the copy's letter columns of a coset
+    # table unconstrained
+    with pytest.raises(ValueError, match="repeated generator s1"):
+        Presentation("Z2", (sigma(1), rho(1), sigma(1)), (gen_word(sigma(1)) ** 2,))
 
 
 def test_twist_lengths():

@@ -13,7 +13,6 @@ from braidcover.rewriting import (
     DerivationError,
     DerivationStep,
     NotFound,
-    SearchBudget,
     _hits,
     _MoveTable,
     _reduce_enc,
@@ -147,11 +146,12 @@ def test_find_equality_rejects_a_foreign_letter():
             find_equality(p, parse_word(source), parse_word(target))
 
 
-def test_budget_exhaustion_reports_stats():
+def test_budget_exhaustion_reports_stats(monkeypatch):
+    monkeypatch.setattr(rewriting, "MAX_CANDIDATES", 200)
     p = sphere_presentation(4)
     hard = parse_word("s1 s2 s3 s1 s2 s3") ** 4  # the full twist: not trivial
-    with pytest.raises(NotFound) as err:
-        find_equality(p, hard, EMPTY, SearchBudget(max_candidates=200))
+    with pytest.raises(NotFound, match=r"within budget \(201 candidates\)") as err:
+        find_equality(p, hard, EMPTY)
     assert err.value.stats.candidates > 0
     assert not err.value.stats.found
 

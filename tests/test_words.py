@@ -86,7 +86,8 @@ def test_inverse_cancels(w):
 def test_free_reduce_idempotent(w):
     red = w.free_reduce()
     assert red.free_reduce() == red
-    assert red.is_reduced()
+    # no adjacent inverse pair is left
+    assert all(b != (g, -e) for (g, e), b in zip(red.letters, red.letters[1:]))
 
 
 def test_pow():
@@ -118,7 +119,7 @@ def test_rho_words_are_pure(w):
 def test_permutation_basics():
     p = Permutation((2, 3, 1))
     assert p.order() == 3
-    assert p.cycles() == [(1, 2, 3)]
+    assert [p(x) for x in (1, 2, 3)] == [2, 3, 1]
     assert p.compose(p.inverse()).is_identity()
     with pytest.raises(ValueError):
         Permutation((1, 1, 2))
