@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -144,3 +145,12 @@ def test_report_serialization():
     md = report.to_markdown()
     assert md.startswith("# Finite subgroups")
     assert "## Verification" in md
+
+
+@pytest.mark.parametrize("n, digest", [(2, "8eb7bc26f114a3e2"), (3, "755688e76a8007c9"),
+                                       (4, "933dd92f70c4a2ab"), (5, "29bd27bb60100716")])
+def test_report_json_is_pinned(n, digest):
+    # the whole report, byte for byte; the same under every hash seed.  A
+    # change that alters a report on purpose updates the pin
+    text = verify_suite(n).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

@@ -40,7 +40,11 @@ def test_engine_certifies_and_replays(engine_factory):
 
 @pytest.mark.parametrize("n, digest, steps", [(2, "9cdd91d135a5a900", 698),
                                               (3, "618e8e4a6601b83a", 2657),
-                                              (4, "dc1dbad8fd008a38", 6917)])
+                                              (4, "dc1dbad8fd008a38", 6917),
+                                              (5, "03078e5e3986decd", 15065),
+                                              (6, "d3f69b7584bf581c", 29066),
+                                              (7, "27820d8fdb2a9c68", 51269),
+                                              (8, "3a020939c95d07ba", 84425)])
 def test_certificates_are_pinned(engine_factory, n, digest, steps):
     # a change to the scripts or the compiler that alters any certificate
     # shows here; one that does so on purpose updates the pin

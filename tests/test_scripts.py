@@ -1,6 +1,7 @@
 """The command-line scripts run against the library as it stands, so an API
 change that breaks one of them fails here."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -11,12 +12,12 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+def run_script(name: str, *args: str, folder: str = "scripts") -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+    return subprocess.run([sys.executable, str(ROOT / folder / name), *args],
                           capture_output=True, text=True, env=env, timeout=300)
 
 
@@ -39,3 +40,16 @@ def test_export_lift_gallery_rejects_bad_words(tmp_path, word):
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     assert "error:" in out.stderr
+
+
+@pytest.mark.parametrize("workload", ["verify-ladder", "recheck-certs", "lift-decide"])
+def test_traced_benchmark_worker_runs(tmp_path, workload):
+    # the traced run reads library internals (banked lemma bodies, the
+    # search entry points, sphere verdicts); one round of each workload
+    # shows that those reads still work and every answer checks out
+    out = run_script("worker.py", "--workload", workload, "--seed", "1", "--seconds", "0",
+                     "--trace-out", str(tmp_path / "t.json"), folder="perfbench")
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    assert (tmp_path / "t.json").is_file()
