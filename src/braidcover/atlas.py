@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .covering import verify_relator_images
@@ -261,24 +261,8 @@ class ClassificationReport:
             "schema": REPORT_SCHEMA,
             "surface": self.surface,
             "n": self.n,
-            "entries": [
-                {
-                    "family": e.family,
-                    "order": e.order,
-                    "condition": e.condition,
-                    "source": e.source,
-                }
-                for e in self.entries
-            ],
-            "claims": [
-                {
-                    "name": c.name,
-                    "status": c.status,
-                    "detail": c.detail,
-                    "gaps": list(c.gaps),
-                }
-                for c in self.claims
-            ],
+            "entries": [asdict(e) for e in self.entries],
+            "claims": [asdict(c) for c in self.claims],
             "elimination": None
             if self.elimination is None
             else [

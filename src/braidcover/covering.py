@@ -176,19 +176,14 @@ def _chart_coords(n: int, surface: str) -> list[tuple[float, float]]:
     return [(0.0, _BAND_HALF - 2 * _BAND_HALF * (i - 1) / (n - 1)) for i in range(1, n + 1)]
 
 
-def _basepoints(n: int, surface: str) -> list[np.ndarray]:
+def basepoints(n: int, surface: str) -> list[np.ndarray]:
+    """The n basepoints on the sphere: for "rp2" in a small disc around the
+    north pole, on a chart line; for "annulus" on the band at angle 0,
+    strand 1 innermost (largest z)."""
+    if surface not in _CHARTS:
+        raise ValueError(f"unknown surface {surface!r}")
     chart = _CHARTS[surface]
     return [chart(x, y) for x, y in _chart_coords(n, surface)]
-
-
-def rp2_basepoints(n: int) -> list[np.ndarray]:
-    """Basepoints in a small disc around the north pole, on a chart line."""
-    return _basepoints(n, "rp2")
-
-
-def annulus_basepoints(n: int) -> list[np.ndarray]:
-    """Basepoints on the band at angle 0, strand 1 innermost (largest z)."""
-    return _basepoints(n, "annulus")
 
 
 def _swap_segment(chart, coords: list[tuple[float, float]], i: int, T: int) -> list[np.ndarray]:
@@ -236,7 +231,7 @@ def generator_motion(g: Generator, n: int, surface: str = "rp2") -> StrandMotion
         paths = _swap_segment(chart, coords, g.index, _SWAP_SAMPLES)
     else:
         T = _LOOP_SAMPLES
-        base = _basepoints(n, surface)
+        base = basepoints(n, surface)
         if g.kind == "r":
             b = base[g.index - 1]
             # the loop direction is calibrated against the presentation:
@@ -266,8 +261,7 @@ def word_motion(w: BraidWord, n: int, surface: str = "rp2") -> StrandMotion:
     projective-plane loops may need the antipodal representative)."""
     if n < 1:
         raise ValueError("strand count must be >= 1")
-    base = rp2_basepoints(n) if surface == "rp2" else annulus_basepoints(n)
-    antip = surface == "rp2"
+    base = basepoints(n, surface)
     strand_paths: list[list[np.ndarray]] = [[np.stack([base[i]])] for i in range(n)]
     slot_of = list(range(n))  # strand index -> current slot (0-based)
     for g, e in w.letters:

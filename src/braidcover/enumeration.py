@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .presentations import Presentation
-from .words import EMPTY, BraidWord, Generator, Permutation
+from .words import EMPTY, BraidWord, Generator, Permutation, letter_codes, sigma
 
 MAX_COSETS = 100_000
 
@@ -32,8 +32,8 @@ class TableNotClosed(Exception):
 @dataclass(frozen=True)
 class CosetTable:
     """Completed coset table of the trivial subgroup: action[c][x] is the
-    coset reached from c by letter x, where letter 2k is generator k and
-    2k+1 its inverse."""
+    coset reached from c by the letter with code x (words.letter_codes:
+    2k is generator k and 2k+1 its inverse)."""
 
     presentation_name: str
     generators: tuple[Generator, ...]
@@ -42,14 +42,6 @@ class CosetTable:
     @property
     def num_cosets(self) -> int:
         return len(self.action)
-
-
-def _letters_of(word: BraidWord, gen_index: dict[Generator, int]) -> list[int]:
-    out = []
-    for g, e in word:
-        k = gen_index[g]
-        out.append(2 * k if e == 1 else 2 * k + 1)
-    return out
 
 
 def _inv(x: int) -> int:
@@ -175,8 +167,8 @@ def coset_enumerate(p: Presentation) -> CosetTable:
     """Enumerate the cosets of the trivial subgroup in the group presented
     by p: for a finite group, the coset count is the group order.  Raises
     EnumerationOverflow past MAX_COSETS cosets."""
-    gen_index = {g: k for k, g in enumerate(p.generators)}
-    relators = [_letters_of(r, gen_index) for r in p.relators]
+    code = letter_codes(p.generators)
+    relators = [list(map(code.__getitem__, r.letters)) for r in p.relators]
     action = _Enumerator(p, relators).run()
     return CosetTable(p.name, p.generators, tuple(tuple(row) for row in action))
 
@@ -259,31 +251,28 @@ def group_table(t: CosetTable) -> GroupTable:
     """Materialize the group from a coset table of the trivial subgroup."""
     n = t.num_cosets
     # witness words by BFS from the identity coset
+    code = letter_codes(t.generators)
     words: list[BraidWord | None] = [None] * n
     words[0] = EMPTY
     queue = deque([0])
     while queue:
         c = queue.popleft()
-        for k, g in enumerate(t.generators):
-            for x, e in ((2 * k, 1), (2 * k + 1, -1)):
-                d = t.action[c][x]
-                if words[d] is None:
-                    words[d] = words[c] * BraidWord(((g, e),))
-                    queue.append(d)
+        for letter, x in code.items():
+            d = t.action[c][x]
+            if words[d] is None:
+                words[d] = words[c] * BraidWord((letter,))
+                queue.append(d)
     if any(w is None for w in words):
         raise TableNotClosed("coset table not transitive")
 
-    def apply(c: int, w: BraidWord) -> int:
-        gen_index = {g: k for k, g in enumerate(t.generators)}
-        for g, e in w:
-            k = gen_index[g]
-            c = t.action[c][2 * k if e == 1 else 2 * k + 1]
+    def apply(c: int, xs: list[int]) -> int:
+        for x in xs:
+            c = t.action[c][x]
         return c
 
-    mult = tuple(
-        tuple(apply(i, words[j]) for j in range(n)) for i in range(n)
-    )
-    generator_ids = tuple(t.action[0][2 * k] for k in range(len(t.generators)))
+    encoded = [list(map(code.__getitem__, w.letters)) for w in words]
+    mult = tuple(tuple(apply(i, xs) for xs in encoded) for i in range(n))
+    generator_ids = tuple(t.action[0][code[g, 1]] for g in t.generators)
     table = GroupTable(
         name=t.presentation_name,
         mult=mult,
@@ -302,7 +291,7 @@ def table_from_permutations(name: str, perms: list[Permutation]) -> GroupTable:
     Independent of any presentation machinery; used as an oracle for the
     symmetric/alternating comparisons.
     """
-    gens = tuple(Generator("s", i + 1) for i in range(len(perms)))
+    gens = tuple(sigma(i + 1) for i in range(len(perms)))
     ident = Permutation.identity(len(perms[0].images))
     elements = [ident]
     index = {ident.images: 0}

@@ -23,6 +23,8 @@ from .presentations import (
     Presentation,
     _chain_down,
     _chain_up,
+    _r,
+    _s,
     element_a,
     element_b,
     half_twist,
@@ -41,15 +43,7 @@ from .rewriting import (
     _move_cost,
     _MoveTable,
 )
-from .words import EMPTY, BraidWord, gen_word, rho, sigma
-
-
-def _s(i: int, e: int = 1) -> BraidWord:
-    return gen_word(sigma(i), e)
-
-
-def _r(j: int, e: int = 1) -> BraidWord:
-    return gen_word(rho(j), e)
+from .words import EMPTY, BraidWord, rho, sigma
 
 
 @dataclass(frozen=True)
@@ -393,10 +387,8 @@ class CertificateEngine:
 
         def suffix(k: int, j: int) -> BraidWord:
             # product of ascending runs (s_i .. s_(i+k-1-j)) for i = j..1
-            w = EMPTY
-            for i in range(j, 0, -1):
-                w = w * _chain_up(sigma, i, i + k - 1 - j)
-            return w
+            return BraidWord(tuple((sigma(t), 1) for i in range(j, 0, -1)
+                                   for t in range(i, i + k - j)))
 
         for name, m, k in (("a", element_a(n), n), ("b", element_b(n), n - 1)):
             if k < 2:

@@ -85,51 +85,56 @@ def _relator(lhs: BraidWord, rhs: BraidWord = EMPTY) -> BraidWord:
     return (lhs * rhs.inverse()).free_reduce()
 
 
+def _s(i: int, e: int = 1) -> BraidWord:
+    return gen_word(sigma(i), e)
+
+
+def _r(j: int, e: int = 1) -> BraidWord:
+    return gen_word(rho(j), e)
+
+
 def _chain_up(gen, lo: int, hi: int, exp: int = 1) -> BraidWord:
     """gen(lo) gen(lo+1) ... gen(hi), all to `exp`; empty if hi < lo."""
-    w = EMPTY
-    for i in range(lo, hi + 1):
-        w = w * gen_word(gen(i), exp)
-    return w
+    return BraidWord(tuple((gen(i), exp) for i in range(lo, hi + 1)))
 
 
 def _chain_down(gen, hi: int, lo: int, exp: int = 1) -> BraidWord:
     """gen(hi) gen(hi-1) ... gen(lo), all to `exp`; empty if hi < lo."""
-    w = EMPTY
-    for i in range(hi, lo - 1, -1):
-        w = w * gen_word(gen(i), exp)
-    return w
+    return BraidWord(tuple((gen(i), exp) for i in range(hi, lo - 1, -1)))
+
+
+def _disc_relators(n: int) -> list[tuple[str, BraidWord]]:
+    """The disc braid relators on n strands: sigma commutation, then the
+    braid relations."""
+    rels = [(f"comm_s_{i}_{j}", _relator(_s(i) * _s(j), _s(j) * _s(i)))
+            for i in range(1, n) for j in range(i + 2, n)]
+    rels += [(f"braid_{i}", _relator(_s(i) * _s(i + 1) * _s(i), _s(i + 1) * _s(i) * _s(i + 1)))
+             for i in range(1, n - 1)]
+    return rels
+
+
+def _sphere_word(m: int) -> BraidWord:
+    """sigma_1 ... sigma_{m-2} sigma_{m-1}^2 sigma_{m-2} ... sigma_1."""
+    return _chain_up(sigma, 1, m - 2) * _s(m - 1) * _s(m - 1) * _chain_down(sigma, m - 2, 1)
 
 
 def _van_buskirk_relators(n: int) -> list[tuple[str, BraidWord]]:
-    rels: list[tuple[str, BraidWord]] = []
-    s = lambda i, e=1: gen_word(sigma(i), e)
-    r = lambda j, e=1: gen_word(rho(j), e)
-    # sigma commutation
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            rels.append((f"comm_s_{i}_{j}", _relator(s(i) * s(j), s(j) * s(i))))
-    # braid relations
-    for i in range(1, n - 1):
-        rels.append((f"braid_{i}", _relator(s(i) * s(i + 1) * s(i), s(i + 1) * s(i) * s(i + 1))))
+    rels = _disc_relators(n)
     # sigma/rho commutation
     for i in range(1, n):
         for j in range(1, n + 1):
             if j not in (i, i + 1):
-                rels.append((f"comm_sr_{i}_{j}", _relator(s(i) * r(j), r(j) * s(i))))
+                rels.append((f"comm_sr_{i}_{j}", _relator(_s(i) * _r(j), _r(j) * _s(i))))
     # rho_{i+1} = sigma_i^-1 rho_i sigma_i^-1
     for i in range(1, n):
-        rels.append((f"sirisi_{i}", _relator(r(i + 1), s(i, -1) * r(i) * s(i, -1))))
+        rels.append((f"sirisi_{i}", _relator(_r(i + 1), _s(i, -1) * _r(i) * _s(i, -1))))
     # rho_{i+1}^-1 rho_i^-1 rho_{i+1} rho_i = sigma_i^2
     for i in range(1, n):
-        rels.append((f"rhocomm_{i}", _relator(r(i + 1, -1) * r(i, -1) * r(i + 1) * r(i), s(i) * s(i))))
+        rels.append((f"rhocomm_{i}", _relator(_r(i + 1, -1) * _r(i, -1) * _r(i + 1) * _r(i),
+                                              _s(i) * _s(i))))
     # surface relation
-    if n == 1:
-        rels.append(("surface", _relator(r(1) * r(1))))
-    else:
-        mid = _chain_up(sigma, 1, n - 2)
-        rhs = mid * s(n - 1) * s(n - 1) * _chain_down(sigma, n - 2, 1)
-        rels.append(("surface", _relator(r(1) * r(1), rhs)))
+    rhs = _sphere_word(n) if n > 1 else EMPTY
+    rels.append(("surface", _relator(_r(1) * _r(1), rhs)))
     return rels
 
 
@@ -160,15 +165,8 @@ def sphere_presentation(m: int) -> Presentation:
     if m < 2:
         raise ValueError("sphere presentation needs m >= 2")
     gens = tuple(sigma(i) for i in range(1, m))
-    s = lambda i, e=1: gen_word(sigma(i), e)
-    rels: list[BraidWord] = []
-    for i in range(1, m):
-        for j in range(i + 2, m):
-            rels.append(_relator(s(i) * s(j), s(j) * s(i)))
-    for i in range(1, m - 1):
-        rels.append(_relator(s(i) * s(i + 1) * s(i), s(i + 1) * s(i) * s(i + 1)))
-    sphere = _chain_up(sigma, 1, m - 2) * s(m - 1) * s(m - 1) * _chain_down(sigma, m - 2, 1)
-    rels.append(_relator(sphere))
+    rels = [w for _label, w in _disc_relators(m)]
+    rels.append(_relator(_sphere_word(m)))
     return Presentation(f"B_{m}(S2)", gens, tuple(rels))
 
 
@@ -179,27 +177,18 @@ def annulus_presentation(n: int) -> Presentation:
     if n < 1:
         raise ValueError("strand count must be >= 1")
     gens = tuple(sigma(i) for i in range(1, n)) + (tau(),)
-    s = lambda i, e=1: gen_word(sigma(i), e)
     t = gen_word(tau())
-    rels: list[BraidWord] = []
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            rels.append(_relator(s(i) * s(j), s(j) * s(i)))
-    for i in range(1, n - 1):
-        rels.append(_relator(s(i) * s(i + 1) * s(i), s(i + 1) * s(i) * s(i + 1)))
+    rels = [w for _label, w in _disc_relators(n)]
     if n >= 2:
-        rels.append(_relator(t * s(1) * t * s(1), s(1) * t * s(1) * t))
+        rels.append(_relator(t * _s(1) * t * _s(1), _s(1) * t * _s(1) * t))
     for i in range(2, n):
-        rels.append(_relator(t * s(i), s(i) * t))
+        rels.append(_relator(t * _s(i), _s(i) * t))
     return Presentation(f"B_{n}(annulus)", gens, tuple(rels))
 
 
 def half_twist(n: int) -> BraidWord:
     """Delta = (sigma_1..sigma_{n-1})(sigma_1..sigma_{n-2})...(sigma_1)."""
-    w = EMPTY
-    for k in range(n - 1, 0, -1):
-        w = w * _chain_up(sigma, 1, k)
-    return w
+    return BraidWord(tuple((sigma(i), 1) for k in range(n - 1, 0, -1) for i in range(1, k + 1)))
 
 
 def full_twist(n: int) -> BraidWord:
@@ -211,14 +200,14 @@ def element_a(n: int) -> BraidWord:
     """a = sigma_{n-1}^-1 ... sigma_1^-1 rho_1, of order 4n in B_n(RP^2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _chain_down(sigma, n - 1, 1, -1) * gen_word(rho(1))
+    return _chain_down(sigma, n - 1, 1, -1) * _r(1)
 
 
 def element_b(n: int) -> BraidWord:
     """b = sigma_{n-2}^-1 ... sigma_1^-1 rho_1, of order 4(n-1) in B_n(RP^2)."""
     if n < 2:
         raise ValueError("b requires n >= 2")
-    return _chain_down(sigma, n - 2, 1, -1) * gen_word(rho(1))
+    return _chain_down(sigma, n - 2, 1, -1) * _r(1)
 
 
 def rho_expanded(j: int) -> BraidWord:
@@ -226,12 +215,12 @@ def rho_expanded(j: int) -> BraidWord:
     rho_j = sigma_{j-1}^-1 ... sigma_1^-1 rho_1 sigma_1^-1 ... sigma_{j-1}^-1."""
     if j < 1:
         raise ValueError("j must be >= 1")
-    return _chain_down(sigma, j - 1, 1, -1) * gen_word(rho(1)) * _chain_up(sigma, 1, j - 1, -1)
+    return _chain_down(sigma, j - 1, 1, -1) * _r(1) * _chain_up(sigma, 1, j - 1, -1)
 
 
-ABSTRACT_X = Generator("s", 1)  # reused letters for abstract finite groups
-ABSTRACT_Y = Generator("s", 2)
-ABSTRACT_Z = Generator("s", 3)
+ABSTRACT_X = sigma(1)  # reused letters for abstract finite groups
+ABSTRACT_Y = sigma(2)
+ABSTRACT_Z = sigma(3)
 
 
 def finite_group_presentation(family: str, param: int | None = None) -> Presentation:

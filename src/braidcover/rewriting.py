@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .presentations import Presentation
-from .words import EMPTY, BraidWord, Generator, Letter, format_word, parse_word
+from .words import EMPTY, BraidWord, Generator, Letter, format_word, letter_codes, parse_word
 
 INSERT_RELATOR = "InsertRelatorConjugate"
 DELETE_RELATOR = "DeleteRelatorConjugate"
@@ -336,20 +336,21 @@ class Lemma:
     their item-wise inverse, take the empty word to L.  An item is a
     DerivationStep or a LemmaUse of an earlier lemma, so a body holds one
     item per move of the proof, not the flat steps of the lemmas it uses.
-    proof_steps and build_steps count the flat steps.  Every FreeInsert in
-    a proof is one letter, so inverting a flattened build step by step
-    gives back the flattened proof: inverting a use to the use of the
-    opposite body flattens to the same steps as inverting its flat body
-    would.  build and build_inverse are the flattened bodies
-    empty -> L and empty -> L^-1: len() reads the stored counts, iterating
-    flattens."""
+    proof_steps counts the flat steps of the proof.  Every FreeInsert in a
+    proof is one letter, so each flat step inverts to exactly one step:
+    the build has proof_steps flat steps too, and inverting a flattened
+    build step by step gives back the flattened proof (inverting a use to
+    the use of the opposite body flattens to the same steps as inverting
+    its flat body would).  build_inverse and proof_inverse add the
+    len(L) FreeInserts or FreeCancels of L^-1 L.  build and build_inverse
+    are the flattened bodies empty -> L and empty -> L^-1: len() reads
+    step_count, iterating flattens."""
 
     name: str
     relator: BraidWord
     proof_items: tuple
     build_items: tuple
     proof_steps: int
-    build_steps: int
 
     @property
     def build(self) -> "LemmaUse":
@@ -381,9 +382,9 @@ class Lemma:
                 *(DerivationStep(FREE_CANCEL, j) for j in reversed(range(k))))
 
     def step_count(self, kind: str) -> int:
-        """The flat step count of one body."""
-        own = self.proof_steps if kind in (PROOF, BUILD_INVERSE) else self.build_steps
-        return own if kind in (PROOF, BUILD) else own + len(self.relator)
+        """The flat step count of one body: proof_steps for the proof and
+        the build, and len(relator) more for the two inverse bodies."""
+        return self.proof_steps if kind in (PROOF, BUILD) else self.proof_steps + len(self.relator)
 
 
 @dataclass(frozen=True)
@@ -516,7 +517,7 @@ def _lemma_from_proof(p: Presentation, name: str, relator: BraidWord, proof) -> 
         raise AssertionError(f"lemma {name}: proof failed replay: {exc}") from None
     if end:
         raise AssertionError(f"lemma {name}: proof failed replay: it does not end on the empty word")
-    return Lemma(name, relator, tuple(proof), tuple(build), _flat_len(proof), _flat_len(build))
+    return Lemma(name, relator, tuple(proof), tuple(build), _flat_len(proof))
 
 
 class _MoveTable:
@@ -526,7 +527,7 @@ class _MoveTable:
     def __init__(self, p: Presentation, lemmas: tuple[Lemma, ...],
                  relator_subset=None):
         self.presentation = p
-        self.gen_code = {g: 2 * i for i, g in enumerate(p.generators)}
+        self.code = letter_codes(p.generators)
         self.moves: list[tuple[int, ...]] = []
         # compile info per move: (kind, ref, inverse_flag, rotation)
         self.origins: list[tuple[str, int, bool, int]] = []
@@ -559,7 +560,7 @@ class _MoveTable:
             self.by_last.setdefault(mv[-1] ^ 1, []).append(mi)
 
     def encode(self, w: BraidWord) -> tuple[int, ...]:
-        return tuple(self.gen_code[g] + (1 if e < 0 else 0) for g, e in w)
+        return tuple(map(self.code.__getitem__, w.letters))
 
 
 def _reduce_enc(letters) -> tuple[int, ...]:

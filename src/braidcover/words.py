@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 KINDS = ("s", "r", "t")  # sigma, rho, tau
@@ -46,16 +47,30 @@ class Generator:
 Letter = tuple[Generator, int]
 
 
+@lru_cache(maxsize=None)
+def _generator(kind: str, index: int) -> Generator:
+    """The one Generator per (kind, index) that sigma, rho, tau and
+    parse_word hand out, so that equal letters they build are usually one
+    object and tuple compares decide by identity."""
+    return Generator(kind, index)
+
+
 def sigma(i: int) -> Generator:
-    return Generator("s", i)
+    return _generator("s", i)
 
 
 def rho(i: int) -> Generator:
-    return Generator("r", i)
+    return _generator("r", i)
 
 
 def tau() -> Generator:
-    return Generator("t", 1)
+    return _generator("t", 1)
+
+
+def letter_codes(generators) -> dict[Letter, int]:
+    """The integer code of every letter over generators: (g_k, 1) is 2k
+    and (g_k, -1) is 2k + 1, so code ^ 1 is the inverse letter."""
+    return {(g, e): 2 * k + (e < 0) for k, g in enumerate(generators) for e in (1, -1)}
 
 
 @dataclass(frozen=True)
@@ -79,10 +94,7 @@ class BraidWord:
     def __pow__(self, k: int) -> "BraidWord":
         if k < 0:
             return self.inverse() ** (-k)
-        w = BraidWord()
-        for _ in range(k):
-            w = w * self
-        return w
+        return BraidWord(self.letters * k)
 
     def inverse(self) -> "BraidWord":
         return BraidWord(tuple((g, -e) for g, e in reversed(self.letters)))
@@ -129,7 +141,7 @@ def parse_word(text: str) -> BraidWord:
             raise WordFormatError(f"index too long in token {tok!r}") from None
         if idx < 1:
             raise WordFormatError(f"bad index in token {tok!r}")
-        letters.append((Generator(kind, idx), -1 if inv else 1))
+        letters.append((_generator(kind, idx), -1 if inv else 1))
     return BraidWord(tuple(letters))
 
 

@@ -12,15 +12,14 @@ from braidcover.covering import (
     NonGenericScene,
     StrandMotion,
     _read_diagram,
-    annulus_basepoints,
     annulus_cover_image,
     annulus_dfold,
+    basepoints,
     extract_word,
     generator_motion,
     injectivity_spotcheck_annulus,
     lift_motion,
     psi,
-    rp2_basepoints,
     scene_to_svg,
     scene_to_text,
     verify_relator_images,
@@ -43,11 +42,13 @@ from .test_words import words_over
 
 def test_basepoints_are_valid():
     for n in (1, 2, 5):
-        for b in rp2_basepoints(n) + annulus_basepoints(n):
+        for b in basepoints(n, "rp2") + basepoints(n, "annulus"):
             assert abs(np.linalg.norm(b) - 1.0) < 1e-12
     # annulus strand 1 is innermost (largest z)
-    zs = [b[2] for b in annulus_basepoints(4)]
+    zs = [b[2] for b in basepoints(4, "annulus")]
     assert zs == sorted(zs, reverse=True)
+    with pytest.raises(ValueError):
+        basepoints(2, "torus")
 
 
 def test_strand_motion_validation():

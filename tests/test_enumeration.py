@@ -19,7 +19,8 @@ from braidcover.presentations import (
     finite_group_presentation,
     van_buskirk,
 )
-from braidcover.words import parse_word, sigma
+from braidcover.rewriting import _MoveTable
+from braidcover.words import letter_codes, parse_word, sigma
 
 
 def table_of(family, param=None):
@@ -131,3 +132,19 @@ def test_abelian_invariants_validation():
     with pytest.raises(ValueError):
         AbelianInvariants((4, 2))
     AbelianInvariants((2, 4, 0))
+
+
+def test_coset_table_and_move_table_share_letter_codes():
+    # walking the coset table along _MoveTable.encode's codes lands where
+    # the group table's own evaluation (generator ids and inverses) does,
+    # and both codes are words.letter_codes
+    p = finite_group_presentation("Dic", 3)
+    w = parse_word("s1 s2^-1 s1 s1 s2 s1^-1")
+    table = _MoveTable(p, ())
+    codes = table.encode(w)
+    assert list(codes) == [letter_codes(p.generators)[let] for let in w.letters]
+    t = coset_enumerate(p)
+    c = 0
+    for x in codes:
+        c = t.action[c][x]
+    assert c == group_table(t).evaluate(w)

@@ -3,6 +3,8 @@ import pytest
 from braidcover.presentations import (
     Presentation,
     PresentationFormatError,
+    _chain_down,
+    _chain_up,
     annulus_presentation,
     element_a,
     element_b,
@@ -14,7 +16,7 @@ from braidcover.presentations import (
     van_buskirk,
     van_buskirk_relator_labels,
 )
-from braidcover.words import permutation_image, rho, sigma
+from braidcover.words import EMPTY, gen_word, permutation_image, rho, sigma
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -86,10 +88,28 @@ def test_presentation_validation():
         Presentation("Z2", (sigma(1), rho(1), sigma(1)), (gen_word(sigma(1)) ** 2,))
 
 
+def _letter_by_letter(letters):
+    w = EMPTY
+    for g, e in letters:
+        w = w * gen_word(g, e)
+    return w
+
+
 def test_twist_lengths():
-    for n in range(2, 8):
+    for n in range(1, 9):
         assert len(half_twist(n)) == n * (n - 1) // 2
         assert len(full_twist(n)) == n * (n - 1)
+        # the one-pass builders against letter-by-letter concatenation
+        for gen in (sigma, rho):
+            for e in (1, -1):
+                assert _chain_up(gen, 2, n, e) == _letter_by_letter(
+                    (gen(i), e) for i in range(2, n + 1))
+                assert _chain_down(gen, n, 2, e) == _letter_by_letter(
+                    (gen(i), e) for i in range(n, 1, -1))
+        assert half_twist(n) == _letter_by_letter(
+            (sigma(i), 1) for k in range(n - 1, 0, -1) for i in range(1, k + 1))
+        assert full_twist(n) == _letter_by_letter(
+            (sigma(i), 1) for _ in range(n) for i in range(1, n))
 
 
 def test_named_elements():

@@ -10,6 +10,7 @@ from braidcover.words import (
     WordFormatError,
     format_word,
     gen_word,
+    letter_codes,
     parse_word,
     permutation_image,
     rho,
@@ -91,10 +92,31 @@ def test_free_reduce_idempotent(w):
 
 
 def test_pow():
-    w = parse_word("s1 s2")
-    assert w**0 == EMPTY
-    assert w**2 == parse_word("s1 s2 s1 s2")
-    assert w**-1 == w.inverse()
+    w = parse_word("s1 s2 r1^-1")
+    # against repeated concatenation of w or of its inverse
+    for k in range(-3, 6):
+        expected = EMPTY
+        for _ in range(abs(k)):
+            expected = expected * (w if k > 0 else w.inverse())
+        assert w**k == expected
+    assert parse_word("s1 s2") ** 2 == parse_word("s1 s2 s1 s2")
+
+
+def test_generators_are_interned():
+    assert parse_word("s1").letters[0][0] is sigma(1)
+    r, t = (g for g, _e in parse_word("r3^-1 t1").letters)
+    assert r is rho(3) and t is tau()
+
+
+def test_letter_codes():
+    gens = (sigma(1), sigma(2), rho(1))
+    code = letter_codes(gens)
+    assert [code[g, 1] for g in gens] == [0, 2, 4]
+    # code ^ 1 is the inverse letter
+    letter_of = {x: let for let, x in code.items()}
+    assert sorted(letter_of) == list(range(6))
+    for (g, e), x in code.items():
+        assert letter_of[x ^ 1] == (g, -e)
 
 
 @given(words_over(5), words_over(5))
