@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -11,6 +12,7 @@ from braidcover.covering import (
     LiftScene,
     NonGenericScene,
     StrandMotion,
+    _psi_generator,
     _read_diagram,
     annulus_cover_image,
     annulus_dfold,
@@ -25,16 +27,18 @@ from braidcover.covering import (
     verify_relator_images,
     word_motion,
 )
-from braidcover.oracles import annulus_oracle, disc_action, sphere_word_problem
+from braidcover.oracles import annulus_oracle, disc_action, sphere_action, sphere_word_problem
 from braidcover.presentations import _van_buskirk_relators, full_twist, van_buskirk
 from braidcover.words import (
     EMPTY,
     BraidWord,
+    format_word,
     gen_word,
     parse_word,
     permutation_image,
     rho,
     sigma,
+    tau,
 )
 
 from .test_words import words_over
@@ -164,18 +168,65 @@ def test_psi_generator_images_regression():
     assert psi(2, parse_word("r1")) == parse_word("s1^-1 s2^-1 s1^-1")
 
 
-def test_whole_word_lift_equals_psi():
-    # the lift of a whole word's motion and the concatenated generator
-    # images are the same sphere braid, decided exactly
+def _seeded_rp2_words() -> list[tuple[int, BraidWord]]:
+    """Twelve seeded sigma/rho words of 4..12 letters for each n = 2, 3, 4."""
     rng = random.Random(2009)
+    out = []
     for n in (2, 3, 4):
         gens = [sigma(i) for i in range(1, n)] + [rho(i) for i in range(1, n + 1)]
         for _ in range(12):
-            w = BraidWord(tuple((rng.choice(gens), rng.choice((1, -1)))
-                                for _ in range(rng.randint(4, 12))))
-            lifted = extract_word(lift_motion(word_motion(w, n), ANTIPODAL))
-            diff = (lifted * psi(n, w).inverse()).free_reduce()
-            assert sphere_word_problem(2 * n, diff).verdict == "Trivial", (n, str(w))
+            out.append((n, BraidWord(tuple((rng.choice(gens), rng.choice((1, -1)))
+                                           for _ in range(rng.randint(4, 12))))))
+    return out
+
+
+def test_whole_word_lift_equals_psi():
+    # the lift of a whole word's motion and the concatenated generator
+    # images are the same sphere braid, decided exactly
+    for n, w in _seeded_rp2_words():
+        lifted = extract_word(lift_motion(word_motion(w, n), ANTIPODAL))
+        diff = (lifted * psi(n, w).inverse()).free_reduce()
+        assert sphere_word_problem(2 * n, diff).verdict == "Trivial", (n, str(w))
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("n, digest", [(2, "2eff77244a838b06"), (3, "5862517410e5edcf"),
+                                       (4, "df5c7517488aabcd"), (5, "936ff87c5a6e872d"),
+                                       (6, "5ebd996834e62aed"), (7, "794d326bdf39f940"),
+                                       (8, "27167b38860130c4")])
+def test_psi_generator_images_are_pinned(n, digest):
+    # the extracted words byte for byte: a change to the geometry or the
+    # diagram reader that alters any generator image shows here
+    gens = [sigma(i) for i in range(1, n)] + [rho(i) for i in range(1, n + 1)]
+    assert _digest(format_word(_psi_generator(n, g, 1)) for g in gens) == digest
+
+
+@pytest.mark.parametrize("n, words, actions", [(2, "5bbd6a42e4fdffa8", "bd3e0db5cd3e8fac"),
+                                               (3, "3d976903edc272cd", "c45cd8233812ca76"),
+                                               (4, "c86e085f45c9396c", "a539dd7dffadf3b4")])
+def test_whole_word_lifts_are_pinned(n, words, actions):
+    lifts = [extract_word(lift_motion(word_motion(w, n), ANTIPODAL))
+             for k, w in _seeded_rp2_words() if k == n]
+    assert _digest(map(format_word, lifts)) == words
+    assert _digest(str(sphere_action(2 * n, w).images) for w in lifts) == actions
+
+
+@pytest.mark.parametrize("d, n, words, actions", [
+    (2, 1, "6ea920bcfaf211fb", "c725787b15bcdd5a"), (2, 2, "8418cd2445ae57fa", "a482d010969447ad"),
+    (2, 3, "6b97024d0fed15ef", "8335c920e964dad5"), (2, 4, "23ed8b2775307aea", "be9c24409aeb2efb"),
+    (3, 1, "15ca68c2b75cd203", "967bce14cbd721e1"), (3, 2, "3cc9d03784eaa675", "f17c8a871e19e19d"),
+    (3, 3, "eabf651662aa6b60", "e0c479f7bc26e819"), (3, 4, "e0f55cc66552a313", "3bb27c65d7ec50f9")])
+def test_annulus_cover_images_are_pinned(d, n, words, actions):
+    rng = random.Random(f"annulus pin d={d} n={n}")
+    gens = [sigma(i) for i in range(1, n)] + [tau()]
+    images = [annulus_cover_image(d, n, BraidWord(tuple(
+                  (rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(1, 8)))))
+              for _ in range(8)]
+    assert _digest(map(format_word, images)) == words
+    assert _digest(str(disc_action(d * n + 1, w).images) for w in images) == actions
 
 
 def test_psi_is_homomorphic_on_letters():
