@@ -40,24 +40,62 @@ _LOOP_SAMPLES = 129
 _PUNCTURE = (0.1, 0.07)  # plane position of the annulus puncture strand
 
 
-def _pairwise_min_distance(paths: tuple[np.ndarray, ...], antipodal: bool) -> float:
+_BLOCK = 16384  # elements: the most a temporary over strand pairs may hold
+
+
+def _coords(paths) -> np.ndarray:
+    """The (T, 3) paths as one (3, k, T) array: x, y and z by strand."""
+    return np.stack([p.T for p in paths], axis=1)
+
+
+def _sq_norms(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Squared lengths of the vectors (x, y, z), summed in the order
+    np.linalg.norm sums them."""
+    s = x * x
+    s += y * y
+    s += z * z
+    return s
+
+
+@lru_cache(maxsize=None)
+def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    a, b = np.triu_indices(k, 1)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
+def _pair_blocks(k: int, width: int):
+    """The strand pairs a < b of k strands in (a, b) order, as index arrays
+    in blocks of at most _BLOCK // width pairs, so that a block's
+    temporaries of `width` elements per pair stay near _BLOCK elements."""
+    a, b = _pairs(k)
+    step = max(1, _BLOCK // width)
+    for lo in range(0, len(a), step):
+        yield a[lo:lo + step], b[lo:lo + step]
+
+
+def _pairwise_min_distance(c: np.ndarray, antipodal: bool) -> float:
+    """Least distance, at a common sample, between two of the paths with
+    coordinates c (see _coords), or between one and the other's antipode."""
     best = math.inf
-    for a in range(len(paths)):
-        for b in range(a + 1, len(paths)):
-            d = np.min(np.linalg.norm(paths[a] - paths[b], axis=1))
-            if antipodal:
-                d = min(d, np.min(np.linalg.norm(paths[a] + paths[b], axis=1)))
-            best = min(best, float(d))
-    return best
+    for a, b in _pair_blocks(c.shape[1], c[:, 0].size):
+        pa, pb = c[:, a], c[:, b]
+        for diff in ((pa - pb, pa + pb) if antipodal else (pa - pb,)):
+            best = min(best, float(np.min(_sq_norms(*diff))))
+    return math.sqrt(best)
 
 
 def _match_point(v: np.ndarray, pool: list[np.ndarray], antipodal: bool) -> int:
     for idx, p in enumerate(pool):
-        if np.linalg.norm(v - p) < 1e-6:
-            return idx
-        if antipodal and np.linalg.norm(v + p) < 1e-6:
-            return idx
+        for gap in ((v - p, v + p) if antipodal else (v - p,)):
+            if gap @ gap < 1e-12:
+                return idx
     raise ValueError("endpoint does not return to the basepoint set")
+
+
+def _grid_prefix(paths, shape: tuple[int, int]) -> int:
+    """Number of leading paths of the given shape."""
+    return next((i for i, p in enumerate(paths) if p.shape != shape), len(paths))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,14 +113,17 @@ class StrandMotion:
             raise ValueError(f"unknown surface {self.surface!r}")
         if len(self.paths) != self.n:
             raise ValueError("need one path per strand")
-        T = self.paths[0].shape[0]
-        for p in self.paths:
-            if p.shape != (T, 3):
-                raise ValueError("paths must share the sample grid")
-            if np.max(np.abs(np.linalg.norm(p, axis=1) - 1.0)) > UNIT_TOL:
+        # the paths before the first one off the grid are checked first,
+        # so that a motion with both faults reports the earlier one
+        good = _grid_prefix(self.paths, (self.paths[0].shape[0], 3))
+        if good:
+            c = _coords(self.paths[:good])
+            if np.max(np.abs(np.sqrt(_sq_norms(*c)) - 1.0)) > UNIT_TOL:
                 raise ValueError("path points must be unit vectors")
+        if good < self.n:
+            raise ValueError("paths must share the sample grid")
         antip = self.surface == "rp2"
-        if self.n > 1 and _pairwise_min_distance(self.paths, antip) <= SEPARATION_TOL:
+        if self.n > 1 and _pairwise_min_distance(c, antip) <= SEPARATION_TOL:
             raise ValueError("strand paths are not disjoint")
         starts = [p[0] for p in self.paths]
         for p in self.paths:
@@ -117,33 +158,30 @@ class LiftScene:
         d, n = self.cover.degree, self.source.n
         if len(self.paths) != d * n:
             raise ValueError("lift must have d*n paths")
-        for i, p in enumerate(self.paths):
-            src = self.source.paths[i % n]
-            if p.shape != src.shape:
-                raise ValueError("lifted path sample grid mismatch")
-            if _projection_error(p, src, self.cover) > UNIT_TOL:
+        good = _grid_prefix(self.paths, self.source.paths[0].shape)
+        if good:
+            c = _coords(self.paths[:good])
+            src = _coords(self.source.paths)[:, np.arange(good) % n]
+            if _projection_error(c, src, self.cover) > UNIT_TOL:
                 raise ValueError("lifted path does not project to its source")
-        if _pairwise_min_distance(self.paths, False) <= SEPARATION_TOL:
+        if good < d * n:
+            raise ValueError("lifted path sample grid mismatch")
+        if _pairwise_min_distance(c, False) <= SEPARATION_TOL:
             raise ValueError("lifted paths are not disjoint")
 
 
 def _projection_error(lift: np.ndarray, src: np.ndarray, cover: Cover) -> float:
+    """Largest distance from a lifted sample, projected to the base, to
+    its source's sample; both in coordinates (see _coords)."""
     if cover.kind == "antipodal_sphere":
-        return float(
-            np.max(
-                np.minimum(
-                    np.linalg.norm(lift - src, axis=1),
-                    np.linalg.norm(lift + src, axis=1),
-                )
-            )
-        )
+        return math.sqrt(np.max(np.minimum(_sq_norms(*(lift - src)), _sq_norms(*(lift + src)))))
     d = cover.degree
-    theta = np.arctan2(lift[:, 1], lift[:, 0])
-    r = np.hypot(lift[:, 0], lift[:, 1])
-    proj = np.stack(
-        [r * np.cos(d * theta), r * np.sin(d * theta), lift[:, 2]], axis=1
-    )
-    return float(np.max(np.linalg.norm(proj - src, axis=1)))
+    x, y, z = lift
+    theta = np.arctan2(y, x)
+    r = np.hypot(x, y)
+    sx, sy, sz = src
+    return math.sqrt(np.max(_sq_norms(r * np.cos(d * theta) - sx, r * np.sin(d * theta) - sy,
+                                      z - sz)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +300,8 @@ def word_motion(w: BraidWord, n: int, surface: str = "rp2") -> StrandMotion:
     if n < 1:
         raise ValueError("strand count must be >= 1")
     base = basepoints(n, surface)
-    strand_paths: list[list[np.ndarray]] = [[np.stack([base[i]])] for i in range(n)]
+    strand_paths: list[list[np.ndarray]] = [[b[None]] for b in base]
+    tails = base  # the last point of each strand's path so far
     slot_of = list(range(n))  # strand index -> current slot (0-based)
     for g, e in w.letters:
         gm = generator_motion(g, n, surface)
@@ -271,23 +310,20 @@ def word_motion(w: BraidWord, n: int, surface: str = "rp2") -> StrandMotion:
         else:
             perm = {}
         if e == 1:
-            seg = list(gm.paths)
+            seg = gm.paths
         else:
             # the reversed path occupying slot j is the reversal of the
             # forward path that ends at slot j
             seg = [gm.paths[perm.get(j, j)][::-1] for j in range(n)]
-        new_slot = list(slot_of)
-        for s in range(n):
-            j = slot_of[s]
+        for s, j in enumerate(slot_of):
             piece = seg[j][1:]
-            tail = strand_paths[s][-1][-1]
-            if np.linalg.norm(seg[j][0] - tail) > 1e-6:
+            gap = seg[j][0] - tails[s]
+            if gap @ gap > 1e-12:
                 piece = -piece
             strand_paths[s].append(piece)
-            new_slot[s] = perm.get(j, j)
-        slot_of = new_slot
-    paths = tuple(np.concatenate(chunks) for chunks in strand_paths)
-    return StrandMotion(n, surface, paths)
+            tails[s] = piece[-1]
+        slot_of = [perm.get(j, j) for j in slot_of]
+    return StrandMotion(n, surface, tuple(np.concatenate(chunks) for chunks in strand_paths))
 
 
 def lift_motion(m: StrandMotion, cover: Cover) -> LiftScene:
@@ -303,16 +339,13 @@ def lift_motion(m: StrandMotion, cover: Cover) -> LiftScene:
         if m.surface != "annulus":
             raise ValueError("d-fold band cover lifts annulus motions")
         d = cover.degree
-        lifts: list[np.ndarray] = [None] * (d * m.n)  # type: ignore[list-item]
-        for i, p in enumerate(m.paths):
-            theta = np.unwrap(np.arctan2(p[:, 1], p[:, 0]))
-            r = np.hypot(p[:, 0], p[:, 1])
-            for k in range(d):
-                th = (theta + 2 * math.pi * k) / d
-                lifts[i + k * m.n] = np.stack(
-                    [r * np.cos(th), r * np.sin(th), p[:, 2]], axis=1
-                )
-        return LiftScene(m, cover, tuple(lifts))
+        x, y, z = _coords(m.paths)
+        theta = np.unwrap(np.arctan2(y, x))
+        r = np.hypot(x, y)
+        # sheet i + k*n of strand i turns by 2*pi*k/d
+        th = (theta + 2 * math.pi * np.arange(d)[:, None, None]) / d
+        lifts = np.stack([r * np.cos(th), r * np.sin(th), np.broadcast_to(z, th.shape)], axis=-1)
+        return LiftScene(m, cover, tuple(lifts.reshape(d * m.n, -1, 3)))
     raise ValueError(f"unknown cover {cover.kind!r}")
 
 
@@ -332,54 +365,52 @@ def _scene_plane(scene: LiftScene) -> tuple[np.ndarray, np.ndarray]:
     south pole, with a constant extra strand at the origin representing
     the inner boundary puncture of the annulus.
     """
+    x, y, z = _coords(scene.paths)
     if scene.cover.kind == "antipodal_sphere":
-        us, ds = [], []
-        for p in scene.paths:
-            den = 1.0 + p[:, 0]
-            yy, zz = p[:, 1] / den, p[:, 2] / den
-            us.append(-zz + TILT * yy)
-            ds.append(yy)
-        return np.stack(us), np.stack(ds)
-    us, ds = [], []
-    T = scene.paths[0].shape[0]
-    for p in scene.paths:
-        den = 1.0 + p[:, 2]
-        px, py = p[:, 0] / den, p[:, 1] / den
-        us.append(px + TILT * py)
-        ds.append(py)
+        den = 1.0 + x
+        yy, zz = y / den, z / den
+        return -zz + TILT * yy, yy
+    den = 1.0 + z
+    px, py = x / den, y / den
     # puncture strand inside the inner disc, off the origin: lifts of one
     # strand sit at point-symmetric plane positions, so a centered
     # puncture would create structural triple points
-    us.append(np.full(T, _PUNCTURE[0] + TILT * _PUNCTURE[1]))
-    ds.append(np.full(T, _PUNCTURE[1]))
-    return np.stack(us), np.stack(ds)
+    T = x.shape[1]
+    u = np.vstack([px + TILT * py, np.full((1, T), _PUNCTURE[0] + TILT * _PUNCTURE[1])])
+    return u, np.vstack([py, np.full((1, T), _PUNCTURE[1])])
 
 
 def _read_diagram(u: np.ndarray, depth: np.ndarray) -> BraidWord:
+    """Braid word of the diagram with strand order u and depth `depth`,
+    both (K, T): one letter per crossing, in time order."""
     K, T = u.shape
-    events: list[tuple[float, float, int, int, int]] = []
-    for a in range(K):
-        for b in range(a + 1, K):
-            diff = u[a] - u[b]
-            if np.any(diff == 0.0):
-                raise NonGenericScene("strands coincide in the order functional")
-            hits = np.nonzero(diff[:-1] * diff[1:] < 0)[0]
-            for t in hits:
-                f = diff[t] / (diff[t] - diff[t + 1])
-                da = depth[a, t] + f * (depth[a, t + 1] - depth[a, t])
-                db = depth[b, t] + f * (depth[b, t + 1] - depth[b, t])
-                ua = u[a, t] + f * (u[a, t + 1] - u[a, t])
-                events.append((t + f, ua, a, b, 1 if da > db else -1))
-    events.sort(key=lambda ev: (ev[0], ev[1]))
-    pos = {s: k for k, s in enumerate(np.argsort(u[:, 0], kind="stable"))}
+    if K < 2:
+        return BraidWord(())
+    hits = []
+    for a, b in _pair_blocks(K, T):
+        diff = u[a] - u[b]
+        if not diff.all():
+            raise NonGenericScene("strands coincide in the order functional")
+        pair, t = np.nonzero(diff[:, :-1] * diff[:, 1:] < 0)
+        hits.append((a[pair], b[pair], t))
+    a, b, t = (np.concatenate(col) for col in zip(*hits))
+    d0, d1 = u[a, t] - u[b, t], u[a, t + 1] - u[b, t + 1]
+    f = d0 / (d0 - d1)
+    da = depth[a, t] + f * (depth[a, t + 1] - depth[a, t])
+    db = depth[b, t] + f * (depth[b, t + 1] - depth[b, t])
+    ua = u[a, t] + f * (u[a, t + 1] - u[a, t])
+    # events come in (a, b, t) order; a stable sort by time, then by u,
+    # keeps that order among ties
+    order = np.lexsort((ua, t + f))
+    front = np.where(da > db, 1, -1)[order].tolist()
+    pos = np.argsort(np.argsort(u[:, 0], kind="stable")).tolist()
+    gens = [sigma(i) for i in range(1, K)]
     letters = []
-    for _t, _u, a, b, front_a in events:
+    for a, b, front_a in zip(a[order].tolist(), b[order].tolist(), front):
         pa, pb = pos[a], pos[b]
         if abs(pa - pb) != 1:
             raise NonGenericScene("non-adjacent crossing; sampling too coarse")
-        left, right = (a, b) if pa < pb else (b, a)
-        front_left = front_a if left == a else -front_a
-        letters.append((sigma(min(pa, pb) + 1), front_left))
+        letters.append((gens[min(pa, pb)], front_a if pa < pb else -front_a))
         pos[a], pos[b] = pb, pa
     return BraidWord(tuple(letters))
 

@@ -15,6 +15,7 @@ basis letter x_i or its inverse; words are kept reduced.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,12 +39,27 @@ def free_reduce(letters) -> FreeWord:
 
 
 def free_invert(w: FreeWord) -> FreeWord:
-    return tuple(-x for x in reversed(w))
+    return tuple(map(operator.neg, reversed(w)))
+
+
+def _join(*words: FreeWord) -> FreeWord:
+    """free_reduce of the concatenation of reduced words: letters cancel
+    only where one word meets the next (at most the whole next word, and
+    then on into the word before)."""
+    out: list[int] = []
+    for v in words:
+        k = 0
+        while k < len(v) and out and out[-1] == -v[k]:
+            out.pop()
+            k += 1
+        out += v[k:]
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class FreeEndo:
-    """Endomorphism of the free group of rank `rank`, by basis images."""
+    """Endomorphism of the free group of rank `rank`, by basis images,
+    each a reduced word."""
 
     rank: int
     images: tuple[FreeWord, ...]
@@ -52,9 +68,9 @@ class FreeEndo:
         if len(self.images) != self.rank:
             raise ValueError("need one image per basis letter")
         for w in self.images:
-            for x in w:
-                if not (1 <= abs(x) <= self.rank):
-                    raise ValueError(f"letter {x} out of rank {self.rank}")
+            if w and (0 in w or min(w) < -self.rank or max(w) > self.rank):
+                x = next(x for x in w if not 1 <= abs(x) <= self.rank)
+                raise ValueError(f"letter {x} out of rank {self.rank}")
 
     @staticmethod
     def identity(rank: int) -> "FreeEndo":
@@ -64,11 +80,8 @@ class FreeEndo:
         return all(w == (i,) for i, w in enumerate(self.images, start=1))
 
     def apply(self, w: FreeWord) -> FreeWord:
-        out: list[int] = []
-        for x in w:
-            img = self.images[abs(x) - 1]
-            out.extend(img if x > 0 else free_invert(img))
-        return free_reduce(out)
+        inverses = [free_invert(img) for img in self.images]
+        return _join(*(self.images[x - 1] if x > 0 else inverses[-x - 1] for x in w))
 
     def compose(self, other: "FreeEndo") -> "FreeEndo":
         """self o other: apply `other` first."""
@@ -85,11 +98,11 @@ def _artin_step(images: list[FreeWord], i: int, e: int) -> None:
     """
     a, b = images[i - 1], images[i]
     if e == 1:
-        images[i - 1] = free_reduce(a + b + free_invert(a))
+        images[i - 1] = _join(a, b, free_invert(a))
         images[i] = a
     else:
         images[i - 1] = b
-        images[i] = free_reduce(free_invert(b) + a + b)
+        images[i] = _join(free_invert(b), a, b)
 
 
 def disc_action(m: int, w: BraidWord) -> FreeEndo:
@@ -114,15 +127,9 @@ def disc_action(m: int, w: BraidWord) -> FreeEndo:
 
 def _drop_last_letter(w: FreeWord, m: int) -> FreeWord:
     """Substitute x_m := (x_1 ... x_{m-1})^-1 and reduce."""
-    xm = tuple(range(m - 1, 0, -1))  # x_m = x_{m-1}^-1 ... x_1^-1 inverted below
-    repl = tuple(-x for x in xm)  # (x_1 .. x_{m-1})^-1 = x_{m-1}^-1 .. x_1^-1
-    out: list[int] = []
-    for x in w:
-        if abs(x) == m:
-            out.extend(repl if x > 0 else free_invert(repl))
-        else:
-            out.append(x)
-    return free_reduce(out)
+    repl = tuple(range(1 - m, 0))  # (x_1 .. x_{m-1})^-1 = x_{m-1}^-1 .. x_1^-1
+    pieces = {m: repl, -m: free_invert(repl)}
+    return _join(*(pieces.get(x) or (x,) for x in w))
 
 
 def _cyclic_reduce(w: FreeWord) -> tuple[FreeWord, FreeWord]:
@@ -151,15 +158,15 @@ def _inner_conjugator(e: FreeEndo) -> FreeWord | None:
         return None
     g = u
     if e.rank > 1:
-        twisted = free_reduce(free_invert(u) + e.images[1] + u)
+        twisted = _join(free_invert(u), e.images[1], u)
         x = -1 if twisted[:1] == (-1,) else 1
         k = 0
         while k < len(twisted) and twisted[k] == x:
             k += 1
-        g = free_reduce(u + (x,) * k)
+        g = _join(u, (x,) * k)
     gi = free_invert(g)
     for i in range(2, e.rank + 1):
-        if e.images[i - 1] != free_reduce(g + (i,) + gi):
+        if e.images[i - 1] != _join(g, (i,), gi):
             return None
     return g
 
