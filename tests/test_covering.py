@@ -1,9 +1,11 @@
 import hashlib
+import math
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidcover import covering
 from braidcover.covering import (
@@ -12,6 +14,8 @@ from braidcover.covering import (
     LiftScene,
     NonGenericScene,
     StrandMotion,
+    _coords,
+    _pairwise_min_distance,
     _psi_generator,
     _read_diagram,
     annulus_cover_image,
@@ -68,6 +72,20 @@ def test_strand_motion_validation():
     p = np.stack([np.array([0.0, 0.0, 1.0])] * 4)
     with pytest.raises(ValueError):
         StrandMotion(2, "annulus", (p, p))
+    # antipodal paths are one point of the projective plane, two of the band
+    with pytest.raises(ValueError, match="not disjoint"):
+        StrandMotion(2, "rp2", (p, -p))
+    assert StrandMotion(2, "annulus", (p, -p)).n == 2
+    # half a swap ends off the basepoints
+    with pytest.raises(ValueError, match="endpoint does not return"):
+        StrandMotion(2, "rp2", tuple(q[:17] for q in good.paths))
+    with pytest.raises(ValueError, match="share the sample grid"):
+        StrandMotion(2, "rp2", (good.paths[0], good.paths[1][:-1]))
+    # with both faults, the earlier path's fault is the one reported
+    with pytest.raises(ValueError, match="unit vectors"):
+        StrandMotion(2, "rp2", (good.paths[0] * 2, good.paths[1][:-1]))
+    with pytest.raises(ValueError, match="share the sample grid"):
+        StrandMotion(2, "rp2", (good.paths[0][:-1], good.paths[1] * 2))
 
 
 def test_generator_motion_validation():
@@ -159,6 +177,26 @@ def test_lift_scene_projects_back():
         lift_motion(m, Cover("torus", 2))
     with pytest.raises(ValueError):
         LiftScene(m, ANTIPODAL, m.paths)
+
+
+@pytest.mark.parametrize("cover, surface, word", [(ANTIPODAL, "rp2", "s1 r2"),
+                                                  (annulus_dfold(2), "annulus", "s1 t1"),
+                                                  (annulus_dfold(3), "annulus", "t1 s1^-1")])
+def test_lift_scene_checks(cover, surface, word):
+    m = word_motion(parse_word(word), 2, surface)
+    paths = lift_motion(m, cover).paths
+    turned = tuple(paths[:1]) + (paths[1] @ np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0],
+                                                       [0.0, 0.0, 1.0]]),) + tuple(paths[2:])
+    with pytest.raises(ValueError, match="does not project"):
+        LiftScene(m, cover, turned)
+    with pytest.raises(ValueError, match="sample grid mismatch"):
+        LiftScene(m, cover, tuple(paths[:-1]) + (paths[-1][:-1],))
+    with pytest.raises(ValueError, match="does not project"):
+        LiftScene(m, cover, turned[:-1] + (paths[-1][:-1],))
+    # sheet 2 repeats sheet 0: it projects to strand 1's path, but two
+    # lifted strands coincide
+    with pytest.raises(ValueError, match="not disjoint"):
+        LiftScene(m, cover, tuple(paths[:2]) + (paths[0],) + tuple(paths[3:]))
 
 
 def test_psi_generator_images_regression():
@@ -370,3 +408,101 @@ def test_read_diagram_rejects_non_adjacent_crossing():
     depth = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(NonGenericScene, match="non-adjacent"):
         _read_diagram(u, depth)
+
+
+# Reference copies of the first, one-pair-at-a-time versions of the
+# diagram reader and the separation check.  The batched versions must
+# give the same words, messages and distances.
+
+
+def _read_diagram_per_pair(u: np.ndarray, depth: np.ndarray) -> BraidWord:
+    K, T = u.shape
+    events = []
+    for a in range(K):
+        for b in range(a + 1, K):
+            diff = u[a] - u[b]
+            if np.any(diff == 0.0):
+                raise NonGenericScene("strands coincide in the order functional")
+            hits = np.nonzero(diff[:-1] * diff[1:] < 0)[0]
+            for t in hits:
+                f = diff[t] / (diff[t] - diff[t + 1])
+                da = depth[a, t] + f * (depth[a, t + 1] - depth[a, t])
+                db = depth[b, t] + f * (depth[b, t + 1] - depth[b, t])
+                ua = u[a, t] + f * (u[a, t + 1] - u[a, t])
+                events.append((t + f, ua, a, b, 1 if da > db else -1))
+    events.sort(key=lambda ev: (ev[0], ev[1]))
+    pos = {s: k for k, s in enumerate(np.argsort(u[:, 0], kind="stable"))}
+    letters = []
+    for _t, _u, a, b, front_a in events:
+        pa, pb = pos[a], pos[b]
+        if abs(pa - pb) != 1:
+            raise NonGenericScene("non-adjacent crossing; sampling too coarse")
+        left = a if pa < pb else b
+        letters.append((sigma(min(pa, pb) + 1), front_a if left == a else -front_a))
+        pos[a], pos[b] = pb, pa
+    return BraidWord(tuple(letters))
+
+
+def _pairwise_min_distance_per_pair(paths, antipodal: bool) -> float:
+    best = math.inf
+    for a in range(len(paths)):
+        for b in range(a + 1, len(paths)):
+            d = np.min(np.linalg.norm(paths[a] - paths[b], axis=1))
+            if antipodal:
+                d = min(d, np.min(np.linalg.norm(paths[a] + paths[b], axis=1)))
+            best = min(best, float(d))
+    return best
+
+
+def _blocked(block: int, fn, *args):
+    """fn(*args) with covering._BLOCK set to block, so that small inputs
+    also run in several blocks."""
+    saved = covering._BLOCK
+    covering._BLOCK = block
+    try:
+        return fn(*args)
+    finally:
+        covering._BLOCK = saved
+
+
+@st.composite
+def diagrams(draw):
+    """Random (u, depth) of K <= 8 strands and T <= 60 samples.  Strand
+    orders are random walks around K levels, the same walks rounded to a
+    coarse grid (so that strands coincide), or a random order of the
+    levels 0..K-1 at each sample (so that crossings share a point)."""
+    k, t = draw(st.integers(2, 8)), draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("walk", "rounded", "levels")))
+    if kind == "levels":
+        u = np.argsort(rng.random((k, t)), axis=0).astype(float)
+    else:
+        u = np.arange(k)[:, None] + np.cumsum(rng.normal(0.0, 0.4, (k, t)), axis=1)
+    if kind == "rounded":
+        u = np.round(u, 1)
+    return u, rng.normal(size=(k, t))
+
+
+def _word_or_message(fn, *args):
+    try:
+        return fn(*args)
+    except NonGenericScene as exc:
+        return str(exc)
+
+
+@given(diagrams(), st.sampled_from((1, 50, covering._BLOCK)))
+@settings(max_examples=200)
+def test_read_diagram_matches_per_pair_reader(diagram, block):
+    u, depth = diagram
+    assert (_blocked(block, _word_or_message, _read_diagram, u, depth)
+            == _word_or_message(_read_diagram_per_pair, u, depth))
+
+
+@given(st.integers(2, 8), st.integers(1, 60), st.integers(0, 2**32 - 1), st.booleans(),
+       st.sampled_from((1, 50, covering._BLOCK)))
+@settings(max_examples=100)
+def test_pairwise_min_distance_matches_per_pair(k, t, seed, antipodal, block):
+    rng = np.random.default_rng(seed)
+    paths = tuple(rng.normal(size=(t, 3)) for _ in range(k))
+    assert (_blocked(block, _pairwise_min_distance, _coords(paths), antipodal)
+            == _pairwise_min_distance_per_pair(paths, antipodal))

@@ -8,6 +8,7 @@ from braidcover.oracles import (
     FreeEndo,
     _drop_last_letter,
     _inner_conjugator,
+    _join,
     annulus_oracle,
     annulus_to_disc,
     disc_action,
@@ -46,6 +47,45 @@ def test_free_word_helpers():
         FreeEndo(2, ((3,), (1,)))
     with pytest.raises(ValueError):
         FreeEndo(2, ((1,),))
+
+
+@pytest.mark.parametrize("rank, images, bad", [(2, ((1, 0), (2,)), 0),
+                                               (2, ((1,), (2, -3, 5)), -3),
+                                               (1, ((1, 2, 5),), 2),
+                                               (2, ((-2, 1), (4, -3)), 4)])
+def test_free_endo_names_the_first_letter_out_of_rank(rank, images, bad):
+    with pytest.raises(ValueError, match=f"letter {bad} out of rank {rank}"):
+        FreeEndo(rank, images)
+
+
+@given(free_words(3), free_words(3), free_words(3))
+@example((1, 2), (-2, -1), (1, 3))
+def test_join_is_free_reduce_of_the_concatenation(u, v, x):
+    assert _join(u, v) == free_reduce(u + v)
+    assert _join(u, v, x) == free_reduce(u + v + x)
+    # a long cancellation, on into the word before
+    assert _join(u, free_invert(u) + v) == v
+    assert _join(u, v, free_invert(v), free_invert(u)) == ()
+
+
+def _disc_images_by_free_reduce(m: int, w: BraidWord) -> tuple:
+    """The Artin action as first written, re-reducing each new image in
+    full: the reference the junction join is compared with."""
+    images = [(i,) for i in range(1, m + 1)]
+    for g, e in reversed(w.letters):
+        a, b = images[g.index - 1], images[g.index]
+        if e == 1:
+            images[g.index - 1], images[g.index] = free_reduce(a + b + free_invert(a)), a
+        else:
+            images[g.index - 1], images[g.index] = b, free_reduce(free_invert(b) + a + b)
+    return tuple(images)
+
+
+@given(st.integers(2, 6).flatmap(lambda m: st.tuples(st.just(m),
+                                                     words_over(m, max_len=30, kinds="s"))))
+def test_artin_steps_match_full_reduction(case):
+    m, w = case
+    assert disc_action(m, w).images == _disc_images_by_free_reduce(m, w)
 
 
 @given(free_words(3), free_words(3))
