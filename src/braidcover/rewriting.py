@@ -535,20 +535,28 @@ class _MoveTable:
         allowed = set(range(len(p.relators))) if relator_subset is None else set(relator_subset)
         sources = [("relator", i, r) for i, r in enumerate(p.relators) if i in allowed]
         sources += [("lemma", i, l.relator) for i, l in enumerate(lemmas)]
+        # the freely reduced form of each move is what a splice inserts.
+        # Rotation k is x^-1 (rotation k - 1) x for x = enc[k - 1], so each
+        # source word is reduced once and each rotation's reduced form is
+        # the previous one conjugated
+        self.reduced: list[tuple[int, ...]] = []
         for kind, ref, base in sources:
             for inv in (False, True):
                 word = base.inverse() if inv else base
                 enc = self.encode(word)
+                red = _reduce_enc(enc)
                 for k in range(len(enc)):
+                    if k:
+                        red = _conjugate_enc(red, enc[k - 1])
                     rot = enc[k:] + enc[:k]
                     if rot in seen:
                         continue
                     seen.add(rot)
                     self.moves.append(rot)
+                    self.reduced.append(red)
                     self.origins.append((kind, ref, inv, k))
         self.lemmas = lemmas
-        # the freely reduced form of each move is what a splice inserts
-        self.reduced = [_reduce_enc(mv) for mv in self.moves]
+        self.longest = max(map(len, self.reduced), default=0)
         self.by_reduced: dict[tuple[int, ...], list[int]] = {}
         for mi, red in enumerate(self.reduced):
             self.by_reduced.setdefault(red, []).append(mi)
@@ -620,8 +628,7 @@ def _hits(table: _MoveTable, w: tuple[int, ...], goal: tuple[int, ...]) -> list[
     pre = next((i for i, (x, y) in enumerate(zip(w, goal)) if x != y), min(lw, lg))
     suf = next((i for i, (x, y) in enumerate(zip(reversed(w), reversed(goal))) if x != y),
                min(lw, lg))
-    longest = max(map(len, table.reduced), default=0)
-    lo, hi = max(0, lg - suf - longest), min(lw, pre + lw - lg + longest)
+    lo, hi = max(0, lg - suf - table.longest), min(lw, pre + lw - lg + table.longest)
     if lo > hi:
         return []
     key = _reduce_enc(_inverse_enc(w[:lo]) + goal + _inverse_enc(w[lo:]))

@@ -239,6 +239,15 @@ def hit_cases(draw):
 
 
 @given(hit_cases())
+def test_move_table_reduces_every_rotation(case):
+    # each rotation's reduced form comes from the previous one by a
+    # conjugation; it must be the rotation reduced from scratch
+    table, _w, _goal = case
+    assert table.reduced == [_reduce_enc(mv) for mv in table.moves]
+    assert table.longest == max(map(len, table.reduced))
+
+
+@given(hit_cases())
 def test_hits_match_splice_scan(case):
     # one lookup per position finds exactly the splices that reach goal,
     # at any position, in (move, position) order
