@@ -15,7 +15,7 @@ import sys
 from .atlas import VerificationFailure, classify, verify_suite
 from .covering import ANTIPODAL, extract_word, lift_motion, scene_to_svg, scene_to_text, word_motion
 from .enumeration import EnumerationOverflow, TableNotClosed, coset_enumerate
-from .identities import CertificateEngine, paper_claims
+from .identities import CertificateEngine, claim_builders
 from .oracles import annulus_oracle, disc_action, sphere_word_problem
 from .presentations import Presentation, annulus_presentation, sphere_presentation, van_buskirk
 from .words import format_word, parse_word
@@ -53,12 +53,12 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    claims = {c.label: c for c in paper_claims(args.n)}
-    if args.claim_id not in claims:
+    builders = claim_builders(args.n)
+    if args.claim_id not in builders:
         print(f"unknown claim {args.claim_id!r}; available: "
-              f"{' '.join(sorted(claims))}", file=sys.stderr)
+              f"{' '.join(sorted(builders))}", file=sys.stderr)
         return EXIT_FAILURE
-    d = CertificateEngine(args.n).certify(claims[args.claim_id])
+    d = CertificateEngine(args.n).certify(builders[args.claim_id]())
     print(f"claim {args.claim_id}: certified in {len(d.steps)} steps")
     if args.json:
         print(d.to_json())

@@ -17,7 +17,9 @@ bare presentation.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 
 from .presentations import (
     Presentation,
@@ -53,37 +55,45 @@ class Claim:
     target: BraidWord
 
 
+def claim_builders(n: int) -> dict[str, Callable[[], Claim]]:
+    """Label -> builder of each claim of paper_claims(n), in its order.  A
+    builder makes only its own claim's words, so looking a label up costs
+    nothing: the half twist alone has n(n - 1)/2 letters, and every
+    claim together grows as n^3."""
+    if n < 2:
+        raise ValueError("claims need n >= 2")
+    a, b, delta = (cache(lambda: element_a(n)), cache(lambda: element_b(n)),
+                   cache(lambda: half_twist(n)))
+    sides: dict[str, Callable[[], tuple[BraidWord, BraidWord]]] = {}
+    for j in range(1, n + 1):
+        sides[f"rjr1_{j}"] = lambda j=j: (_r(j), rho_expanded(j))
+    sides["rn2"] = lambda: (_r(n, -1) * _r(n, -1), _chain_down(sigma, n - 1, 2) * _s(1) * _s(1)
+                            * _chain_up(sigma, 2, n - 1))
+    sides["powerab_a"] = lambda: (a() ** n, _chain_down(rho, n, 1))
+    sides["powerab_b"] = lambda: (b() ** (n - 1), _chain_down(rho, n - 1, 1))
+    for i in range(1, n + 1):
+        sides[f"conjri_{i}"] = lambda i=i: (delta().inverse() * _r(i) * delta(), _r(n + 1 - i, -1))
+    for i in range(1, n - 1):
+        sides[f"permute_sigma_{i}"] = lambda i=i: (a().inverse() * _s(i) * a(), _s(i + 1))
+    sides["permute_sigma_wrap"] = lambda: (a().inverse() * a().inverse() * _s(n - 1) * a() * a(),
+                                           _s(1, -1))
+    for i in range(1, n):
+        sides[f"permute_rho_{i}"] = lambda i=i: (a().inverse() * _r(i) * a(), _r(i + 1))
+    sides["permute_rho_wrap"] = lambda: (a().inverse() * _r(n) * a(), _r(1, -1))
+    sides["realdic_a"] = lambda: (delta() * a() * delta().inverse() * a(), EMPTY)
+    sides["realdic_b"] = lambda: ((delta() * a().inverse()) * b()
+                                  * (delta() * a().inverse()).inverse() * b(), EMPTY)
+    sides["delta4"] = lambda: (delta() ** 4, EMPTY)
+    return {label: (lambda label=label, pair=pair: Claim(label, *pair()))
+            for label, pair in sides.items()}
+
+
 def paper_claims(n: int) -> list[Claim]:
     """The identity corpus for van_buskirk(n): the rho_j expansions, the
     rho_n^-2 identity, the power formulas for a and b, half twist
     conjugation of the rho generators, the cyclic conjugation tables for
     a, the two dicyclic conjugation relations, and Delta^4 = 1."""
-    if n < 2:
-        raise ValueError("claims need n >= 2")
-    a = element_a(n)
-    b = element_b(n)
-    delta = half_twist(n)
-    claims: list[Claim] = []
-    for j in range(1, n + 1):
-        claims.append(Claim(f"rjr1_{j}", _r(j), rho_expanded(j)))
-    claims.append(Claim("rn2", _r(n, -1) * _r(n, -1),
-                        _chain_down(sigma, n - 1, 2) * _s(1) * _s(1) * _chain_up(sigma, 2, n - 1)))
-    claims.append(Claim("powerab_a", a**n, _chain_down(rho, n, 1)))
-    claims.append(Claim("powerab_b", b ** (n - 1), _chain_down(rho, n - 1, 1)))
-    for i in range(1, n + 1):
-        claims.append(Claim(f"conjri_{i}", delta.inverse() * _r(i) * delta, _r(n + 1 - i, -1)))
-    ai = a.inverse()
-    for i in range(1, n - 1):
-        claims.append(Claim(f"permute_sigma_{i}", ai * _s(i) * a, _s(i + 1)))
-    claims.append(Claim("permute_sigma_wrap", ai * ai * _s(n - 1) * a * a, _s(1, -1)))
-    for i in range(1, n):
-        claims.append(Claim(f"permute_rho_{i}", ai * _r(i) * a, _r(i + 1)))
-    claims.append(Claim("permute_rho_wrap", ai * _r(n) * a, _r(1, -1)))
-    claims.append(Claim("realdic_a", delta * a * delta.inverse() * a, EMPTY))
-    da = delta * ai
-    claims.append(Claim("realdic_b", da * b * da.inverse() * b, EMPTY))
-    claims.append(Claim("delta4", delta**4, EMPTY))
-    return claims
+    return [build() for build in claim_builders(n).values()]
 
 
 class ScriptError(ValueError):

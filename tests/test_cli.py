@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from braidcover import cli
+from braidcover import cli, identities
 from braidcover.cli import EXIT_FAILURE, EXIT_GAPS, EXIT_OK, main
 from braidcover.covering import NonGenericScene
 from braidcover.presentations import Presentation, finite_group_presentation
@@ -95,6 +95,21 @@ def test_derive(capsys):
     assert code == EXIT_OK and out.startswith("claim delta4: certified in ")
     code, _out, err = run(capsys, "derive", "nonsense", "2")
     assert code == EXIT_FAILURE and "unknown claim" in err
+
+
+def test_derive_looks_up_the_label_before_building_claims(capsys, monkeypatch):
+    # an unknown label at a large n is reported without building any claim
+    # word (every claim together grows as n^3); a known one builds only
+    # the words of its own claim
+    def refuse(n):
+        raise AssertionError("a claim word was built")
+
+    for name in ("element_a", "element_b", "half_twist", "rho_expanded"):
+        monkeypatch.setattr(identities, name, refuse)
+    code, _out, err = run(capsys, "derive", "nonsense", "406")
+    assert code == EXIT_FAILURE and "unknown claim 'nonsense'" in err and "delta4" in err
+    claim = identities.claim_builders(406)["rn2"]()
+    assert (claim.label, len(claim.source), len(claim.target)) == ("rn2", 2, 810)
 
 
 def test_lift(tmp_path, capsys):
