@@ -52,4 +52,13 @@ def test_traced_benchmark_worker_runs(tmp_path, workload):
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
-    assert (tmp_path / "t.json").is_file()
+    trace = json.loads((tmp_path / "t.json").read_text())
+    if workload == "lift-decide":
+        # a refactor that stops calling a traced public function would drop
+        # its layer from the trace and still pass every other test
+        traced = [f"covering.{name}" for name in ("word_motion", "lift_motion", "extract_word",
+                                                  "psi", "injectivity_spotcheck_annulus")]
+        traced += [f"oracles.{name}" for name in ("sphere_action", "disc_action",
+                                                  "annulus_oracle")]
+        for name in traced:
+            assert trace["summary"]["ops"].get(name, {}).get("calls", 0) > 0, name
