@@ -40,7 +40,9 @@ _LOOP_SAMPLES = 129
 _PUNCTURE = (0.1, 0.07)  # plane position of the annulus puncture strand
 
 
-_BLOCK = 16384  # elements: the most a temporary over strand pairs may hold
+# elements (128 kB) in a temporary over a block of strand pairs, so that
+# the pairs of a long word are never all held at once
+_BLOCK = 16384
 
 
 def _coords(paths) -> np.ndarray:
@@ -66,8 +68,9 @@ def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _pair_blocks(k: int, width: int):
     """The strand pairs a < b of k strands in (a, b) order, as index arrays
-    in blocks of at most _BLOCK // width pairs, so that a block's
-    temporaries of `width` elements per pair stay near _BLOCK elements."""
+    in blocks of _BLOCK // width pairs (at least one), so that a block's
+    temporaries of `width` elements per pair hold at most _BLOCK elements
+    unless one pair alone is wider."""
     a, b = _pairs(k)
     step = max(1, _BLOCK // width)
     for lo in range(0, len(a), step):

@@ -10,7 +10,10 @@ the forgetful map to the order-12 group B_3(S^2), which separates 1 from
 the full twist on every strand count.
 
 Free-group words are tuples of nonzero ints: letter +i / -i is the i-th
-basis letter x_i or its inverse; words are kept reduced.
+basis letter x_i or its inverse; words are kept reduced.  So a product of
+reduced words cancels only where one word meets the next (_join), and an
+Artin step, an endomorphism image or a substitution never re-reduces a
+whole word letter by letter.
 """
 
 from __future__ import annotations
