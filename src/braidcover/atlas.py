@@ -149,75 +149,52 @@ def eliminate_candidates(n: int) -> EliminationTrace:
     """Derive the projective-plane maximal list at n strands from the
     sphere list at 2n strands, the way the double-cover embedding forces:
     a finite subgroup embeds in the sphere braid group on 2n strands, so
-    it sits inside one of those maximal groups; arithmetic on the torsion
-    (element orders divide 4n or 4(n-1)) removes the cyclic candidate and
-    the binary tetrahedral candidate."""
+    it sits inside one of those maximal groups.  Each sphere entry is
+    decided by its family and order: arithmetic on the torsion (element
+    orders divide 4n or 4(n-1)) removes the cyclic candidate and the
+    binary tetrahedral candidate, and the rest are kept."""
     if n < 3:
         raise ValueError("elimination trace needs n >= 3")
     src = "candidate-elimination"
-    steps: list[EliminationStep] = []
-
     assert math.gcd(2 * n - 1, 2 * n) == 1 and math.gcd(2 * n - 1, 2 * (n - 1)) == 1
-    steps.append(
-        EliminationStep(
-            ClassificationEntry("Z", 2 * (2 * n - 1), "all n", src),
-            "eliminated",
+    rules = {
+        ("Z", 2 * (2 * n - 1)): (
+            "all n", "eliminated",
             "element orders divide 4n or 4(n-1); gcd(2n-1, 2n) = "
             "gcd(2n-1, 2(n-1)) = 1, so a cyclic subgroup of order dividing "
-            "2(2n-1) has order at most 2 and lies in Dic_{8n}",
-        )
-    )
-    steps.append(
-        EliminationStep(
-            ClassificationEntry("Dic", 8 * n, "all n", src),
-            "kept",
-            "dicyclic candidate of order 8n from the sphere list at 2n",
-        )
-    )
-    if 2 * n >= 7:
-        steps.append(
-            EliminationStep(
-                ClassificationEntry("Dic", 8 * (n - 1), "n >= 3", src),
-                "kept",
-                "dicyclic candidate of order 8(n-1) from the sphere list at 2n",
-            )
-        )
-    else:  # 2n = 6: not maximal on the sphere side but still a candidate
-        steps.append(
-            EliminationStep(
-                ClassificationEntry("Dic", 8 * (n - 1), "n >= 3", src),
-                "added",
+            "2(2n-1) has order at most 2 and lies in Dic_{8n}"),
+        ("Dic", 8 * n): (
+            "all n", "kept", "dicyclic candidate of order 8n from the sphere list at 2n"),
+        ("Dic", 8 * (n - 1)): (
+            "n >= 3", "kept",
+            "dicyclic candidate of order 8(n-1) from the sphere list at 2n"),
+        ("Tstar", 24): (
+            "n = 2 mod 3", "eliminated",
+            "an order-3 element would force 3 | n or 3 | n-1, impossible "
+            "for n = 2 mod 3; what remains is a subgroup of Q8 inside "
+            "Dic_{8n}"),
+        ("Ostar", 48): (
+            "n = 0,1 mod 3", "kept",
+            "binary octahedral candidate (2n = 0,2 mod 6 iff n = 0,1 mod 3)"),
+        ("Istar", 120): (
+            "n = 0,1,6,10 mod 15", "kept",
+            "binary icosahedral candidate (2n = 0,2,12,20 mod 30 iff "
+            "n = 0,1,6,10 mod 15)"),
+    }
+    sphere = classify("s2", 2 * n)
+    lower = ClassificationEntry("Dic", 8 * (n - 1), "n >= 3", src)
+    steps: list[EliminationStep] = []
+    for e in sphere:
+        condition, action, reason = rules[e.key]
+        steps.append(EliminationStep(
+            ClassificationEntry(e.family, e.order, condition, src), action, reason))
+        # the sphere list lacks Dic_{8(n-1)} only at 2n = 6, where it is
+        # not maximal; it is still a candidate
+        if e.key == ("Dic", 8 * n) and lower.key not in {f.key for f in sphere}:
+            steps.append(EliminationStep(
+                lower, "added",
                 "order-16 dicyclic group: not maximal in the sphere group on "
-                "6 strands, but realised inside the binary octahedral group",
-            )
-        )
-    if n % 3 == 2:
-        steps.append(
-            EliminationStep(
-                ClassificationEntry("Tstar", 24, "n = 2 mod 3", src),
-                "eliminated",
-                "an order-3 element would force 3 | n or 3 | n-1, impossible "
-                "for n = 2 mod 3; what remains is a subgroup of Q8 inside "
-                "Dic_{8n}",
-            )
-        )
-    if n % 3 in (0, 1):
-        steps.append(
-            EliminationStep(
-                ClassificationEntry("Ostar", 48, "n = 0,1 mod 3", src),
-                "kept",
-                "binary octahedral candidate (2n = 0,2 mod 6 iff n = 0,1 mod 3)",
-            )
-        )
-    if n % 15 in (0, 1, 6, 10):
-        steps.append(
-            EliminationStep(
-                ClassificationEntry("Istar", 120, "n = 0,1,6,10 mod 15", src),
-                "kept",
-                "binary icosahedral candidate (2n = 0,2,12,20 mod 30 iff "
-                "n = 0,1,6,10 mod 15)",
-            )
-        )
+                "6 strands, but realised inside the binary octahedral group"))
     return EliminationTrace(n, tuple(steps))
 
 
@@ -394,9 +371,8 @@ def _check_relator_images(n: int) -> ClaimStatus:
     )
 
 
-def _check_classification_consistency(n: int) -> ClaimStatus:
-    if n >= 3:
-        trace = eliminate_candidates(n)
+def _check_classification_consistency(n: int, trace: EliminationTrace | None) -> ClaimStatus:
+    if trace is not None:
         got = sorted(e.key for e in trace.survivors)
         want = sorted(e.key for e in classify("rp2", n))
         if got != want:
@@ -433,12 +409,13 @@ def verify_suite(n: int) -> ClassificationReport:
     VerificationFailure."""
     if n < 2:
         raise ValueError("verification suite needs n >= 2")
+    trace = eliminate_candidates(n) if n >= 3 else None
     claims = [
         _check_identities(n),
         _check_order_ledger(n),
         _check_quotients(n),
         _check_relator_images(n),
-        _check_classification_consistency(n),
+        _check_classification_consistency(n, trace),
         _check_abelianization(n),
         ClaimStatus(
             "maximality",
@@ -452,5 +429,5 @@ def verify_suite(n: int) -> ClassificationReport:
         n,
         tuple(classify("rp2", n)),
         tuple(claims),
-        eliminate_candidates(n) if n >= 3 else None,
+        trace,
     )

@@ -96,6 +96,13 @@ def _match_point(v: np.ndarray, pool: list[np.ndarray], antipodal: bool) -> int:
     raise ValueError("endpoint does not return to the basepoint set")
 
 
+def _check_error(err: float, tol: float, c: np.ndarray, message: str) -> None:
+    """Raise ValueError(message) unless err <= tol, the largest error over
+    the samples c; NaN and inf fail, and a non-finite sample says so."""
+    if not err <= tol:
+        raise ValueError(message if np.isfinite(c).all() else "path samples must be finite")
+
+
 def _grid_prefix(paths, shape: tuple[int, int]) -> int:
     """Number of leading paths of the given shape."""
     return next((i for i, p in enumerate(paths) if p.shape != shape), len(paths))
@@ -121,8 +128,8 @@ class StrandMotion:
         good = _grid_prefix(self.paths, (self.paths[0].shape[0], 3))
         if good:
             c = _coords(self.paths[:good])
-            if np.max(np.abs(np.sqrt(_sq_norms(*c)) - 1.0)) > UNIT_TOL:
-                raise ValueError("path points must be unit vectors")
+            _check_error(float(np.max(np.abs(np.sqrt(_sq_norms(*c)) - 1.0))), UNIT_TOL, c,
+                         "path points must be unit vectors")
         if good < self.n:
             raise ValueError("paths must share the sample grid")
         antip = self.surface == "rp2"
@@ -165,8 +172,8 @@ class LiftScene:
         if good:
             c = _coords(self.paths[:good])
             src = _coords(self.source.paths)[:, np.arange(good) % n]
-            if _projection_error(c, src, self.cover) > UNIT_TOL:
-                raise ValueError("lifted path does not project to its source")
+            _check_error(_projection_error(c, src, self.cover), UNIT_TOL, c,
+                         "lifted path does not project to its source")
         if good < d * n:
             raise ValueError("lifted path sample grid mismatch")
         if _pairwise_min_distance(c, False) <= SEPARATION_TOL:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from braidcover import atlas
 from braidcover.atlas import (
     REPORT_SCHEMA,
     ClassificationEntry,
@@ -97,6 +98,19 @@ def test_elimination_traces_are_pinned():
             h.update(json.dumps([s.entry.describe(), list(s.entry.key), s.action,
                                  s.reason]).encode() + b"\n")
     assert h.hexdigest()[:16] == "3a0c61bbc50ea1a4"
+
+
+def test_elimination_reads_the_sphere_list(monkeypatch):
+    # the trace is derived from the sphere list at 2n, not typed beside it
+    def classify_without_ostar(surface, n):
+        out = classify(surface, n)
+        if (surface, n) == ("s2", 8):
+            out = [e for e in out if e.family != "Ostar"]
+        return out
+
+    monkeypatch.setattr(atlas, "classify", classify_without_ostar)
+    steps = eliminate_candidates(4).steps
+    assert steps and not any(s.entry.family == "Ostar" for s in steps)
 
 
 def test_gcd_scan():

@@ -86,6 +86,14 @@ def test_strand_motion_validation():
         StrandMotion(2, "rp2", (good.paths[0] * 2, good.paths[1][:-1]))
     with pytest.raises(ValueError, match="share the sample grid"):
         StrandMotion(2, "rp2", (good.paths[0][:-1], good.paths[1] * 2))
+    # a NaN or inf sample fails the unit test and is named; a finite
+    # sample too large to square is only not a unit vector
+    for bad, message in ((math.nan, "must be finite"), (math.inf, "must be finite"),
+                         (1e200, "unit vectors")):
+        first = good.paths[0].copy()
+        first[5, 0] = bad
+        with pytest.raises(ValueError, match=message), np.errstate(over="ignore"):
+            StrandMotion(2, "rp2", (first, good.paths[1]))
 
 
 def test_generator_motion_validation():
@@ -197,6 +205,10 @@ def test_lift_scene_checks(cover, surface, word):
     # lifted strands coincide
     with pytest.raises(ValueError, match="not disjoint"):
         LiftScene(m, cover, tuple(paths[:2]) + (paths[0],) + tuple(paths[3:]))
+    last = paths[-1].copy()
+    last[3, 1] = math.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        LiftScene(m, cover, tuple(paths[:-1]) + (last,))
 
 
 def test_psi_generator_images_regression():

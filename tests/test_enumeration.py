@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 from braidcover.enumeration import (
     CosetTable,
     EnumerationOverflow,
+    GroupTable,
     TableNotClosed,
     abelianization,
     alternating_table,
@@ -20,7 +23,7 @@ from braidcover.presentations import (
     van_buskirk,
 )
 from braidcover.rewriting import _MoveTable
-from braidcover.words import letter_codes, parse_word, sigma
+from braidcover.words import EMPTY, letter_codes, parse_word, sigma
 
 
 def table_of(family, param=None):
@@ -148,3 +151,35 @@ def test_coset_table_and_move_table_share_letter_codes():
     for x in codes:
         c = t.action[c][x]
     assert c == group_table(t).evaluate(w)
+
+
+def test_associativity_rejects_a_loop():
+    # a loop of order 5 (a Latin square with identity 0) that is not a group
+    rows = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+    loop = GroupTable("loop5", rows, (sigma(1), sigma(2)), (1, 2), (EMPTY,) * 5)
+    with pytest.raises(AssertionError, match="associativity fails"):
+        loop.check_associativity()
+
+
+def test_associativity_needs_generating_ids():
+    # the generator elements are where the test looks; if they do not
+    # generate the table, the test proves nothing and rejects it
+    t = table_of("Q8")
+    with pytest.raises(AssertionError, match="do not generate"):
+        replace(t, generator_ids=t.generator_ids[:1]).check_associativity()
+
+
+def test_every_table_is_checked(monkeypatch):
+    checked = []
+    check = GroupTable.check_associativity
+    monkeypatch.setattr(GroupTable, "check_associativity",
+                        lambda self: checked.append(self.size) or check(self))
+    t = table_of("Dih", 130)
+    _z, q = center_and_quotient(t)
+    assert checked == [t.size, q.size] == [260, 130]
+
+
+def test_one_element_table_passes():
+    t = group_table(coset_enumerate(Presentation("trivial", (), ())))
+    assert t.size == 1 and t.generator_ids == ()
+    t.check_associativity()
