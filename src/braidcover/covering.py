@@ -121,6 +121,8 @@ class StrandMotion:
     def __post_init__(self):
         if self.surface not in ("rp2", "annulus"):
             raise ValueError(f"unknown surface {self.surface!r}")
+        if self.n < 1:
+            raise ValueError("strand count must be >= 1")
         if len(self.paths) != self.n:
             raise ValueError("need one path per strand")
         # the paths before the first one off the grid are checked first,

@@ -14,12 +14,16 @@ between steps, so certificates are deterministic and positionally stable.
 Soundness is immediate: every move multiplies by a relator conjugate or
 by a word freely equal to the identity.
 
-A replay edits one list of letters in place (_apply), so a step costs
+A step is a checked 5-tuple (DerivationStep).  A replay unpacks each
+step and edits one list of letters in place (_apply), so a step costs
 the letters it inserts, deletes or compares, plus one memmove, rather
 than a copy of the whole word.  Derivation.to_json writes the bytes of
 json.dumps(payload, indent=1) from a fixed per-step template, escaping
-strings with the C encoder, and from_json parses each distinct
-conjugator once per certificate.
+strings with the C encoder.  Derivation.from_json checks each field over
+all steps at once (one column at a time), parses each distinct
+conjugator once, and builds the steps with no per-step check left to
+make; a certificate that fails a column check is read again step by
+step, which names the first bad step.
 
 The search half of the module (find_equality) finds certificates for
 short identities by best-first insertion of cyclic rotations of relators.
@@ -40,6 +44,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .presentations import Presentation
 from .words import EMPTY, BraidWord, Generator, Letter, format_word, letter_codes, parse_word
@@ -50,6 +55,7 @@ FREE_CANCEL = "FreeCancel"
 FREE_INSERT = "FreeInsert"
 
 ACTIONS = (INSERT_RELATOR, DELETE_RELATOR, FREE_CANCEL, FREE_INSERT)
+_ACTION_SET = frozenset(ACTIONS)
 
 
 class CertificateFormatError(ValueError):
@@ -65,19 +71,49 @@ class DerivationError(ValueError):
         self.step_index = step_index
 
 
-@dataclass(frozen=True)
-class DerivationStep:
-    action: str
-    position: int
-    relator_index: int = 0
-    inverse_flag: bool = False
-    conjugator: BraidWord = EMPTY
+class DerivationStep(tuple):
+    """One move of a derivation: the tuple (action, position,
+    relator_index, inverse_flag, conjugator), with read-only fields of
+    those names.
 
-    def __post_init__(self):
-        if self.action not in ACTIONS:
-            raise ValueError(f"unknown action {self.action!r}")
-        if self.position < 0:
+    The constructor checks what every step must satisfy, and raises
+    ValueError otherwise: a known action, int position >= 0 and
+    relator_index (bool is not an int here), a bool inverse_flag and a
+    BraidWord conjugator.  A replay then unpacks the tuple and checks only
+    what depends on the word.  A step equals and hashes as its plain
+    5-tuple of fields, so it also equals a plain tuple with the same
+    fields; it is never a plain tuple, and replay rejects one."""
+
+    __slots__ = ()
+
+    def __new__(cls, action: str, position: int, relator_index: int = 0,
+                inverse_flag: bool = False, conjugator: BraidWord = EMPTY):
+        if action not in ACTIONS:
+            raise ValueError(f"unknown action {action!r}")
+        if type(position) is not int:
+            raise ValueError(f"position must be an int, got {position!r}")
+        if position < 0:
             raise ValueError("negative position")
+        if type(relator_index) is not int:
+            raise ValueError(f"relator index must be an int, got {relator_index!r}")
+        if type(inverse_flag) is not bool:
+            raise ValueError(f"inverse flag must be a bool, got {inverse_flag!r}")
+        if not isinstance(conjugator, BraidWord):
+            raise ValueError(f"conjugator must be a BraidWord, got {conjugator!r}")
+        return tuple.__new__(cls, (action, position, relator_index, inverse_flag, conjugator))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return ("%s(action=%r, position=%r, relator_index=%r, inverse_flag=%r, conjugator=%r)"
+                % (type(self).__qualname__, *self))
+
+    action = property(itemgetter(0))
+    position = property(itemgetter(1))
+    relator_index = property(itemgetter(2))
+    inverse_flag = property(itemgetter(3))
+    conjugator = property(itemgetter(4))
 
 
 @dataclass(frozen=True)
@@ -91,18 +127,19 @@ class Derivation:
         json.dumps(payload, indent=1) writes for the payload
         {"format", "from", "to", "steps": [{"action", "position",
         "relator_index", "inverse_flag", "conjugator"}, ...]}, with words
-        in format_word's spelling, for steps whose fields have their
-        declared types.  Each step fills one template, strings are escaped
-        by the C function encode_basestring_ascii (what ensure_ascii
-        selects), and each distinct conjugator is formatted once."""
-        conjugators: dict[BraidWord, str] = {}
+        in format_word's spelling.  Each step fills one template, strings
+        are escaped by the C function encode_basestring_ascii (what
+        ensure_ascii selects), actions come pre-encoded, and each
+        conjugator object is formatted once: its text is cached by id(),
+        which stays valid while the steps hold the object."""
+        conjugators: dict[int, str] = {}
         parts = []
-        for s in self.steps:
-            c = conjugators.get(s.conjugator)
-            if c is None:
-                c = conjugators[s.conjugator] = _json_string(format_word(s.conjugator))
-            parts.append(_STEP_JSON % (_json_string(s.action), s.position, s.relator_index,
-                                       "true" if s.inverse_flag else "false", c))
+        for action, position, relator_index, inverse_flag, c in self.steps:
+            text = conjugators.get(id(c))
+            if text is None:
+                text = conjugators[id(c)] = _json_string(format_word(c))
+            parts.append(_STEP_JSON % (_ACTION_JSON[action], position, relator_index,
+                                       _BOOL_JSON[inverse_flag], text))
         steps = "[\n" + ",\n".join(parts) + "\n ]" if parts else "[]"
         return _DERIVATION_JSON % (_json_string(format_word(self.source)),
                                    _json_string(format_word(self.target)), steps)
@@ -110,8 +147,9 @@ class Derivation:
     @staticmethod
     def from_json(text: str) -> "Derivation":
         """Parse a derivation-v1 certificate; any malformed input raises
-        CertificateFormatError.  Each distinct conjugator string is parsed
-        once."""
+        CertificateFormatError, naming the first bad step if a step is
+        bad.  The steps are read by _steps_by_columns, and again by
+        _step_from_json, step by step, only to report an error."""
         try:
             payload = json.loads(text)
         except (TypeError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
@@ -123,13 +161,17 @@ class Derivation:
         raw_steps = payload.get("steps")
         if not isinstance(raw_steps, list):
             raise CertificateFormatError("steps must be a list")
-        conjugators: dict[str, BraidWord] = {}
-        steps = tuple([_step_from_json(i, s, conjugators) for i, s in enumerate(raw_steps)])
+        steps = _steps_by_columns(raw_steps)
+        if steps is None:
+            conjugators: dict[str, BraidWord] = {}
+            steps = tuple([_step_from_json(i, s, conjugators) for i, s in enumerate(raw_steps)])
         return Derivation(_word_field(payload, "from", "certificate"),
                           _word_field(payload, "to", "certificate"), steps)
 
 
 _json_string = json.encoder.encode_basestring_ascii
+_ACTION_JSON = {a: _json_string(a) for a in ACTIONS}
+_BOOL_JSON = ("false", "true")  # indexed by a bool
 
 # json.dumps(payload, indent=1) around one step and around the certificate
 _STEP_JSON = """  {
@@ -164,6 +206,40 @@ def _int_field(obj: dict, key: str, index: int, default: int | None = None) -> i
     return value
 
 
+# each field of a JSON step with its default; None marks a required field
+_STEP_DEFAULTS = (("action", None), ("position", None), ("relator_index", 0),
+                  ("inverse_flag", False), ("conjugator", ""))
+_INT, _BOOL, _STR = {int}, {bool}, {str}
+
+
+def _steps_by_columns(raw_steps: list) -> tuple[DerivationStep, ...] | None:
+    """The steps of a certificate, or None if any step fails a check.
+
+    Each field is read over all steps in one C-level pass (dict.get with
+    the field's default), then checked over the whole column: the type
+    sets of positions and relator indices are {int} (which rejects bool),
+    of flags {bool} and of conjugators {str}, positions are >= 0 and
+    actions lie in ACTIONS.  Each distinct conjugator string is parsed
+    once.  Those are every check DerivationStep's constructor makes, so
+    the steps are built with tuple.__new__ and skip it.  A step that is
+    not an object, an unhashable action or an unparseable conjugator
+    gives None too."""
+    try:
+        actions, positions, refs, flags, texts = (
+            list(map(dict.get, raw_steps, itertools.repeat(key), itertools.repeat(default)))
+            for key, default in _STEP_DEFAULTS)
+        if not (set(actions) <= _ACTION_SET
+                and set(map(type, positions)) <= _INT and min(positions, default=0) >= 0
+                and set(map(type, refs)) <= _INT and set(map(type, flags)) <= _BOOL
+                and set(map(type, texts)) <= _STR):
+            return None
+        words = {text: parse_word(text) for text in dict.fromkeys(texts)}
+    except (TypeError, ValueError):
+        return None
+    return tuple(map(tuple.__new__, itertools.repeat(DerivationStep),
+                     zip(actions, positions, refs, flags, map(words.__getitem__, texts))))
+
+
 def _step_from_json(index: int, s, conjugators: dict[str, BraidWord]) -> DerivationStep:
     """One step of a certificate; conjugators maps each conjugator string
     already parsed in this certificate to its word."""
@@ -190,13 +266,14 @@ def _inverse_letters(letters) -> list[Letter]:
     return [(g, -e) for g, e in reversed(letters)]
 
 
-def _inserted_letters(p: Presentation, step: DerivationStep, index: int) -> list[Letter]:
-    if not (0 <= step.relator_index < len(p.relators)):
-        raise DerivationError(index, f"relator index {step.relator_index} out of range")
-    r = p.relators[step.relator_index].letters
-    if step.inverse_flag:
+def _inserted_letters(p: Presentation, relator_index: int, inverse_flag: bool,
+                      conjugator: BraidWord, index: int) -> list[Letter]:
+    if not (0 <= relator_index < len(p.relators)):
+        raise DerivationError(index, f"relator index {relator_index} out of range")
+    r = p.relators[relator_index].letters
+    if inverse_flag:
         r = _inverse_letters(r)
-    c = step.conjugator.letters
+    c = conjugator.letters
     return [*c, *r, *_inverse_letters(c)]
 
 
@@ -206,21 +283,25 @@ def _apply(p: Presentation, letters: list[Letter], step: DerivationStep, index: 
     del letters[a:b] and inserts with letters[pos:pos] = ..., so it costs
     the letters it handles rather than a copy of the word.  Every letter
     it handles comes from a validated word, so the list needs no
-    revalidation."""
-    pos = step.position
-    action = step.action
+    revalidation, and the step's own fields were checked when it was
+    built, so it is unpacked unchecked; anything but a DerivationStep is
+    rejected."""
+    if type(step) is not DerivationStep:
+        raise DerivationError(index, "not a DerivationStep")
+    action, pos, ref, inv, c = step
     if action == FREE_CANCEL:
         if pos + 1 >= len(letters):
             raise DerivationError(index, "cancel position beyond word end")
         g, e = letters[pos]
-        # equal generators are usually one object, and the tuple compare
-        # takes identity before it calls Generator.__eq__
+        # a tuple compare takes identity before ==, and parse_word, sigma,
+        # rho and tau hand out one Generator per letter, so this compare
+        # rarely calls Generator.__eq__
         if letters[pos + 1] != (g, -e):
             raise DerivationError(index, "letters at position are not an inverse pair")
         del letters[pos : pos + 2]
         return
     if action == DELETE_RELATOR:
-        ins = _inserted_letters(p, step, index)
+        ins = _inserted_letters(p, ref, inv, c, index)
         k = len(ins)
         if letters[pos : pos + k] != ins:
             raise DerivationError(index, "relator conjugate not present at position")
@@ -229,13 +310,13 @@ def _apply(p: Presentation, letters: list[Letter], step: DerivationStep, index: 
     if pos > len(letters):
         raise DerivationError(index, f"position {pos} beyond word of length {len(letters)}")
     if action == INSERT_RELATOR:
-        letters[pos:pos] = _inserted_letters(p, step, index)
+        letters[pos:pos] = _inserted_letters(p, ref, inv, c, index)
         return
     # FREE_INSERT
-    c = step.conjugator.letters
-    if not c:
+    word = c.letters
+    if not word:
         raise DerivationError(index, "free insert needs a nonempty word")
-    letters[pos:pos] = [*c, *_inverse_letters(c)]
+    letters[pos:pos] = [*word, *_inverse_letters(word)]
 
 
 def apply_step(p: Presentation, w: BraidWord, step: DerivationStep, index: int = 0) -> BraidWord:
@@ -436,8 +517,9 @@ def _flatten_into(items, offset: int, out: list[DerivationStep]) -> None:
         if type(item) is LemmaUse:
             _flatten_into(item.lemma.body(item.kind), offset + item.offset, out)
         elif offset:
-            out.append(DerivationStep(item.action, item.position + offset, item.relator_index,
-                                      item.inverse_flag, item.conjugator))
+            action, position, relator_index, inverse_flag, conjugator = item
+            out.append(DerivationStep(action, position + offset, relator_index, inverse_flag,
+                                      conjugator))
         else:
             out.append(item)
 
@@ -464,19 +546,18 @@ def _replay_inverted(p: Presentation, letters, items) -> tuple[list, tuple[Lette
             step._apply(letters, i)
             out.append(LemmaUse(step.lemma, _INVERSE_KIND[step.kind], step.offset))
             continue
-        action = step.action
+        action, pos, ref, inv, c = step
         # the letter a FreeCancel deletes, read before the step applies
-        cancelled = letters[step.position : step.position + 1] if action == FREE_CANCEL else None
+        cancelled = letters[pos : pos + 1] if action == FREE_CANCEL else None
         _apply(p, letters, step, i)
         if action == INSERT_RELATOR:
-            out.append(DerivationStep(DELETE_RELATOR, step.position, step.relator_index, step.inverse_flag, step.conjugator))
+            out.append(DerivationStep(DELETE_RELATOR, pos, ref, inv, c))
         elif action == DELETE_RELATOR:
-            out.append(DerivationStep(INSERT_RELATOR, step.position, step.relator_index, step.inverse_flag, step.conjugator))
+            out.append(DerivationStep(INSERT_RELATOR, pos, ref, inv, c))
         elif action == FREE_CANCEL:
-            out.append(DerivationStep(FREE_INSERT, step.position, conjugator=BraidWord(tuple(cancelled))))
+            out.append(DerivationStep(FREE_INSERT, pos, conjugator=BraidWord(tuple(cancelled))))
         else:  # FREE_INSERT of c c^-1: cancel from the innermost pair outwards
-            k = len(step.conjugator)
-            out.extend(DerivationStep(FREE_CANCEL, step.position + j) for j in range(k))
+            out.extend(DerivationStep(FREE_CANCEL, pos + j) for j in range(len(c)))
     out.reverse()
     return out, tuple(letters)
 

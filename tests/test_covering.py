@@ -68,6 +68,9 @@ def test_strand_motion_validation():
         StrandMotion(2, "rp2", good.paths[:1])
     with pytest.raises(ValueError):
         StrandMotion(2, "sphere", good.paths)
+    for surface in ("rp2", "annulus"):
+        with pytest.raises(ValueError, match="strand count"):
+            StrandMotion(0, surface, ())
     # coincident paths rejected
     p = np.stack([np.array([0.0, 0.0, 1.0])] * 4)
     with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -329,3 +332,29 @@ def test_positive_script_rejects_unequal_pure_words():
     for u, v in (([1, 1], [2, 2]), ([1, 2, 2, 1], [2, 1, 1, 2]), ([2] * 1500, [3] * 1500)):
         with pytest.raises(ScriptError):
             _positive_script("w", _positive(u), _positive(v))
+
+
+# sha256 of every certificate of certify_all(4), in order, then of the
+# verify_suite(3) report
+HASH_SEED_PROBE = """
+import hashlib
+from braidcover.atlas import verify_suite
+from braidcover.identities import CertificateEngine
+for label, d in CertificateEngine(4).certify_all().items():
+    print(label, hashlib.sha256(d.to_json().encode()).hexdigest())
+print(hashlib.sha256(verify_suite(3).to_json().encode()).hexdigest())
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    # a set or dict whose order followed string hashes would show here
+    src = os.path.dirname(os.path.dirname(identities.__file__))
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", HASH_SEED_PROBE], capture_output=True,
+                             text=True, env=env, timeout=300)
+        assert out.returncode == 0, out.stderr
+        outputs.append(out.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == len(paper_claims(4)) + 1

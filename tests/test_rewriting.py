@@ -1,10 +1,18 @@
+import copy
+import functools
+import hashlib
 import json
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidcover import rewriting
+from braidcover.identities import CertificateEngine
 from braidcover.presentations import Presentation, sphere_presentation, van_buskirk
 from braidcover.rewriting import (
     ACTIONS,
@@ -25,6 +33,10 @@ from braidcover.rewriting import (
     verify_derivation,
 )
 from braidcover.words import EMPTY, BraidWord, format_word, parse_word, rho, sigma, tau
+
+
+# the directory braidcover is imported from, for subprocesses
+SRC = os.path.dirname(os.path.dirname(rewriting.__file__))
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +134,109 @@ def test_apply_step_and_replay_leave_their_input(vb3):
     d = Derivation(w, w, (insert, delete))
     assert replay(vb3, d) == w and apply_step(vb3, after, delete) == w
     assert d.source == parse_word("s1 s2 r1") and after == replay(vb3, Derivation(w, w, (insert,)))
+
+
+# ---------------------------------------------------------------------------
+# a step is a checked tuple
+
+INSERT, CANCEL = "InsertRelatorConjugate", "FreeCancel"
+
+
+def test_step_checks_its_field_types():
+    # a field of the wrong type; before the constructor checked types, a
+    # str relator index or conjugator made verify_derivation raise, and a
+    # bool position was accepted
+    p = van_buskirk(2)
+    for bad in ((INSERT, 0, "0"), (INSERT, 0, True), (INSERT, 0, 1.0), (CANCEL, True),
+                (CANCEL, 1.0), (CANCEL, "1"), (CANCEL, None), (INSERT, 0, 0, 1),
+                (INSERT, 0, 0, None), (INSERT, 0, 0, False, "s1"), (INSERT, 0, 0, False, None),
+                (INSERT, 0, 0, False, parse_word("s1").letters)):
+        with pytest.raises(ValueError, match="must be"):
+            DerivationStep(*bad)
+    with pytest.raises(ValueError, match="negative position"):
+        DerivationStep(CANCEL, -1)
+    with pytest.raises(ValueError, match="unknown action 'Teleport'"):
+        DerivationStep("Teleport", 0)
+    # a plain tuple with a step's fields is not a step: replay refuses it
+    # and verify_derivation answers False
+    fields = (INSERT, 0, 0, False, EMPTY)
+    d = Derivation(parse_word("s1 s1^-1"), EMPTY, (fields,))
+    assert not verify_derivation(p, d)
+    with pytest.raises(DerivationError, match="step 0: not a DerivationStep"):
+        replay(p, d)
+    assert verify_derivation(p, Derivation(parse_word("s1 s1^-1"), EMPTY,
+                                           (DerivationStep(CANCEL, 0),)))
+
+
+# repr and hash of a few steps, read from the frozen-dataclass step that
+# the tuple step replaced; the hashes under PYTHONHASHSEED=0
+STEP_SAMPLES = (
+    ("DerivationStep('InsertRelatorConjugate', 3, 2, True, parse_word('s1 r2^-1'))",
+     "DerivationStep(action='InsertRelatorConjugate', position=3, relator_index=2, "
+     "inverse_flag=True, conjugator=BraidWord(letters=((Generator(kind='s', index=1), 1), "
+     "(Generator(kind='r', index=2), -1))))",
+     6887629685203067884),
+    ("DerivationStep('FreeCancel', 0)",
+     "DerivationStep(action='FreeCancel', position=0, relator_index=0, inverse_flag=False, "
+     "conjugator=BraidWord(letters=()))",
+     3024324604826104143),
+    ("DerivationStep('FreeInsert', 7, conjugator=parse_word('t1'))",
+     "DerivationStep(action='FreeInsert', position=7, relator_index=0, inverse_flag=False, "
+     "conjugator=BraidWord(letters=((Generator(kind='t', index=1), 1),)))",
+     6419244626033027230),
+)
+
+
+def test_step_is_an_immutable_tuple_with_the_dataclass_repr_and_hash():
+    step = DerivationStep(INSERT, 3, 2, True, parse_word("s1 r2^-1"))
+    assert (step.action, step.position, step.relator_index, step.inverse_flag,
+            step.conjugator) == (INSERT, 3, 2, True, parse_word("s1 r2^-1"))
+    assert step == DerivationStep(action=INSERT, position=3, relator_index=2,
+                                  inverse_flag=True, conjugator=parse_word("s1 r2^-1"))
+    assert DerivationStep(CANCEL, 4) == DerivationStep(CANCEL, 4, 0, False, EMPTY)
+    # equal to, and hashed as, the plain tuple of its fields, as the
+    # dataclass hashed
+    assert step == tuple(step) and hash(step) == hash(tuple(step)) and len(step) == 5
+    assert step != DerivationStep(INSERT, 3, 2, False, parse_word("s1 r2^-1"))
+    for text, expected, _hash in STEP_SAMPLES:
+        assert repr(eval(text)) == expected
+    with pytest.raises(AttributeError):
+        step.position = 4
+    with pytest.raises(AttributeError):
+        step.note = "x"
+    assert not hasattr(step, "__dict__")
+    # no namedtuple door around the constructor's checks
+    assert not hasattr(DerivationStep, "_replace") and not hasattr(DerivationStep, "_make")
+    for clone in (copy.copy(step), copy.deepcopy(step), pickle.loads(pickle.dumps(step))):
+        assert type(clone) is DerivationStep and clone == step
+
+
+def test_step_hashes_match_the_dataclass_step():
+    texts = [text for text, _repr, _hash in STEP_SAMPLES]
+    code = ("from braidcover.rewriting import DerivationStep\n"
+            "from braidcover.words import parse_word\n"
+            f"print([hash(eval(text)) for text in {texts!r}])")
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [h for _t, _r, h in STEP_SAMPLES]
+
+
+def test_to_json_formats_equal_conjugators_apart():
+    # the conjugator cache is keyed by object: equal words that are
+    # distinct objects are each formatted, to the same bytes as before
+    a, b = parse_word("s1 r2^-1"), parse_word("s1 r2^-1")
+    assert a is not b and a == b
+    d = Derivation(parse_word("s1 s2"), EMPTY, (
+        DerivationStep("FreeInsert", 0, conjugator=a),
+        DerivationStep(INSERT, 3, 1, True, b),
+        DerivationStep("FreeInsert", 2, conjugator=b),
+        DerivationStep("DeleteRelatorConjugate", 1, 0, False, a),
+        DerivationStep(CANCEL, 0)))
+    text = d.to_json()
+    assert text == json_dumps_reference(d)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "090a2fbec52fe7ea"
 
 
 def test_verify_derivation_checks_the_alphabet():
@@ -412,6 +527,131 @@ def test_from_json_is_total_on_steps(step):
     assert type(s.inverse_flag) is bool
     assert Derivation.from_json(d.to_json()) == d
     verify_derivation(VB3, d)  # replay either lands somewhere or rejects
+
+
+# ---------------------------------------------------------------------------
+# the column reader agrees with the step-by-step reader it replaced
+
+
+def _oracle_word_field(obj: dict, key: str, where: str, default=None) -> BraidWord:
+    text = obj.get(key, default)
+    if not isinstance(text, str):
+        raise CertificateFormatError(f"{where}: {key!r} must be a word string")
+    try:
+        return parse_word(text)
+    except ValueError as exc:
+        raise CertificateFormatError(f"{where}: {key!r}: {exc}") from None
+
+
+def _oracle_int_field(obj: dict, key: str, index: int, default=None) -> int:
+    value = obj.get(key, default)
+    if type(value) is not int:
+        raise CertificateFormatError(f"step {index}: {key!r} must be an integer")
+    return value
+
+
+def _oracle_step(index: int, s, conjugators: dict) -> DerivationStep:
+    if not isinstance(s, dict):
+        raise CertificateFormatError(f"step {index}: must be a JSON object")
+    action = s.get("action")
+    if action not in ACTIONS:
+        raise CertificateFormatError(f"step {index}: unknown action {action!r}")
+    position = _oracle_int_field(s, "position", index)
+    if position < 0:
+        raise CertificateFormatError(f"step {index}: negative position")
+    inverse_flag = s.get("inverse_flag", False)
+    if type(inverse_flag) is not bool:
+        raise CertificateFormatError(f"step {index}: 'inverse_flag' must be a boolean")
+    relator_index = _oracle_int_field(s, "relator_index", index, 0)
+    text = s.get("conjugator", "")
+    conjugator = conjugators.get(text) if type(text) is str else None
+    if conjugator is None:
+        conjugator = conjugators[text] = _oracle_word_field(s, "conjugator", f"step {index}", "")
+    return DerivationStep(action, position, relator_index, inverse_flag, conjugator)
+
+
+def oracle_from_json(text: str) -> Derivation:
+    """The step-by-step certificate reader that the column reader
+    replaced, kept as its oracle."""
+    try:
+        payload = json.loads(text)
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise CertificateFormatError(f"not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise CertificateFormatError("certificate must be a JSON object")
+    if payload.get("format") != "derivation-v1":
+        raise CertificateFormatError("unknown certificate format")
+    raw_steps = payload.get("steps")
+    if not isinstance(raw_steps, list):
+        raise CertificateFormatError("steps must be a list")
+    conjugators: dict = {}
+    steps = tuple([_oracle_step(i, s, conjugators) for i, s in enumerate(raw_steps)])
+    return Derivation(_oracle_word_field(payload, "from", "certificate"),
+                      _oracle_word_field(payload, "to", "certificate"), steps)
+
+
+@functools.lru_cache(maxsize=None)
+def shipped_certificates() -> tuple[str, ...]:
+    """The certificate text of every claim at n = 2..4."""
+    return tuple(d.to_json() for n in (2, 3, 4)
+                 for d in CertificateEngine(n).certify_all().values())
+
+
+def _replace_field(key, value):
+    def mutate(step):
+        return {**step, key: value}
+    return mutate
+
+
+def _drop_field(key):
+    def mutate(step):
+        return {k: v for k, v in step.items() if k != key}
+    return mutate
+
+
+# every way one step can go wrong, and some ways that are still right: a
+# field of the wrong type (a bool or a float for an int among them), a
+# negative position or relator index, an unknown or unhashable action, a
+# missing or an extra key, a step that is not an object, and an
+# unparseable conjugator
+STEP_MUTATIONS = (
+    *(_replace_field(key, value)
+      for key in ("action", "position", "relator_index", "inverse_flag", "conjugator")
+      for value in ("3", 3, 0, 1, 2.5, 1.0, True, False, None, [], {}, -1)),
+    _replace_field("action", "Teleport"), _replace_field("action", ["FreeCancel"]),
+    _replace_field("action", "FreeInsert"), _replace_field("position", 10**20),
+    *(_replace_field("conjugator", text) for text in ("q2", "s0", "s1^2", "s1  r2^-1", "")),
+    *(_drop_field(key)
+      for key in ("action", "position", "relator_index", "inverse_flag", "conjugator")),
+    lambda step: {**step, "note": 1},
+    *(lambda step, value=value: value for value in (1, "s1", [], None, True)),
+)
+
+
+def read(reader, text: str):
+    """What reader makes of text: the derivation with the types of its
+    step fields, or the message of its CertificateFormatError."""
+    try:
+        d = reader(text)
+    except CertificateFormatError as exc:
+        return ("error", str(exc))
+    return ("derivation", d, [tuple(map(type, step)) for step in d.steps])
+
+
+@settings(max_examples=12)
+@given(st.data())
+def test_column_reader_matches_the_step_reader(data):
+    text = data.draw(st.sampled_from(shipped_certificates()))
+    assert read(Derivation.from_json, text) == read(oracle_from_json, text)
+    payload = json.loads(text)
+    if not payload["steps"]:
+        return
+    k = data.draw(st.integers(0, len(payload["steps"]) - 1))
+    for mutate in STEP_MUTATIONS:
+        steps = list(payload["steps"])
+        steps[k] = mutate(steps[k])
+        mutant = json.dumps({**payload, "steps": steps})
+        assert read(Derivation.from_json, mutant) == read(oracle_from_json, mutant)
 
 
 # ---------------------------------------------------------------------------
