@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Randomized injectivity spot checks for the d-fold annulus cover
 embedding: every oracle-nontrivial annulus braid word must lift to an
-oracle-nontrivial braid of the cover.
+oracle-nontrivial braid of the cover.  For each (d, n) the relator
+images are checked first: each defining relator must map to a trivial
+braid, or the generator images define no map on the group.  Exits 1 if
+a relator image or a spot check fails.
 
 Example:
     python3 scripts/annulus_spotchecks.py --trials 100 --max-n 4
@@ -11,7 +14,7 @@ import argparse
 import sys
 import time
 
-from braidcover.covering import injectivity_spotcheck_annulus
+from braidcover.covering import injectivity_spotcheck_annulus, verify_annulus_relator_images
 
 
 def main() -> int:
@@ -30,6 +33,15 @@ def main() -> int:
     failed = False
     for d in args.degrees:
         for n in range(1, args.max_n + 1):
+            relators = verify_annulus_relator_images(d, n)
+            bad = [e for e in relators.entries if not e.ok]
+            print(f"d={d} n={n}: {len(relators.entries)} relator images, "
+                  f"{f'{len(bad)} NONTRIVIAL' if bad else 'all trivial'}")
+            for e in bad:
+                print(f"  nontrivial image: {e.label} ({e.relator})")
+            if bad:
+                failed = True
+                continue
             t0 = time.perf_counter()
             rep = injectivity_spotcheck_annulus(
                 d, n, args.trials, seed=args.seed, max_len=args.max_len

@@ -189,13 +189,13 @@ def test_criterion_7_annulus_injectivity():
     checked = 0
     for d in (2, 3):
         for n in (1, 2, 3, 4):
-            rep = injectivity_spotcheck_annulus(d, n, trials=90, seed=d * 10 + n)
+            rep = injectivity_spotcheck_annulus(d, n, trials=450, seed=d * 10 + n)
             checked += rep.checked
             if not rep.ok:
                 failures.append(f"d={d}, n={n}: {len(rep.failures)} nontrivial "
                                 f"words lifted to trivial braids")
-    if checked < 500:
-        failures.append(f"only {checked} nontrivial words checked, need >= 500")
+    if checked < 2500:
+        failures.append(f"only {checked} nontrivial words checked, need >= 2500")
     report(7, f"{checked} oracle-certified-nontrivial annulus words lift to "
               "nontrivial cover braids (d=2,3; n<=4)", failures)
 

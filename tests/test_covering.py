@@ -13,6 +13,8 @@ from braidcover.covering import (
     Cover,
     LiftScene,
     NonGenericScene,
+    RelatorImageEntry,
+    RelatorImageReport,
     StrandMotion,
     _coords,
     _pairwise_min_distance,
@@ -28,11 +30,23 @@ from braidcover.covering import (
     psi,
     scene_to_svg,
     scene_to_text,
+    verify_annulus_relator_images,
     verify_relator_images,
     word_motion,
 )
-from braidcover.oracles import annulus_oracle, disc_action, sphere_action, sphere_word_problem
-from braidcover.presentations import _van_buskirk_relators, full_twist, van_buskirk
+from braidcover.oracles import (
+    SphereWPVerdict,
+    annulus_oracle,
+    disc_action,
+    sphere_action,
+    sphere_word_problem,
+)
+from braidcover.presentations import (
+    _van_buskirk_relators,
+    annulus_presentation,
+    full_twist,
+    van_buskirk,
+)
 from braidcover.words import (
     EMPTY,
     BraidWord,
@@ -267,19 +281,49 @@ def test_whole_word_lifts_are_pinned(n, words, actions):
     assert _digest(str(sphere_action(2 * n, w).images) for w in lifts) == actions
 
 
-@pytest.mark.parametrize("d, n, words, actions", [
+_ANNULUS_PINS = [
     (2, 1, "6ea920bcfaf211fb", "c725787b15bcdd5a"), (2, 2, "8418cd2445ae57fa", "a482d010969447ad"),
     (2, 3, "6b97024d0fed15ef", "8335c920e964dad5"), (2, 4, "23ed8b2775307aea", "be9c24409aeb2efb"),
     (3, 1, "15ca68c2b75cd203", "967bce14cbd721e1"), (3, 2, "3cc9d03784eaa675", "f17c8a871e19e19d"),
-    (3, 3, "eabf651662aa6b60", "e0c479f7bc26e819"), (3, 4, "e0f55cc66552a313", "3bb27c65d7ec50f9")])
-def test_annulus_cover_images_are_pinned(d, n, words, actions):
+    (3, 3, "eabf651662aa6b60", "e0c479f7bc26e819"), (3, 4, "e0f55cc66552a313", "3bb27c65d7ec50f9")]
+
+
+def _annulus_pin_words(d: int, n: int) -> list[BraidWord]:
     rng = random.Random(f"annulus pin d={d} n={n}")
     gens = [sigma(i) for i in range(1, n)] + [tau()]
-    images = [annulus_cover_image(d, n, BraidWord(tuple(
-                  (rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(1, 8)))))
-              for _ in range(8)]
+    return [BraidWord(tuple((rng.choice(gens), rng.choice((1, -1)))
+                            for _ in range(rng.randint(1, 8))))
+            for _ in range(8)]
+
+
+@pytest.mark.parametrize("d, n, words, actions", _ANNULUS_PINS)
+def test_annulus_cover_images_are_pinned(d, n, words, actions):
+    # the whole-word geometric lift, byte for byte and as disc braids
+    images = [extract_word(lift_motion(word_motion(w, n, "annulus"), annulus_dfold(d)))
+              for w in _annulus_pin_words(d, n)]
     assert _digest(map(format_word, images)) == words
     assert _digest(str(disc_action(d * n + 1, w).images) for w in images) == actions
+
+
+@pytest.mark.parametrize("d, n, _words, actions", _ANNULUS_PINS)
+def test_annulus_homomorphic_images_match_the_pinned_actions(d, n, _words, actions):
+    # the concatenated generator images are the same disc braids as the
+    # pinned whole-word lifts, though not always the same words
+    images = [annulus_cover_image(d, n, w) for w in _annulus_pin_words(d, n)]
+    assert _digest(str(disc_action(d * n + 1, w).images) for w in images) == actions
+
+
+@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_annulus_whole_word_lift_equals_cover_image(d, n):
+    rng = random.Random(f"annulus cross-check d={d} n={n}")
+    gens = [sigma(i) for i in range(1, n)] + [tau()]
+    for _ in range(20):
+        w = BraidWord(tuple((rng.choice(gens), rng.choice((1, -1)))
+                            for _ in range(rng.randint(1, 10))))
+        lifted = extract_word(lift_motion(word_motion(w, n, "annulus"), annulus_dfold(d)))
+        quotient = (lifted * annulus_cover_image(d, n, w).inverse()).free_reduce()
+        assert disc_action(d * n + 1, quotient).is_identity(), str(w)
 
 
 def test_psi_is_homomorphic_on_letters():
@@ -354,6 +398,62 @@ def test_rho_meridian_calibration():
             assert got == ("Nontrivial", "action"), label
         else:
             assert got[0] == "Trivial", label
+
+
+@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
+def test_annulus_relator_images_are_trivial(d, n):
+    rep = verify_annulus_relator_images(d, n)
+    assert rep.ok and rep.n == n
+    assert [e.relator for e in rep.entries] == list(annulus_presentation(n).relators)
+
+
+@pytest.mark.parametrize("d, n, message", [(1, 1, "cover degree"), (0, 2, "cover degree"),
+                                           (2, 0, "strand count")])
+def test_annulus_relator_check_rejects_bad_inputs(d, n, message):
+    with pytest.raises(ValueError, match=message):
+        verify_annulus_relator_images(d, n)
+
+
+@pytest.mark.parametrize("twist", (-1, 2))
+@pytest.mark.parametrize("n, failing", [(2, ["relator 0"]), (3, ["relator 1"])])
+def test_annulus_relator_check_fires(monkeypatch, n, failing, twist):
+    # tau's image replaced by its inverse or its square: the letter images
+    # no longer respect the relators, and the check says so
+    real = covering._annulus_generator
+
+    def fake(d, m, g, e):
+        return real(d, m, g, e) ** (twist if g.kind == "t" else 1)
+
+    monkeypatch.setattr(covering, "_annulus_generator", fake)
+    for d in (2, 3):
+        rep = verify_annulus_relator_images.__wrapped__(d, n)
+        assert not rep.ok
+        assert [e.label for e in rep.entries if not e.ok] == failing
+
+
+def test_annulus_spotcheck_needs_trivial_relator_images(monkeypatch):
+    real = verify_annulus_relator_images(2, 2)
+    bad = RelatorImageEntry("relator 0", real.entries[0].relator, 20,
+                            SphereWPVerdict("Nontrivial", "action"))
+    monkeypatch.setattr(covering, "verify_annulus_relator_images",
+                        lambda d, n: RelatorImageReport(n, (bad,)))
+    with pytest.raises(AssertionError, match="relator 0"):
+        injectivity_spotcheck_annulus(2, 2, 5)
+
+
+@pytest.mark.parametrize("d, n, message", [(2, 0, "strand count"), (2, -2, "strand count"),
+                                           (1, 2, "cover degree"), (0, 0, "strand count")])
+def test_annulus_cover_image_checks_the_empty_word(d, n, message):
+    with pytest.raises(ValueError, match=message):
+        annulus_cover_image(d, n, EMPTY)
+
+
+@pytest.mark.parametrize("n", (0, -2))
+def test_psi_checks_the_strand_count(n):
+    for w in (EMPTY, parse_word("s1"), parse_word("r1")):
+        with pytest.raises(ValueError, match="strand count must be >= 1"):
+            psi(n, w)
 
 
 def test_annulus_cover_image():

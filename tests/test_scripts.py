@@ -1,6 +1,7 @@
 """The command-line scripts run against the library as it stands, so an API
 change that breaks one of them fails here."""
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -8,6 +9,9 @@ import subprocess
 import sys
 
 import pytest
+
+from braidcover.covering import RelatorImageEntry, RelatorImageReport
+from braidcover.oracles import SphereWPVerdict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -24,7 +28,27 @@ def run_script(name: str, *args: str, folder: str = "scripts") -> subprocess.Com
 def test_annulus_spotchecks_runs():
     out = run_script("annulus_spotchecks.py", "--trials", "2", "--max-n", "2", "--degrees", "2")
     assert out.returncode == 0, out.stderr
+    assert "d=2 n=1: 0 relator images, all trivial" in out.stdout
+    assert "d=2 n=2: 1 relator images, all trivial" in out.stdout
     assert "total nontrivial words checked:" in out.stdout
+
+
+def test_annulus_spotchecks_fails_on_a_nontrivial_relator_image(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("annulus_spotchecks",
+                                                  ROOT / "scripts" / "annulus_spotchecks.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    check = script.verify_annulus_relator_images
+    bad = RelatorImageEntry("relator 0", check(2, 2).entries[0].relator, 20,
+                            SphereWPVerdict("Nontrivial", "action"))
+    monkeypatch.setattr(script, "verify_annulus_relator_images",
+                        lambda d, n: check(d, n) if n == 1 else RelatorImageReport(n, (bad,)))
+    monkeypatch.setattr(sys, "argv", ["annulus_spotchecks.py", "--trials", "2", "--max-n", "2",
+                                      "--degrees", "2"])
+    assert script.main() == 1
+    out = capsys.readouterr().out
+    assert "d=2 n=2: 1 relator images, 1 NONTRIVIAL" in out
+    assert "nontrivial image: relator 0 (t1 s1 t1 s1 t1^-1 s1^-1 t1^-1 s1^-1)" in out
 
 
 def test_export_lift_gallery_writes_scenes(tmp_path):
