@@ -13,7 +13,6 @@ import argparse
 import sys
 
 from .atlas import VerificationFailure, classify, verify_suite
-from .covering import ANTIPODAL, extract_word, lift_motion, scene_to_svg, scene_to_text, word_motion
 from .enumeration import EnumerationOverflow, TableNotClosed, coset_enumerate
 from .identities import CertificateEngine, claim_builders
 from .oracles import annulus_oracle, disc_action, sphere_word_problem
@@ -84,6 +83,10 @@ def cmd_wp(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    # the only command that needs the sampled geometry, and so numpy
+    from .geometry import (ANTIPODAL, extract_word, lift_motion, scene_to_svg, scene_to_text,
+                           word_motion)
+
     w = parse_word(args.word)
     scene = lift_motion(word_motion(w, args.n, "rp2"), ANTIPODAL)
     word = extract_word(scene)

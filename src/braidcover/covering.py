@@ -1,466 +1,105 @@
-"""Geometric covering-space lifts of surface braids.
+"""The covering embeddings of surface braid groups, as exact words.
 
-Projective-plane braids are modelled as strand motions on the unit
-sphere with antipodal identification; annulus braids as motions on an
-equatorial band of the sphere (the band is an annulus and its d-fold
-cover is the band again, via d-fold angle division).  Motions lift
-path-wise by continuity.  Braid words are read back off a lifted scene
-by a deterministic generic planar projection: stereographic projection
-from a point avoided by all strands, strand order given by a slightly
-tilted coordinate functional, crossing signs from the depth coordinate.
+The antipodal double cover S^2 -> RP^2 induces an embedding
+psi: B_n(RP^2) -> B_2n(S^2).  Its generator images are written here in
+closed form, derived from the lift of each generator's motion.  The
+basepoints b_1..b_n lie on a short line through the north pole; sheet i
+of the cover sits at b_i and sheet n+i at -b_i.  Projected from
+(-1, 0, 0), a point on the great circle of that line, both copies keep
+the order of the line, so the strand order reads sheets 1, ..., 2n.
 
-The induced embedding of the base braid group into the cover braid
-group is realized geometrically, one generator at a time: each
-generator's image is the word extracted from the lift of its motion,
-built once and cached, and the image of a word is the concatenation of
-its letter images.  No generator-image formulas are assumed; they are
-derived by the pipeline, and for both covers every defining relator's
-image is decided trivial by an exact oracle, which makes the images a
-homomorphism.  Whole-word motions, lifts and extraction stay available
-as an independent witness.
+- sigma_i swaps b_i and b_{i+1} by a half-turn in the cap.  Sheets
+  n+i, n+i+1 make the antipodal copy of the swap, and the antipodal map
+  reverses orientation, so the two crossings have opposite signs:
+  psi(sigma_i) = sigma_{n+i} sigma_i^-1.
+- rho_j runs strand j along the great circle through b_j to -b_j,
+  behind every other strand in the projection's depth.  Sheet j moves
+  right past the upper sheets j+1..n while sheet n+j, in front of every
+  strand, moves left past the lower sheets n+j-1..n+1: the ascending
+  chain sigma_j..sigma_{n-1} and the descending chain
+  sigma_{n+j-1}..sigma_{n+1}.  The two moving sheets then cross each
+  other at positions n, n+1 (sigma_n), and each passes the other sheets
+  of the far copy: the mirror of the first half.  Every crossing has the
+  left strand behind, so every letter is negative, and psi(rho_j) is a
+  word of 2n-1 letters.
+
+Letters of the two chains commute, their indices being at most n-1 and
+at least n+1, so any interleaving gives the same braid.  The one written
+(_rho_indices) is the order in which the diagram reader meets the
+crossings: it equals the extracted words letter for letter at least for
+n <= 19, and as braids beyond.  The image of a word is the concatenation
+of its letter images, and verify_relator_images decides every defining
+relator's image trivial with the exact sphere oracle, which makes the
+formula a homomorphism.
+
+The d-fold annulus cover's generator images are extracted from
+geometric lifts, and its relator images are decided by the faithful
+Artin action.  The sampled geometry lives in braidcover.geometry, the
+only module that imports numpy.  Its names (StrandMotion, LiftScene,
+generator_motion, word_motion, lift_motion, extract_word, the scene
+exports and the rest) are also reached here: the first use of one loads
+that module.  Psi and every exact verdict built on it never load it; the
+geometric lifts stay an independent witness of the formula.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from itertools import zip_longest
 
 from .oracles import SphereWPVerdict, annulus_oracle, disc_action, sphere_word_problem
 from .presentations import _van_buskirk_relators, annulus_presentation
 from .words import BraidWord, Generator, sigma, tau
 
-UNIT_TOL = 1e-9
-SEPARATION_TOL = 1e-6
-TILT = 1e-3  # deterministic perturbation of the strand-order functional
 
-_CAP_SPREAD = 0.4  # chart diameter of the base disc holding the basepoints
-_BAND_HALF = 0.25  # half-height (in z) of the annulus band basepoint range
-_SWAP_SAMPLES = 33
-_LOOP_SAMPLES = 129
-_PUNCTURE = (0.1, 0.07)  # plane position of the annulus puncture strand
-
-
-# elements (128 kB) in a temporary over a block of strand pairs, so that
-# the pairs of a long word are never all held at once
-_BLOCK = 16384
-
-
-def _coords(paths) -> np.ndarray:
-    """The (T, 3) paths as one (3, k, T) array: x, y and z by strand."""
-    return np.stack([p.T for p in paths], axis=1)
-
-
-def _sq_norms(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Squared lengths of the vectors (x, y, z), summed in the order
-    np.linalg.norm sums them."""
-    s = x * x
-    s += y * y
-    s += z * z
-    return s
-
-
-@lru_cache(maxsize=None)
-def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    a, b = np.triu_indices(k, 1)
-    a.flags.writeable = b.flags.writeable = False
-    return a, b
-
-
-def _pair_blocks(k: int, width: int):
-    """The strand pairs a < b of k strands in (a, b) order, as index arrays
-    in blocks of _BLOCK // width pairs (at least one), so that a block's
-    temporaries of `width` elements per pair hold at most _BLOCK elements
-    unless one pair alone is wider."""
-    a, b = _pairs(k)
-    step = max(1, _BLOCK // width)
-    for lo in range(0, len(a), step):
-        yield a[lo:lo + step], b[lo:lo + step]
-
-
-def _pairwise_min_distance(c: np.ndarray, antipodal: bool) -> float:
-    """Least distance, at a common sample, between two of the paths with
-    coordinates c (see _coords), or between one and the other's antipode."""
-    best = math.inf
-    for a, b in _pair_blocks(c.shape[1], c[:, 0].size):
-        pa, pb = c[:, a], c[:, b]
-        for diff in ((pa - pb, pa + pb) if antipodal else (pa - pb,)):
-            best = min(best, float(np.min(_sq_norms(*diff))))
-    return math.sqrt(best)
-
-
-def _match_point(v: np.ndarray, pool: list[np.ndarray], antipodal: bool) -> int:
-    for idx, p in enumerate(pool):
-        for gap in ((v - p, v + p) if antipodal else (v - p,)):
-            if gap @ gap < 1e-12:
-                return idx
-    raise ValueError("endpoint does not return to the basepoint set")
-
-
-def _check_error(err: float, tol: float, c: np.ndarray, message: str) -> None:
-    """Raise ValueError(message) unless err <= tol, the largest error over
-    the samples c; NaN and inf fail, and a non-finite sample says so."""
-    if not err <= tol:
-        raise ValueError(message if np.isfinite(c).all() else "path samples must be finite")
-
-
-def _grid_prefix(paths, shape: tuple[int, int]) -> int:
-    """Number of leading paths of the given shape."""
-    return next((i for i, p in enumerate(paths) if p.shape != shape), len(paths))
-
-
-@dataclass(frozen=True, eq=False)
-class StrandMotion:
-    """n disjoint strand paths over [0,1], sampled; paths are stored as
-    (T, 3) arrays of unit vectors.  surface is "rp2" (antipodal
-    semantics) or "annulus" (equatorial band)."""
-
-    n: int
-    surface: str
-    paths: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if self.surface not in ("rp2", "annulus"):
-            raise ValueError(f"unknown surface {self.surface!r}")
-        if self.n < 1:
-            raise ValueError("strand count must be >= 1")
-        if len(self.paths) != self.n:
-            raise ValueError("need one path per strand")
-        # the paths before the first one off the grid are checked first,
-        # so that a motion with both faults reports the earlier one
-        good = _grid_prefix(self.paths, (self.paths[0].shape[0], 3))
-        if good:
-            c = _coords(self.paths[:good])
-            _check_error(float(np.max(np.abs(np.sqrt(_sq_norms(*c)) - 1.0))), UNIT_TOL, c,
-                         "path points must be unit vectors")
-        if good < self.n:
-            raise ValueError("paths must share the sample grid")
-        antip = self.surface == "rp2"
-        if self.n > 1 and _pairwise_min_distance(c, antip) <= SEPARATION_TOL:
-            raise ValueError("strand paths are not disjoint")
-        starts = [p[0] for p in self.paths]
-        for p in self.paths:
-            _match_point(p[-1], starts, antip)
-
-
-@dataclass(frozen=True)
-class Cover:
-    kind: str  # "antipodal_sphere" | "annulus_dfold"
-    degree: int
-
-
-ANTIPODAL = Cover("antipodal_sphere", 2)
-
-
-def annulus_dfold(d: int) -> Cover:
-    if d < 2:
-        raise ValueError("cover degree must be >= 2")
-    return Cover("annulus_dfold", d)
-
-
-@dataclass(frozen=True, eq=False)
-class LiftScene:
-    """Lift of a strand motion: d*n strand paths on the cover.  Strand i
-    of the base lifts to sheets i, i+n, ..., i+(d-1)n."""
-
-    source: StrandMotion
-    cover: Cover
-    paths: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        d, n = self.cover.degree, self.source.n
-        if len(self.paths) != d * n:
-            raise ValueError("lift must have d*n paths")
-        good = _grid_prefix(self.paths, self.source.paths[0].shape)
-        if good:
-            c = _coords(self.paths[:good])
-            src = _coords(self.source.paths)[:, np.arange(good) % n]
-            _check_error(_projection_error(c, src, self.cover), UNIT_TOL, c,
-                         "lifted path does not project to its source")
-        if good < d * n:
-            raise ValueError("lifted path sample grid mismatch")
-        if _pairwise_min_distance(c, False) <= SEPARATION_TOL:
-            raise ValueError("lifted paths are not disjoint")
-
-
-def _projection_error(lift: np.ndarray, src: np.ndarray, cover: Cover) -> float:
-    """Largest distance from a lifted sample, projected to the base, to
-    its source's sample; both in coordinates (see _coords)."""
-    if cover.kind == "antipodal_sphere":
-        return math.sqrt(np.max(np.minimum(_sq_norms(*(lift - src)), _sq_norms(*(lift + src)))))
-    d = cover.degree
-    x, y, z = lift
-    theta = np.arctan2(y, x)
-    r = np.hypot(x, y)
-    sx, sy, sz = src
-    return math.sqrt(np.max(_sq_norms(r * np.cos(d * theta) - sx, r * np.sin(d * theta) - sy,
-                                      z - sz)))
-
-
-# ---------------------------------------------------------------------------
-# charts and basepoints
-
-
-def _cap_chart(x: float, y: float) -> np.ndarray:
-    z = math.sqrt(max(0.0, 1.0 - x * x - y * y))
-    return np.array([x, y, z])
-
-
-def _band_chart(phi: float, z: float) -> np.ndarray:
-    r = math.sqrt(max(0.0, 1.0 - z * z))
-    return np.array([r * math.cos(phi), r * math.sin(phi), z])
-
-
-_CHARTS = {"rp2": _cap_chart, "annulus": _band_chart}
-_KINDS = {"rp2": "sr", "annulus": "st"}
-
-
-def _chart_coords(n: int, surface: str) -> list[tuple[float, float]]:
-    """Chart coordinates of the n basepoints: on the rp2 cap chart a line
-    through the north pole, on the annulus band chart (angle, z) at angle
-    0 with strand 1 innermost (largest z)."""
-    if surface == "rp2":
-        h = _CAP_SPREAD / n
-        return [(h * (i - (n + 1) / 2.0), 0.0) for i in range(1, n + 1)]
-    if n == 1:
-        return [(0.0, _BAND_HALF)]
-    return [(0.0, _BAND_HALF - 2 * _BAND_HALF * (i - 1) / (n - 1)) for i in range(1, n + 1)]
-
-
-def basepoints(n: int, surface: str) -> list[np.ndarray]:
-    """The n basepoints on the sphere: for "rp2" in a small disc around the
-    north pole, on a chart line; for "annulus" on the band at angle 0,
-    strand 1 innermost (largest z)."""
-    if surface not in _CHARTS:
-        raise ValueError(f"unknown surface {surface!r}")
-    chart = _CHARTS[surface]
-    return [chart(x, y) for x, y in _chart_coords(n, surface)]
-
-
-def _swap_segment(chart, coords: list[tuple[float, float]], i: int, T: int) -> list[np.ndarray]:
-    """Half-turn swap of chart points i, i+1 (1-based); others constant."""
-    mx = (coords[i - 1][0] + coords[i][0]) / 2.0
-    my = (coords[i - 1][1] + coords[i][1]) / 2.0
-    out = []
-    for j, (cx, cy) in enumerate(coords, start=1):
-        if j not in (i, i + 1):
-            out.append(np.stack([chart(cx, cy)] * T))
-            continue
-        dx, dy = cx - mx, cy - my
-        pts = []
-        for k in range(T):
-            ang = math.pi * k / (T - 1)
-            rx = dx * math.cos(ang) - dy * math.sin(ang)
-            ry = dx * math.sin(ang) + dy * math.cos(ang)
-            pts.append(chart(mx + rx, my + ry))
-        out.append(np.stack(pts))
-    return out
-
-
-@lru_cache(maxsize=None)
-def generator_motion(g: Generator, n: int, surface: str = "rp2") -> StrandMotion:
-    """Canonical motion representing a single braid generator.
-
-    rp2: sigma_i swaps basepoints i, i+1 by a half-turn inside the base
-    disc; rho_i runs strand i along the great circle through its
-    basepoint in the +y direction to the antipode (a loop on RP^2).
-    annulus: sigma_i is the analogous half-turn in the band chart; tau
-    takes strand 1 once around the band.
-
-    Cached: each motion is built and validated once per (g, n, surface),
-    and its paths are read-only so that no caller can alter the cache.
-    """
-    if surface not in _CHARTS:
-        raise ValueError(f"unknown surface {surface!r}")
-    if g.kind not in _KINDS[surface]:
-        name = "a projective-plane" if surface == "rp2" else "an annulus"
-        raise ValueError(f"generator {g} is not {name} generator")
-    g.check_bounds(n)
-    chart = _CHARTS[surface]
-    coords = _chart_coords(n, surface)
-    if g.kind == "s":
-        paths = _swap_segment(chart, coords, g.index, _SWAP_SAMPLES)
-    else:
-        T = _LOOP_SAMPLES
-        base = basepoints(n, surface)
-        if g.kind == "r":
-            b = base[g.index - 1]
-            # the loop direction is calibrated against the presentation:
-            # with the -y meridian every defining relator's image is
-            # trivial; with +y the sirisi, rhocomm and surface images are
-            # nontrivial by the sphere action from n = 3 on
-            yhat = np.array([0.0, -1.0, 0.0])
-            loop = [
-                math.cos(math.pi * k / (T - 1)) * b
-                + math.sin(math.pi * k / (T - 1)) * yhat
-                for k in range(T)
-            ]
-        else:
-            loop = [_band_chart(2 * math.pi * k / (T - 1), _BAND_HALF) for k in range(T)]
-        paths = [np.stack(loop) if j == g.index else np.stack([base[j - 1]] * T)
-                 for j in range(1, n + 1)]
-    motion = StrandMotion(n, surface, tuple(paths))
-    for p in motion.paths:
-        p.flags.writeable = False
-    return motion
-
-
-def word_motion(w: BraidWord, n: int, surface: str = "rp2") -> StrandMotion:
-    """Concatenated motion of a braid word, one generator segment per
-    letter; strands follow the slot currently holding them, and each
-    appended segment is kept continuous on the sphere (segments for
-    projective-plane loops may need the antipodal representative)."""
-    if n < 1:
-        raise ValueError("strand count must be >= 1")
-    base = basepoints(n, surface)
-    strand_paths: list[list[np.ndarray]] = [[b[None]] for b in base]
-    tails = base  # the last point of each strand's path so far
-    slot_of = list(range(n))  # strand index -> current slot (0-based)
-    for g, e in w.letters:
-        gm = generator_motion(g, n, surface)
-        if g.kind == "s":
-            perm = {g.index - 1: g.index, g.index: g.index - 1}
-        else:
-            perm = {}
-        if e == 1:
-            seg = gm.paths
-        else:
-            # the reversed path occupying slot j is the reversal of the
-            # forward path that ends at slot j
-            seg = [gm.paths[perm.get(j, j)][::-1] for j in range(n)]
-        for s, j in enumerate(slot_of):
-            piece = seg[j][1:]
-            gap = seg[j][0] - tails[s]
-            if gap @ gap > 1e-12:
-                piece = -piece
-            strand_paths[s].append(piece)
-            tails[s] = piece[-1]
-        slot_of = [perm.get(j, j) for j in slot_of]
-    return StrandMotion(n, surface, tuple(np.concatenate(chunks) for chunks in strand_paths))
-
-
-def lift_motion(m: StrandMotion, cover: Cover) -> LiftScene:
-    """Lift a base motion through the antipodal double cover or the
-    d-fold band cover, path-wise by continuity."""
-    if cover.kind == "antipodal_sphere":
-        if m.surface != "rp2":
-            raise ValueError("antipodal cover lifts projective-plane motions")
-        # stored paths are continuous on the sphere already; take the
-        # sheet through the stored representative and its antipode
-        return LiftScene(m, cover, (*m.paths, *(-p for p in m.paths)))
-    if cover.kind == "annulus_dfold":
-        if m.surface != "annulus":
-            raise ValueError("d-fold band cover lifts annulus motions")
-        d = cover.degree
-        x, y, z = _coords(m.paths)
-        theta = np.unwrap(np.arctan2(y, x))
-        r = np.hypot(x, y)
-        # sheet i + k*n of strand i turns by 2*pi*k/d
-        th = (theta + 2 * math.pi * np.arange(d)[:, None, None]) / d
-        lifts = np.stack([r * np.cos(th), r * np.sin(th), np.broadcast_to(z, th.shape)], axis=-1)
-        return LiftScene(m, cover, tuple(lifts.reshape(d * m.n, -1, 3)))
-    raise ValueError(f"unknown cover {cover.kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# word extraction
-
-
-class NonGenericScene(ValueError):
-    """Raised when the projected scene cannot be read as a braid diagram."""
-
-
-def _scene_plane(scene: LiftScene) -> tuple[np.ndarray, np.ndarray]:
-    """(u, depth) arrays of shape (K, T) for the scene's strand diagram.
-
-    Antipodal cover: stereographic projection from (-1,0,0), a point far
-    from every path.  Band cover: stereographic projection from the
-    south pole, with a constant extra strand at the origin representing
-    the inner boundary puncture of the annulus.
-    """
-    x, y, z = _coords(scene.paths)
-    if scene.cover.kind == "antipodal_sphere":
-        den = 1.0 + x
-        yy, zz = y / den, z / den
-        return -zz + TILT * yy, yy
-    den = 1.0 + z
-    px, py = x / den, y / den
-    # puncture strand inside the inner disc, off the origin: lifts of one
-    # strand sit at point-symmetric plane positions, so a centered
-    # puncture would create structural triple points
-    T = x.shape[1]
-    u = np.vstack([px + TILT * py, np.full((1, T), _PUNCTURE[0] + TILT * _PUNCTURE[1])])
-    return u, np.vstack([py, np.full((1, T), _PUNCTURE[1])])
-
-
-def _read_diagram(u: np.ndarray, depth: np.ndarray) -> BraidWord:
-    """Braid word of the diagram with strand order u and depth `depth`,
-    both (K, T): one letter per crossing, in time order."""
-    K, T = u.shape
-    if K < 2:
-        return BraidWord(())
-    hits = []
-    for a, b in _pair_blocks(K, T):
-        diff = u[a] - u[b]
-        if not diff.all():
-            raise NonGenericScene("strands coincide in the order functional")
-        pair, t = np.nonzero(diff[:, :-1] * diff[:, 1:] < 0)
-        hits.append((a[pair], b[pair], t))
-    a, b, t = (np.concatenate(col) for col in zip(*hits))
-    d0, d1 = u[a, t] - u[b, t], u[a, t + 1] - u[b, t + 1]
-    f = d0 / (d0 - d1)
-    da = depth[a, t] + f * (depth[a, t + 1] - depth[a, t])
-    db = depth[b, t] + f * (depth[b, t + 1] - depth[b, t])
-    ua = u[a, t] + f * (u[a, t + 1] - u[a, t])
-    # events come in (a, b, t) order; a stable sort by time, then by u,
-    # keeps that order among ties
-    order = np.lexsort((ua, t + f))
-    front = np.where(da > db, 1, -1)[order].tolist()
-    pos = np.argsort(np.argsort(u[:, 0], kind="stable")).tolist()
-    gens = [sigma(i) for i in range(1, K)]
-    letters = []
-    for a, b, front_a in zip(a[order].tolist(), b[order].tolist(), front):
-        pa, pb = pos[a], pos[b]
-        if abs(pa - pb) != 1:
-            raise NonGenericScene("non-adjacent crossing; sampling too coarse")
-        letters.append((gens[min(pa, pb)], front_a if pa < pb else -front_a))
-        pos[a], pos[b] = pb, pa
-    return BraidWord(tuple(letters))
-
-
-def extract_word(scene: LiftScene) -> BraidWord:
-    """Braid word of a lifted scene, read from the projected diagram.
-
-    Antipodal scenes give words over sigma_1..sigma_{2n-1} of the sphere
-    braid group on 2n strands, indexed so that the initial strand order
-    matches the sheet numbering.  Band scenes give words in the
-    punctured-disc model of the cover annulus group: d*n+1 strands with
-    the puncture strand included, matching the annulus-to-disc embedding
-    convention (puncture first in the strand order).
-    """
-    u, depth = _scene_plane(scene)
-    return _read_diagram(u, depth)
+def __getattr__(name: str):
+    """The geometric names, from braidcover.geometry, loaded on first use."""
+    if not name.startswith("__"):
+        from . import geometry
+
+        if hasattr(geometry, name):
+            return getattr(geometry, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
 # the induced embedding into the sphere braid group
 
 
+def _rho_indices(n: int, j: int) -> list[int]:
+    """The sigma indices of psi(rho_j), whose letters are all negative:
+    the chains j..n-1 and n+j-1..n+1 interleaved, the longer first (the
+    one from j on a tie), then n, then the first half mirrored.  On a tie
+    the mirror keeps the order within each pair."""
+    up, down = range(j, n), range(n + j - 1, n, -1)
+    tie = len(up) == len(down)
+    pairs = list(zip_longest(*((up, down) if len(up) >= len(down) else (down, up))))
+    half = [i for pair in pairs for i in pair if i is not None]
+    mirror = [i for pair in reversed(pairs) for i in (pair if tie else pair[::-1])
+              if i is not None]
+    return half + [n] + mirror
+
+
 @lru_cache(maxsize=None)
 def _psi_generator(n: int, g: Generator, e: int) -> BraidWord:
-    scene = lift_motion(generator_motion(g, n, "rp2"), ANTIPODAL)
-    w = extract_word(scene)
+    if g.kind not in "sr":
+        raise ValueError(f"generator {g} is not a projective-plane generator")
+    g.check_bounds(n)
+    if g.kind == "s":
+        w = BraidWord(((sigma(n + g.index), 1), (g, -1)))
+    else:
+        w = BraidWord(tuple((sigma(i), -1) for i in _rho_indices(n, g.index)))
     return w if e == 1 else w.inverse()
 
 
 def psi(n: int, w: BraidWord) -> BraidWord:
     """Embedding of the projective-plane braid group on n strands into
-    the sphere braid group on 2n strands, by lifting through the
-    antipodal cover.  Homomorphic on the nose: the image of a word is
-    the concatenation of the letter images."""
+    the sphere braid group on 2n strands induced by the antipodal cover,
+    from the closed-form generator images derived in the module
+    docstring.  Homomorphic on the nose: the image of a word is the
+    concatenation of the letter images."""
     if n < 1:
         raise ValueError("strand count must be >= 1")
     return BraidWord(
@@ -496,10 +135,10 @@ class RelatorImageReport:
 
 def verify_relator_images(n: int) -> RelatorImageReport:
     """Decide whether every defining relator of the projective-plane braid
-    group maps to a trivial sphere braid under the lift embedding.
+    group maps to a trivial sphere braid under psi.
 
     The sphere oracle is exact, so any verdict other than Trivial
-    falsifies the pipeline."""
+    falsifies the generator images."""
     entries = []
     for label, rel in _van_buskirk_relators(n):
         img = psi(n, rel).free_reduce()
@@ -514,8 +153,10 @@ def verify_relator_images(n: int) -> RelatorImageReport:
 
 @lru_cache(maxsize=None)
 def _annulus_generator(d: int, n: int, g: Generator, e: int) -> BraidWord:
-    scene = lift_motion(generator_motion(g, n, "annulus"), annulus_dfold(d))
-    w = extract_word(scene)
+    from . import geometry
+
+    # one geometric lift per generator: the inverse image inverts it
+    w = geometry.generator_lift(g, n, geometry.annulus_dfold(d))
     return w if e == 1 else w.inverse()
 
 
@@ -526,10 +167,12 @@ def annulus_cover_image(d: int, n: int, w: BraidWord) -> BraidWord:
     on the nose, like psi: the concatenation of the letter images."""
     if n < 1:
         raise ValueError("strand count must be >= 1")
+    from . import geometry
+
     # every letter is checked before the degree, as the whole-word lift does
     for g, _e in w.letters:
-        generator_motion(g, n, "annulus")
-    annulus_dfold(d)
+        geometry.generator_motion(g, n, "annulus")
+    geometry.annulus_dfold(d)
     return BraidWord(
         tuple(
             letter
@@ -546,7 +189,9 @@ def verify_annulus_relator_images(d: int, n: int) -> RelatorImageReport:
     embedding.  The Artin action on d*n+1 strands is faithful, so each
     verdict ("Trivial" or "Nontrivial", evidence "action") is exact;
     entries are labelled by relator index in annulus_presentation(n)."""
-    annulus_dfold(d)  # rejects d < 2 also at n = 1, which has no relators
+    from . import geometry
+
+    geometry.annulus_dfold(d)  # rejects d < 2 also at n = 1, which has no relators
     entries = []
     for i, rel in enumerate(annulus_presentation(n).relators):
         img = annulus_cover_image(d, n, rel).free_reduce()
@@ -605,50 +250,3 @@ def injectivity_spotcheck_annulus(
             failures.append(w)
     return SpotcheckReport(d, n, trials, checked, skipped, tuple(failures))
 
-
-# ---------------------------------------------------------------------------
-# exports
-
-
-def scene_to_text(scene: LiftScene) -> str:
-    """Plain-text export: one block per lifted strand, one line per time
-    sample with `t x y z`."""
-    T = scene.paths[0].shape[0]
-    lines = [f"liftscene cover={scene.cover.kind} degree={scene.cover.degree} "
-             f"strands={len(scene.paths)} samples={T}"]
-    for idx, p in enumerate(scene.paths, start=1):
-        lines.append(f"strand {idx}")
-        for k in range(T):
-            t = k / (T - 1) if T > 1 else 0.0
-            lines.append(f"{t:.6f} {p[k, 0]:+.9f} {p[k, 1]:+.9f} {p[k, 2]:+.9f}")
-    return "\n".join(lines) + "\n"
-
-
-def scene_to_svg(scene: LiftScene) -> str:
-    """600x400 SVG braid diagram of the scene: time runs downward, strand
-    order runs across, using the same projection as word extraction."""
-    width, height = 600, 400
-    u, depth = _scene_plane(scene)
-    K, T = u.shape
-    lo, hi = float(np.min(u)), float(np.max(u))
-    span = (hi - lo) or 1.0
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    # draw back-to-front so nearer strands overpaint at crossings
-    order = np.argsort(np.mean(depth, axis=1))
-    for rank, s in enumerate(order):
-        hue = int(360 * s / K)
-        pts = " ".join(
-            f"{20 + (width - 40) * (u[s, k] - lo) / span:.1f},"
-            f"{20 + (height - 40) * (k / max(T - 1, 1)):.1f}"
-            for k in range(T)
-        )
-        parts.append(
-            f'<polyline points="{pts}" fill="none" '
-            f'stroke="hsl({hue},70%,45%)" stroke-width="2"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"

@@ -197,7 +197,9 @@ def test_criterion_7_annulus_injectivity():
     if checked < 2500:
         failures.append(f"only {checked} nontrivial words checked, need >= 2500")
     report(7, f"{checked} oracle-certified-nontrivial annulus words lift to "
-              "nontrivial cover braids (d=2,3; n<=4)", failures)
+              "nontrivial cover braids (d=2,3; n<=4); injectivity itself rests on "
+              "the paper's embedding theorem for covering spaces, which these spot "
+              "checks do not prove", failures)
 
 
 def test_criterion_8_classification_arithmetic():

@@ -1,8 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from braidcover import cli, identities
+from braidcover import geometry, identities
 from braidcover.cli import EXIT_FAILURE, EXIT_GAPS, EXIT_OK, main
 from braidcover.covering import NonGenericScene
 from braidcover.presentations import Presentation, finite_group_presentation
@@ -134,7 +138,8 @@ def test_lift_reports_non_generic_scene(tmp_path, monkeypatch, capsys):
     def degenerate(scene):
         raise NonGenericScene("strands coincide in the order functional")
 
-    monkeypatch.setattr(cli, "extract_word", degenerate)
+    # cmd_lift reads the geometry when it runs
+    monkeypatch.setattr(geometry, "extract_word", degenerate)
     code, out, err = run(capsys, "lift", "2", "s1 r1", "--out", str(tmp_path / "scene"))
     assert code == EXIT_FAILURE
     assert err.startswith("error:") and "coincide" in err and "Traceback" not in err
@@ -160,3 +165,29 @@ def test_verify_and_report(capsys):
 def test_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+_NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from braidcover.atlas import verify_suite
+from braidcover.cli import main
+for n in range(2, 6):
+    verify_suite(n)
+codes = [main(argv) for argv in (["verify", "3"], ["derive", "rn2", "3"],
+                                 ["wp", "s2", "3", "s1 s2 s1 s2 s1 s2"], ["classify", "rp2", "7"])]
+assert "braidcover.geometry" not in sys.modules
+print("codes", codes)
+"""
+
+
+def test_exact_paths_run_without_numpy():
+    # the verification suite, certificates, the sphere oracle and the
+    # classification never touch the sampled geometry
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _NO_NUMPY], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == f"codes {[EXIT_GAPS, EXIT_OK, EXIT_OK, EXIT_OK]}"

@@ -1,13 +1,14 @@
 import hashlib
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidcover import covering
+from braidcover import covering, geometry
 from braidcover.covering import (
     ANTIPODAL,
     Cover,
@@ -34,6 +35,7 @@ from braidcover.covering import (
     verify_relator_images,
     word_motion,
 )
+from braidcover.geometry import generator_lift
 from braidcover.oracles import (
     SphereWPVerdict,
     annulus_oracle,
@@ -50,6 +52,7 @@ from braidcover.presentations import (
 from braidcover.words import (
     EMPTY,
     BraidWord,
+    Generator,
     format_word,
     gen_word,
     parse_word,
@@ -164,7 +167,7 @@ def test_word_motion_matches_uncached_generators(monkeypatch, surface, n):
     words = [w for w in map(parse_word, _FIXED_WORDS[surface]) if _fits(w, n)]
     assert words
     cached = [word_motion(w, n, surface) for w in words]
-    monkeypatch.setattr(covering, "generator_motion", generator_motion.__wrapped__)
+    monkeypatch.setattr(geometry, "generator_motion", generator_motion.__wrapped__)
     for w, m in zip(words, cached):
         fresh = word_motion(w, n, surface)
         assert all(np.array_equal(a, b) for a, b in zip(m.paths, fresh.paths)), str(w)
@@ -205,6 +208,16 @@ def test_lift_scene_projects_back():
 
 
 @pytest.mark.parametrize("cover, surface, word", [(ANTIPODAL, "rp2", "s1 r2"),
+                                                  (annulus_dfold(3), "annulus", "t1 s1^-1")])
+def test_motions_and_scenes_keep_their_validated_samples(cover, surface, word):
+    # np.stack gives the same values in another memory layout
+    m = word_motion(parse_word(word), 2, surface)
+    for obj in (m, lift_motion(m, cover)):
+        assert np.array_equal(obj.coords, np.stack([p.T for p in obj.paths], axis=1))
+        assert obj.coords.flags.c_contiguous and not obj.coords.flags.writeable
+
+
+@pytest.mark.parametrize("cover, surface, word", [(ANTIPODAL, "rp2", "s1 r2"),
                                                   (annulus_dfold(2), "annulus", "s1 t1"),
                                                   (annulus_dfold(3), "annulus", "t1 s1^-1")])
 def test_lift_scene_checks(cover, surface, word):
@@ -229,10 +242,46 @@ def test_lift_scene_checks(cover, surface, word):
 
 
 def test_psi_generator_images_regression():
-    # derived, not assumed: the antipodal deck transformation reverses
-    # orientation, so the two blocks cross with opposite signs
+    # the antipodal deck transformation reverses orientation, so the two
+    # blocks cross with opposite signs
     assert psi(2, parse_word("s1")) == parse_word("s3 s1^-1")
     assert psi(2, parse_word("r1")) == parse_word("s1^-1 s2^-1 s1^-1")
+    # a tie of the two chains: the mirrored half keeps each pair's order
+    indices = (3, 7, 4, 6, 5, 4, 6, 3, 7)
+    assert psi(5, parse_word("r3")) == BraidWord(tuple((sigma(i), -1) for i in indices))
+
+
+def _rp2_generators(n: int) -> list[Generator]:
+    return [sigma(i) for i in range(1, n)] + [rho(j) for j in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_psi_formula_matches_the_geometry(n):
+    # letter for letter where the diagram reader meets the commuting
+    # letters of the two chains in the formula's order (every n <= 19),
+    # and as sphere braids everywhere
+    for g in _rp2_generators(n):
+        formula, lifted = psi(n, gen_word(g)), generator_lift(g, n, ANTIPODAL)
+        if n <= 19:
+            assert formula == lifted, (n, str(g))
+        elif formula != lifted:
+            diff = (formula * lifted.inverse()).free_reduce()
+            assert sphere_word_problem(2 * n, diff).verdict == "Trivial", (n, str(g))
+
+
+def test_psi_generator_images_are_fast():
+    # closed form: every generator image of B_64(RP^2), both signs, built
+    # from an empty cache; the best of three runs, so that a garbage
+    # collection of the test process's heap is not counted
+    def build() -> float:
+        covering._psi_generator.cache_clear()
+        start = time.perf_counter()
+        for g in _rp2_generators(64):
+            psi(64, gen_word(g, 1))
+            psi(64, gen_word(g, -1))
+        return time.perf_counter() - start
+
+    assert min(build() for _ in range(3)) < 0.05
 
 
 def _seeded_rp2_words() -> list[tuple[int, BraidWord]]:
@@ -260,15 +309,23 @@ def _digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("n, digest", [(2, "2eff77244a838b06"), (3, "5862517410e5edcf"),
-                                       (4, "df5c7517488aabcd"), (5, "936ff87c5a6e872d"),
-                                       (6, "5ebd996834e62aed"), (7, "794d326bdf39f940"),
-                                       (8, "27167b38860130c4")])
+_PSI_PINS = [(2, "2eff77244a838b06"), (3, "5862517410e5edcf"), (4, "df5c7517488aabcd"),
+             (5, "936ff87c5a6e872d"), (6, "5ebd996834e62aed"), (7, "794d326bdf39f940"),
+             (8, "27167b38860130c4")]
+
+
+@pytest.mark.parametrize("n, digest", _PSI_PINS)
 def test_psi_generator_images_are_pinned(n, digest):
     # the extracted words byte for byte: a change to the geometry or the
     # diagram reader that alters any generator image shows here
-    gens = [sigma(i) for i in range(1, n)] + [rho(i) for i in range(1, n + 1)]
-    assert _digest(format_word(_psi_generator(n, g, 1)) for g in gens) == digest
+    lifts = (generator_lift(g, n, ANTIPODAL) for g in _rp2_generators(n))
+    assert _digest(map(format_word, lifts)) == digest
+
+
+@pytest.mark.parametrize("n, digest", _PSI_PINS)
+def test_psi_formula_images_are_pinned(n, digest):
+    # the closed-form images, against the same digests
+    assert _digest(format_word(_psi_generator(n, g, 1)) for g in _rp2_generators(n)) == digest
 
 
 @pytest.mark.parametrize("n, words, actions", [(2, "5bbd6a42e4fdffa8", "bd3e0db5cd3e8fac"),
@@ -432,6 +489,23 @@ def test_annulus_relator_check_fires(monkeypatch, n, failing, twist):
         assert [e.label for e in rep.entries if not e.ok] == failing
 
 
+def test_annulus_generators_are_lifted_once(monkeypatch):
+    # the inverse image inverts the cached lift instead of lifting again
+    calls = []
+    real = geometry.extract_word
+
+    def counted(scene):
+        calls.append(scene)
+        return real(scene)
+
+    monkeypatch.setattr(geometry, "extract_word", counted)
+    d, n = 5, 2  # a cover no other test lifts, so nothing is cached yet
+    for g in (sigma(1), tau()):
+        plus, minus = (covering._annulus_generator(d, n, g, e) for e in (1, -1))
+        assert minus == plus.inverse()
+    assert len(calls) == 2
+
+
 def test_annulus_spotcheck_needs_trivial_relator_images(monkeypatch):
     real = verify_annulus_relator_images(2, 2)
     bad = RelatorImageEntry("relator 0", real.entries[0].relator, 20,
@@ -570,14 +644,14 @@ def _pairwise_min_distance_per_pair(paths, antipodal: bool) -> float:
 
 
 def _blocked(block: int, fn, *args):
-    """fn(*args) with covering._BLOCK set to block, so that small inputs
+    """fn(*args) with geometry._BLOCK set to block, so that small inputs
     also run in several blocks."""
-    saved = covering._BLOCK
-    covering._BLOCK = block
+    saved = geometry._BLOCK
+    geometry._BLOCK = block
     try:
         return fn(*args)
     finally:
-        covering._BLOCK = saved
+        geometry._BLOCK = saved
 
 
 @st.composite
@@ -605,7 +679,7 @@ def _word_or_message(fn, *args):
         return str(exc)
 
 
-@given(diagrams(), st.sampled_from((1, 50, covering._BLOCK)))
+@given(diagrams(), st.sampled_from((1, 50, geometry._BLOCK)))
 @settings(max_examples=200)
 def test_read_diagram_matches_per_pair_reader(diagram, block):
     u, depth = diagram
@@ -614,7 +688,7 @@ def test_read_diagram_matches_per_pair_reader(diagram, block):
 
 
 @given(st.integers(2, 8), st.integers(1, 60), st.integers(0, 2**32 - 1), st.booleans(),
-       st.sampled_from((1, 50, covering._BLOCK)))
+       st.sampled_from((1, 50, geometry._BLOCK)))
 @settings(max_examples=100)
 def test_pairwise_min_distance_matches_per_pair(k, t, seed, antipodal, block):
     rng = np.random.default_rng(seed)
