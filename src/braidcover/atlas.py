@@ -198,15 +198,6 @@ def eliminate_candidates(n: int) -> EliminationTrace:
     return EliminationTrace(n, tuple(steps))
 
 
-def gcd_scan(limit: int) -> bool:
-    """Exhaustive check of the coprimality facts used by the cyclic
-    elimination, for 3 <= n <= limit."""
-    return all(
-        math.gcd(2 * n - 1, 2 * n) == 1 and math.gcd(2 * n - 1, 2 * (n - 1)) == 1
-        for n in range(3, limit + 1)
-    )
-
-
 # ---------------------------------------------------------------------------
 # verification suite
 

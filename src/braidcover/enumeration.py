@@ -2,8 +2,11 @@
 
 Todd-Coxeter in the HLT style (scan-and-fill with gap definitions and the
 standard coincidence queue), multiplication tables with witness words,
-generator-image isomorphism testing, center/quotient computation, and
-abelianization via exact integer Smith normal form.
+isomorphism testing by generator images (each candidate map is built and
+checked along the edges x -> x*g of one breadth-first walk, then checked
+for bijectivity), center/quotient computation, and abelianization via an
+exact integer Smith normal form (one pivoting loop whose pivots divide
+each other by construction).
 
 Every table that group_table and center_and_quotient build is checked for
 associativity, whatever its order, by Light's test in O(n^2 g) lookups for
@@ -362,61 +365,41 @@ def _generating_set(t: GroupTable) -> list[int]:
 
 
 def isomorphic(a: GroupTable, b: GroupTable) -> tuple[bool, dict[int, int] | None]:
-    """Isomorphism test by generator-image backtracking.
+    """Isomorphism test by generator-image backtracking; a and b must both
+    be group tables (element 0 the identity).
 
-    Returns (True, witness element map) or (False, None).  The witness is
-    verified exhaustively before being returned.
+    A candidate sends the generators of a (_generating_set) to elements of
+    b of the same orders and is extended along the edges x -> x*g of one
+    breadth-first walk from 0.  In a finite group right multiplication by
+    the generators reaches every element, so a map that respects every
+    such edge is a homomorphism, and the candidate is an isomorphism
+    exactly when it does and is a bijection.  Returns (True, that element
+    map) or (False, None).
     """
-    if a.size != b.size:
-        return False, None
-    if a.order_histogram() != b.order_histogram():
+    if a.size != b.size or a.order_histogram() != b.order_histogram():
         return False, None
     gens = _generating_set(a)
-    gen_orders = [a.order_of(g) for g in gens]
     b_by_order: dict[int, list[int]] = {}
     for i in range(b.size):
         b_by_order.setdefault(b.order_of(i), []).append(i)
-
-    def words_for_all(t: GroupTable, gens_: list[int]) -> dict[int, list[int]]:
-        """element -> word in gens_ (indices into gens_, negative = inverse)."""
-        out = {0: []}
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for k, g in enumerate(gens_):
-                for y, lab in ((t.mult[x][g], k + 1),
-                               (t.mult[x][t.inverse(g)], -(k + 1))):
-                    if y not in out:
-                        out[y] = out[x] + [lab]
-                        queue.append(y)
-        return out
-
-    a_words = words_for_all(a, gens)
-
-    def evaluate(images: list[int], w: list[int]) -> int:
-        x = 0
-        for lab in w:
-            g = images[abs(lab) - 1]
-            if lab < 0:
-                g = b.inverse(g)
-            x = b.mult[x][g]
-        return x
-
-    def try_images(images: list[int]) -> dict[int, int] | None:
-        phi = {e: evaluate(images, w) for e, w in a_words.items()}
-        if len(set(phi.values())) != a.size:
-            return None
-        for x in range(a.size):
-            for y in range(a.size):
-                if phi[a.mult[x][y]] != b.mult[phi[x]][phi[y]]:
-                    return None
-        return phi
-
-    for images in itertools.product(
-            *[b_by_order.get(o, []) for o in gen_orders]):
-        phi = try_images(list(images))
-        if phi is not None:
-            return True, phi
+    # the walk's edges (x, k, x * gens[k]), each x reached before its edges
+    walk, seen, edges = [0], {0}, []
+    for x in walk:
+        for k, g in enumerate(gens):
+            y = a.mult[x][g]
+            edges.append((x, k, y))
+            if y not in seen:
+                seen.add(y)
+                walk.append(y)
+    for images in itertools.product(*[b_by_order.get(a.order_of(g), []) for g in gens]):
+        phi = {0: 0}
+        for x, k, y in edges:
+            z = b.mult[phi[x]][images[k]]
+            if phi.setdefault(y, z) != z:
+                break
+        else:
+            if len(set(phi.values())) == a.size:
+                return True, phi
     return False, None
 
 
@@ -452,72 +435,42 @@ def center_and_quotient(t: GroupTable) -> tuple[set[int], GroupTable]:
 
 
 def smith_normal_form(rows: list[list[int]]) -> list[int]:
-    """Diagonal of the Smith normal form of an integer matrix.
+    """The nonzero diagonal d_1 | d_2 | ... of the Smith normal form of an
+    integer matrix, each entry positive.
 
-    Exact integer arithmetic with explicit pivoting; returns the diagonal
-    entries d_1 | d_2 | ... (non-negative), one per row/column consumed.
+    One loop of unimodular row and column operations: move an entry of
+    least absolute value to the corner; clear its row and column by
+    integer division, and start over if a remainder is left; add in a row
+    that the pivot does not divide, and start over; otherwise emit the
+    pivot, which then divides every entry left, and drop its row and
+    column.  Each start-over leads to a smaller pivot, so the loop ends.
     """
-    m = [row[:] for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
+    m = [list(row) for row in rows if any(row)]
     diag: list[int] = []
-    top = 0
-    while top < nr and top < nc:
-        # find a nonzero pivot of minimal absolute value
-        best = None
-        for i in range(top, nr):
-            for j in range(top, nc):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i0, j0 = best
-        m[top], m[i0] = m[i0], m[top]
+    while m:
+        _, i, j = min((abs(x), i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x)
+        m[0], m[i] = m[i], m[0]
         for row in m:
-            row[top], row[j0] = row[j0], row[top]
-        # clear row and column; restart if a remainder is smaller than pivot
-        while True:
-            pivot = m[top][top]
-            dirty = False
-            for i in range(top + 1, nr):
-                if m[i][top] != 0:
-                    qd = m[i][top] // pivot
-                    for j in range(nc):
-                        m[i][j] -= qd * m[top][j]
-                    if m[i][top] != 0:
-                        m[top], m[i] = m[i], m[top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(top + 1, nc):
-                if m[top][j] != 0:
-                    qd = m[top][j] // pivot
-                    for i in range(nr):
-                        m[i][j] -= qd * m[i][top]
-                    if m[top][j] != 0:
-                        for row in m:
-                            row[top], row[j] = row[j], row[top]
-                        dirty = True
-                        break
-            if not dirty:
-                break
-        diag.append(abs(m[top][top]))
-        top += 1
-    # enforce divisibility d_i | d_{i+1}
-    import math
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            a, b = diag[i], diag[i + 1]
-            if a and b % a != 0:
-                g = math.gcd(a, b)
-                diag[i], diag[i + 1] = g, a * b // g
-                changed = True
-            elif a == 0 and b != 0:
-                diag[i], diag[i + 1] = b, 0
-                changed = True
+            row[0], row[j] = row[j], row[0]
+        top, p = m[0], m[0][0]
+        for row in m[1:]:
+            if row[0]:
+                q = row[0] // p
+                row[:] = [x - q * y for x, y in zip(row, top)]
+        for c in range(1, len(top)):
+            if top[c]:
+                q = top[c] // p
+                for row in m:
+                    row[c] -= q * row[0]
+        if any(top[1:]) or any(row[0] for row in m[1:]):
+            continue
+        bad = next((row for row in m[1:] if any(x % p for x in row)), None)
+        if bad is not None:
+            top[:] = [x + y for x, y in zip(top, bad)]
+            continue
+        diag.append(abs(p))
+        # zero rows change nothing, so they are dropped
+        m = [row[1:] for row in m[1:] if any(row)]
     return diag
 
 
@@ -547,10 +500,5 @@ def abelianization(p: Presentation) -> AbelianInvariants:
         for g, e in r:
             row[gen_index[g]] += e
         rows.append(row)
-    if not rows:
-        return AbelianInvariants(tuple([0] * ngen))
     diag = smith_normal_form(rows)
-    factors = [d for d in diag if d != 1 and d != 0]
-    rank = len([d for d in diag if d != 0])
-    factors += [0] * (ngen - rank)
-    return AbelianInvariants(tuple(factors))
+    return AbelianInvariants(tuple([d for d in diag if d != 1] + [0] * (ngen - len(diag))))

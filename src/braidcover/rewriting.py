@@ -319,14 +319,6 @@ def _apply(p: Presentation, letters: list[Letter], step: DerivationStep, index: 
     letters[pos:pos] = [*word, *_inverse_letters(word)]
 
 
-def apply_step(p: Presentation, w: BraidWord, step: DerivationStep, index: int = 0) -> BraidWord:
-    """Apply one move to w, raising DerivationError if it does not apply.
-    w is left unchanged: the move edits a copy of its letters."""
-    letters = list(w.letters)
-    _apply(p, letters, step, index)
-    return BraidWord(tuple(letters))
-
-
 def replay(p: Presentation, d: Derivation) -> BraidWord:
     """The word d's steps turn d.source into, or DerivationError at the
     first step that does not apply.  All steps edit one copy of the
@@ -602,19 +594,18 @@ def _lemma_from_proof(p: Presentation, name: str, relator: BraidWord, proof) -> 
 
 
 class _MoveTable:
-    """Precompiled insertion moves: all cyclic rotations of every relator
-    and lemma relator and of their inverses, encoded over small ints."""
+    """Precompiled insertion moves: all cyclic rotations of the relators
+    of p with the given indices, of every lemma relator, and of their
+    inverses, encoded over small ints."""
 
-    def __init__(self, p: Presentation, lemmas: tuple[Lemma, ...],
-                 relator_subset=None):
+    def __init__(self, p: Presentation, lemmas: tuple[Lemma, ...], relators):
         self.presentation = p
         self.code = letter_codes(p.generators)
         self.moves: list[tuple[int, ...]] = []
         # compile info per move: (kind, ref, inverse_flag, rotation)
         self.origins: list[tuple[str, int, bool, int]] = []
         seen: set[tuple[int, ...]] = set()
-        allowed = set(range(len(p.relators))) if relator_subset is None else set(relator_subset)
-        sources = [("relator", i, r) for i, r in enumerate(p.relators) if i in allowed]
+        sources = [("relator", i, p.relators[i]) for i in relators]
         sources += [("lemma", i, l.relator) for i, l in enumerate(lemmas)]
         # the freely reduced form of each move is what a splice inserts.
         # Rotation k is x^-1 (rotation k - 1) x for x = enc[k - 1], so each
@@ -641,12 +632,6 @@ class _MoveTable:
         self.by_reduced: dict[tuple[int, ...], list[int]] = {}
         for mi, red in enumerate(self.reduced):
             self.by_reduced.setdefault(red, []).append(mi)
-        # moves indexed by the letter their first/last letter cancels against
-        self.by_first: dict[int, list[int]] = {}
-        self.by_last: dict[int, list[int]] = {}
-        for mi, mv in enumerate(self.moves):
-            self.by_first.setdefault(mv[0] ^ 1, []).append(mi)
-            self.by_last.setdefault(mv[-1] ^ 1, []).append(mi)
 
     def encode(self, w: BraidWord) -> tuple[int, ...]:
         return tuple(map(self.code.__getitem__, w.letters))
@@ -746,6 +731,12 @@ def _search_reduced(table: _MoveTable, start: tuple[int, ...], goal: tuple[int, 
     moves = table.moves
     reduced = table.reduced
     max_candidates = MAX_CANDIDATES
+    # moves indexed by the letter their first/last letter cancels against
+    by_first: dict[int, list[int]] = {}
+    by_last: dict[int, list[int]] = {}
+    for mi, mv in enumerate(moves):
+        by_first.setdefault(mv[0] ^ 1, []).append(mi)
+        by_last.setdefault(mv[-1] ^ 1, []).append(mi)
     while heap:
         _, _, w, depth = heapq.heappop(heap)
         expanded += 1
@@ -757,11 +748,11 @@ def _search_reduced(table: _MoveTable, start: tuple[int, ...], goal: tuple[int, 
             pairs = []
             for q in range(lw + 1):
                 if q > 0:
-                    pairs.extend((mi, q) for mi in table.by_first.get(w[q - 1], ()))
+                    pairs.extend((mi, q) for mi in by_first.get(w[q - 1], ()))
                 if q < lw:
                     pairs.extend(
                         (mi, q)
-                        for mi in table.by_last.get(w[q], ())
+                        for mi in by_last.get(w[q], ())
                         if not (q > 0 and moves[mi][0] ^ 1 == w[q - 1])
                     )
         for mi, q in pairs:
@@ -870,7 +861,7 @@ def find_equality(p: Presentation, source: BraidWord, target: BraidWord) -> Deri
     foreign = _foreign_letter(p, source, target)
     if foreign is not None:
         raise ValueError(f"letter {foreign} is not a generator of {p.name}")
-    table = _MoveTable(p, ())
+    table = _MoveTable(p, (), range(len(p.relators)))
     src_red = source.free_reduce()
     cap = 4 * max(len(source), len(target), *map(len, p.relators), 1)
     path, _stats = _search_reduced(

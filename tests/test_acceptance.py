@@ -10,7 +10,7 @@ import random
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from braidcover.atlas import _check_order_ledger, _quotient_isomorphic, gcd_scan
+from braidcover.atlas import _check_order_ledger, _quotient_isomorphic
 from braidcover.covering import (
     injectivity_spotcheck_annulus,
     psi,
@@ -222,11 +222,8 @@ def test_criterion_8_classification_arithmetic():
             failures.append(f"n={n}: residue translation between the sphere "
                             f"and projective-plane conditions fails")
             break
-    if not gcd_scan(10_000):
-        failures.append("coprimality scan failed below 10^4")
     report(8, "elimination, center-quotient and residue-translation "
-              "identities hold for all n up to 1000 (gcd scan to 10^4)",
-           failures)
+              "identities hold for all n up to 1000", failures)
 
 
 def test_criterion_9_order_ledger():

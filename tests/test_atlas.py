@@ -11,7 +11,6 @@ from braidcover.atlas import (
     center_quotient_entry,
     classify,
     eliminate_candidates,
-    gcd_scan,
     verify_suite,
 )
 
@@ -111,10 +110,6 @@ def test_elimination_reads_the_sphere_list(monkeypatch):
     monkeypatch.setattr(atlas, "classify", classify_without_ostar)
     steps = eliminate_candidates(4).steps
     assert steps and not any(s.entry.family == "Ostar" for s in steps)
-
-
-def test_gcd_scan():
-    assert gcd_scan(500)
 
 
 def test_verify_suite_n2_all_verified():

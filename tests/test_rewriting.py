@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidcover import rewriting
-from braidcover.identities import CertificateEngine
+from braidcover.identities import CertificateEngine, paper_claims
 from braidcover.presentations import Presentation, sphere_presentation, van_buskirk
 from braidcover.rewriting import (
     ACTIONS,
@@ -25,7 +25,6 @@ from braidcover.rewriting import (
     _MoveTable,
     _reduce_enc,
     _splice,
-    apply_step,
     find_equality,
     invert_steps,
     reduction_steps,
@@ -58,8 +57,21 @@ def test_find_equality_on_relator_conjugate(vb3):
     assert d.target == EMPTY
 
 
-def test_json_roundtrip(vb3):
-    d = find_equality(vb3, parse_word("s1 s2 s1"), parse_word("s2 s1 s2"))
+@pytest.fixture(scope="module")
+def rn2(engine_factory):
+    """The engine's certificate of r3^-1 r3^-1 = s2 s1 s1 s2 at 3 strands
+    (claim rn2), 55 steps."""
+    (claim,) = [c for c in paper_claims(3) if c.label == "rn2"]
+    return engine_factory(3).certify(claim)
+
+
+def apply_one(p, w: BraidWord, step: DerivationStep) -> BraidWord:
+    """w after one step: the replay of a one-step derivation."""
+    return replay(p, Derivation(w, w, (step,)))
+
+
+def test_json_roundtrip(vb3, rn2):
+    d = rn2
     d2 = Derivation.from_json(d.to_json())
     assert d2 == d
     assert verify_derivation(vb3, d2)
@@ -67,19 +79,19 @@ def test_json_roundtrip(vb3):
         Derivation.from_json('{"format": "other"}')
 
 
-def test_corrupted_certificate_rejected(vb3):
-    d = find_equality(vb3, parse_word("s1 s2 s1"), parse_word("s2 s1 s2"))
+def test_corrupted_certificate_rejected(vb3, rn2):
+    d = rn2
     # drop a step: replay must no longer land on the target
     broken = Derivation(d.source, d.target, d.steps[:-1])
     assert not verify_derivation(vb3, broken)
     # change the target
     assert not verify_derivation(
-        vb3, Derivation(d.source, parse_word("s1 s2 s1"), d.steps)
+        vb3, Derivation(d.source, d.target * parse_word("s1"), d.steps)
     )
 
 
-def test_inverted_and_chained_derivations(vb3):
-    d = find_equality(vb3, parse_word("s1 s2 s1"), parse_word("s2 s1 s2"))
+def test_inverted_and_chained_derivations(vb3, rn2):
+    d = rn2
     inv = Derivation(d.target, d.source, tuple(invert_steps(vb3, d.source, d.steps)))
     assert verify_derivation(vb3, inv)
     loop = Derivation(d.source, d.source, d.steps + inv.steps)
@@ -89,7 +101,7 @@ def test_inverted_and_chained_derivations(vb3):
 
 def test_step_errors(vb3):
     # every way a step can fail raises DerivationError with the step's
-    # index and its own message, through apply_step, replay and _apply;
+    # index and its own message, through replay and _apply;
     # _apply leaves the letter list as it was, and no caller's word changes
     w = parse_word("s1 s2")
     cases = [
@@ -105,9 +117,12 @@ def test_step_errors(vb3):
          f"relator index {len(vb3.relators)} out of range"),
         (DerivationStep("DeleteRelatorConjugate", 0, -1), "relator index -1 out of range"),
     ]
+    # four steps that give w back: insert s1 s1^-1 and cancel it, twice
+    restore = (DerivationStep("FreeInsert", 0, conjugator=parse_word("s1")),
+               DerivationStep("FreeCancel", 0)) * 2
     for step, message in cases:
         with pytest.raises(DerivationError) as err:
-            apply_step(vb3, w, step, 4)
+            replay(vb3, Derivation(w, w, restore + (step,)))
         assert (err.value.step_index, str(err.value)) == (4, f"step 4: {message}")
         # the same step after a cancel that gives w fails at index 1
         d = Derivation(parse_word("s1 s2 s2 s2^-1"), w, (DerivationStep("FreeCancel", 2), step))
@@ -124,15 +139,16 @@ def test_step_errors(vb3):
 
 
 def test_apply_step_and_replay_leave_their_input(vb3):
-    # the kernel edits a list in place; the words handed in stay as they were
+    # the kernel edits a list in place; the words handed in stay as they
+    # were, whether a step is replayed alone or in a derivation
     w = parse_word("s1 s2 r1")
     insert = DerivationStep("InsertRelatorConjugate", 1, 0, False, parse_word("s2"))
-    after = apply_step(vb3, w, insert)
+    after = apply_one(vb3, w, insert)
     assert w == parse_word("s1 s2 r1")
     assert len(after) == len(w) + len(vb3.relators[0]) + 2
     delete = DerivationStep("DeleteRelatorConjugate", 1, 0, False, parse_word("s2"))
     d = Derivation(w, w, (insert, delete))
-    assert replay(vb3, d) == w and apply_step(vb3, after, delete) == w
+    assert replay(vb3, d) == w and apply_one(vb3, after, delete) == w
     assert d.source == parse_word("s1 s2 r1") and after == replay(vb3, Derivation(w, w, (insert,)))
 
 
@@ -342,7 +358,7 @@ def hit_cases(draw):
     letters = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
     relators = draw(st.lists(st.lists(letters, min_size=1, max_size=5), min_size=1, max_size=3))
     table = _MoveTable(Presentation("random", gens, tuple(BraidWord(tuple(r)) for r in relators)),
-                       ())
+                       (), range(len(relators)))
     word_codes = st.lists(st.integers(0, 2 * len(gens) - 1), max_size=10).map(_reduce_enc)
     w = draw(word_codes)
     if draw(st.booleans()):
@@ -428,7 +444,7 @@ def valid_derivations(draw):
             step = DerivationStep("InsertRelatorConjugate", draw(st.integers(0, len(w))),
                                   draw(st.integers(0, len(VB3.relators) - 1)),
                                   draw(st.booleans()), draw(words3))
-        w = apply_step(VB3, w, step)
+        w = apply_one(VB3, w, step)
         steps.append(step)
     return Derivation(source, w, tuple(steps))
 
@@ -447,13 +463,15 @@ def corrupt(step: DerivationStep, how: str) -> DerivationStep:
 
 
 def stepwise(d: Derivation):
-    """Reference: one validated BraidWord per step via apply_step."""
+    """Reference: one validated BraidWord per step, each from a one-step
+    replay."""
     w = d.source
-    try:
-        for i, step in enumerate(d.steps):
-            w = apply_step(VB3, w, step, i)
-    except DerivationError as exc:
-        return ("error", exc.step_index)
+    for i, step in enumerate(d.steps):
+        try:
+            w = apply_one(VB3, w, step)
+        except DerivationError as exc:
+            assert exc.step_index == 0
+            return ("error", i)
     return ("word", w)
 
 
@@ -486,8 +504,8 @@ def test_replay_matches_stepwise_apply(d, data):
 # certificate parsing is total
 
 
-def test_from_json_rejects_malformed_certificates(vb3):
-    d = find_equality(vb3, parse_word("s1 s2 s1"), parse_word("s2 s1 s2"))
+def test_from_json_rejects_malformed_certificates(rn2):
+    d = rn2
     payload = json.loads(d.to_json())
     del payload["steps"][0]["action"]
     with pytest.raises(CertificateFormatError, match="step 0"):
