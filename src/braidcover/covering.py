@@ -51,7 +51,7 @@ from itertools import zip_longest
 
 from .oracles import SphereWPVerdict, annulus_oracle, disc_action, sphere_word_problem
 from .presentations import _van_buskirk_relators, annulus_presentation
-from .words import BraidWord, Generator, sigma, tau
+from .words import BraidWord, Generator, _trusted_word, sigma, tau
 
 
 def __getattr__(name: str):
@@ -102,7 +102,7 @@ def psi(n: int, w: BraidWord) -> BraidWord:
     concatenation of the letter images."""
     if n < 1:
         raise ValueError("strand count must be >= 1")
-    return BraidWord(
+    return _trusted_word(
         tuple(
             letter
             for g, e in w.letters
@@ -173,7 +173,7 @@ def annulus_cover_image(d: int, n: int, w: BraidWord) -> BraidWord:
     for g, _e in w.letters:
         geometry.generator_motion(g, n, "annulus")
     geometry.annulus_dfold(d)
-    return BraidWord(
+    return _trusted_word(
         tuple(
             letter
             for g, e in w.letters

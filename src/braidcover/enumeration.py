@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .presentations import Presentation
-from .words import EMPTY, BraidWord, Generator, Permutation, letter_codes, sigma
+from .words import EMPTY, BraidWord, Generator, Permutation, _trusted_word, letter_codes, sigma
 
 MAX_COSETS = 100_000
 
@@ -280,7 +280,7 @@ def group_table(t: CosetTable) -> GroupTable:
         for letter, x in code.items():
             d = t.action[c][x]
             if words[d] is None:
-                words[d] = words[c] * BraidWord((letter,))
+                words[d] = words[c] * _trusted_word((letter,))
                 queue.append(d)
     if any(w is None for w in words):
         raise TableNotClosed("coset table not transitive")
@@ -322,7 +322,7 @@ def table_from_permutations(name: str, perms: list[Permutation]) -> GroupTable:
             if prod.images not in index:
                 index[prod.images] = len(elements)
                 elements.append(prod)
-                words.append(words[i] * BraidWord(((gens[k], 1),)))
+                words.append(words[i] * _trusted_word(((gens[k], 1),)))
         i += 1
     n = len(elements)
     # product convention: elements act like words, mult[i][j] = element of

@@ -45,7 +45,7 @@ from .rewriting import (
     _move_cost,
     _MoveTable,
 )
-from .words import EMPTY, BraidWord, rho, sigma
+from .words import EMPTY, BraidWord, _trusted_word, rho, sigma
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def _positive_script(name: str, source: BraidWord, target: BraidWord):
     letter = {i: (sigma(i), 1) for i in {*u, *v}}
 
     def record(label: str) -> None:
-        script.append((label, BraidWord(tuple(map(letter.__getitem__, u)))))
+        script.append((label, _trusted_word(tuple(map(letter.__getitem__, u)))))
 
     for t in range(len(v), 0, -1):
         # make u[:t] end in s_(v[t-1]).  Tasks: ("pull", end, _, k) makes
@@ -309,8 +309,9 @@ class CertificateEngine:
         base = [("surface", dn1.inverse() * rev_c * _r(1, -1) * c * dn1),
                 (f"rjr1_{n}", dn1.inverse() * _r(n, -1) * dn1)]
         for t, (g, _e) in enumerate(dn1.letters):
-            base.append((f"comm_sr_{g.index}_{n}", dn1.inverse() * BraidWord(dn1.letters[: t + 1])
-                         * _r(n, -1) * BraidWord(dn1.letters[t + 1 :])))
+            base.append((f"comm_sr_{g.index}_{n}",
+                         dn1.inverse() * _trusted_word(dn1.letters[: t + 1]) * _r(n, -1)
+                         * _trusted_word(dn1.letters[t + 1 :])))
         self.add_scripted_lemma("conjri_1", di * _r(1) * d, _r(n, -1), base)
         for i in range(1, n):
             m = n - i
@@ -397,8 +398,8 @@ class CertificateEngine:
 
         def suffix(k: int, j: int) -> BraidWord:
             # product of ascending runs (s_i .. s_(i+k-1-j)) for i = j..1
-            return BraidWord(tuple((sigma(t), 1) for i in range(j, 0, -1)
-                                   for t in range(i, i + k - j)))
+            return _trusted_word(tuple((sigma(t), 1) for i in range(j, 0, -1)
+                                       for t in range(i, i + k - j)))
 
         for name, m, k in (("a", element_a(n), n), ("b", element_b(n), n - 1)):
             if k < 2:
@@ -505,7 +506,7 @@ class CertificateEngine:
         di = delta.inverse()
         w = _chain_down(rho, n, 1)
         wi = w.inverse()
-        self._add_disc_lemma(f"pal_{n}", BraidWord(tuple(reversed(delta.letters))), delta)
+        self._add_disc_lemma(f"pal_{n}", _trusted_word(tuple(reversed(delta.letters))), delta)
         # conjugation of w = rho_n..rho_1 by the half twist inverts it
         self.add_scripted_lemma("conjw", di * w * delta, wi, [
             (f"conjri_{n + 1 - t}",
@@ -515,9 +516,9 @@ class CertificateEngine:
         # w conjugates the half twist to its inverse (see the docstring)
         script = []
         for k, (g, _e) in enumerate(delta.letters):
-            inverted = BraidWord(tuple((h, -e) for h, e in delta.letters[: k + 1]))
+            inverted = _trusted_word(tuple((h, -e) for h, e in delta.letters[: k + 1]))
             script.append((f"invsig_{g.index}",
-                           inverted * wi * BraidWord(delta.letters[k + 1 :]) * w))
+                           inverted * wi * _trusted_word(delta.letters[k + 1 :]) * w))
         script.append((f"pal_{n}", di))
         self.add_scripted_lemma("mirror", wi * delta * w, di, script)
         self.add_scripted_lemma("delta4", delta**4, EMPTY, [

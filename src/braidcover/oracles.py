@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .enumeration import GroupTable, coset_enumerate, group_table
 from .presentations import full_twist, sphere_presentation
-from .words import BraidWord, Letter, permutation_image, sigma
+from .words import BraidWord, Letter, _trusted_word, permutation_image, sigma
 
 FreeWord = tuple[int, ...]
 
@@ -120,11 +120,12 @@ def disc_action(m: int, w: BraidWord) -> FreeEndo:
     # accumulating E <- E o S per letter yields action(v) o action(u) for
     # w = uv when letters are consumed last-to-first
     for g, e in reversed(w.letters):
-        if g.kind != "s":
+        kind, i = g
+        if kind != "s":
             raise ValueError(f"disc action needs sigma-only words, got {g}")
-        if not (1 <= g.index <= m - 1):
-            raise ValueError(f"sigma index {g.index} out of bounds for m={m}")
-        _artin_step(images, g.index, e)
+        if not (1 <= i <= m - 1):
+            raise ValueError(f"sigma index {i} out of bounds for m={m}")
+        _artin_step(images, i, e)
     return FreeEndo(m, tuple(images))
 
 
@@ -213,13 +214,12 @@ def _forget_strands(w: BraidWord, m: int, k: int) -> BraidWord:
     """
     at = list(range(1, m + 1))  # at[p - 1] is the strand at position p
     letters = []
-    for g, e in w.letters:
-        i = g.index
+    for (_kind, i), e in w.letters:
         if at[i - 1] <= k and at[i] <= k:
             kept_upto_i = sum(1 for s in at[:i] if s <= k)
             letters.append((sigma(kept_upto_i), e))
         at[i - 1], at[i] = at[i], at[i - 1]
-    return BraidWord(tuple(letters))
+    return _trusted_word(tuple(letters))
 
 
 @lru_cache(maxsize=None)
@@ -266,7 +266,7 @@ def annulus_to_disc(n: int, w: BraidWord) -> BraidWord:
             letters += [(sigma(1), e), (sigma(1), e)]
         else:
             letters.append((sigma(g.index + 1), e))
-    return BraidWord(tuple(letters))
+    return _trusted_word(tuple(letters))
 
 
 def annulus_oracle(n: int, w: BraidWord) -> bool:

@@ -18,6 +18,7 @@ from .words import (
     EMPTY,
     BraidWord,
     Generator,
+    _trusted_word,
     format_word,
     gen_word,
     parse_word,
@@ -188,7 +189,8 @@ def annulus_presentation(n: int) -> Presentation:
 
 def half_twist(n: int) -> BraidWord:
     """Delta = (sigma_1..sigma_{n-1})(sigma_1..sigma_{n-2})...(sigma_1)."""
-    return BraidWord(tuple((sigma(i), 1) for k in range(n - 1, 0, -1) for i in range(1, k + 1)))
+    return _trusted_word(tuple((sigma(i), 1) for k in range(n - 1, 0, -1)
+                               for i in range(1, k + 1)))
 
 
 def full_twist(n: int) -> BraidWord:

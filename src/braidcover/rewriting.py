@@ -14,10 +14,13 @@ between steps, so certificates are deterministic and positionally stable.
 Soundness is immediate: every move multiplies by a relator conjugate or
 by a word freely equal to the identity.
 
-A step is a checked 5-tuple (DerivationStep).  A replay unpacks each
-step and edits one list of letters in place (_apply), so a step costs
-the letters it inserts, deletes or compares, plus one memmove, rather
-than a copy of the whole word.  Derivation.to_json writes the bytes of
+A step is a checked 5-tuple (DerivationStep).  A step derived from
+checked values (a lemma step shifted by flatten, the inverse of a step
+that replayed, a free cancel of a reduction) is built by _unchecked_step,
+with no check to make again.  A replay unpacks each step and edits one
+list of letters in place (_apply), so a step costs the letters it
+inserts, deletes or compares, plus one memmove, rather than a copy of
+the whole word.  Derivation.to_json writes the bytes of
 json.dumps(payload, indent=1) from a fixed per-step template, escaping
 strings with the C encoder.  Derivation.from_json checks each field over
 all steps at once (one column at a time), parses each distinct
@@ -43,11 +46,20 @@ import heapq
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from operator import itemgetter
 
 from .presentations import Presentation
-from .words import EMPTY, BraidWord, Generator, Letter, format_word, letter_codes, parse_word
+from .words import (
+    EMPTY,
+    BraidWord,
+    Generator,
+    Letter,
+    _trusted_word,
+    format_word,
+    letter_codes,
+    parse_word,
+)
 
 INSERT_RELATOR = "InsertRelatorConjugate"
 DELETE_RELATOR = "DeleteRelatorConjugate"
@@ -114,6 +126,11 @@ class DerivationStep(tuple):
     relator_index = property(itemgetter(2))
     inverse_flag = property(itemgetter(3))
     conjugator = property(itemgetter(4))
+
+
+# the DerivationStep of a 5-tuple of fields, without the constructor's
+# checks: only for fields known to pass them
+_unchecked_step = partial(tuple.__new__, DerivationStep)
 
 
 @dataclass(frozen=True)
@@ -221,7 +238,7 @@ def _steps_by_columns(raw_steps: list) -> tuple[DerivationStep, ...] | None:
     of flags {bool} and of conjugators {str}, positions are >= 0 and
     actions lie in ACTIONS.  Each distinct conjugator string is parsed
     once.  Those are every check DerivationStep's constructor makes, so
-    the steps are built with tuple.__new__ and skip it.  A step that is
+    the steps are built with _unchecked_step and skip it.  A step that is
     not an object, an unhashable action or an unparseable conjugator
     gives None too."""
     try:
@@ -236,7 +253,7 @@ def _steps_by_columns(raw_steps: list) -> tuple[DerivationStep, ...] | None:
         words = {text: parse_word(text) for text in dict.fromkeys(texts)}
     except (TypeError, ValueError):
         return None
-    return tuple(map(tuple.__new__, itertools.repeat(DerivationStep),
+    return tuple(map(_unchecked_step,
                      zip(actions, positions, refs, flags, map(words.__getitem__, texts))))
 
 
@@ -293,9 +310,7 @@ def _apply(p: Presentation, letters: list[Letter], step: DerivationStep, index: 
         if pos + 1 >= len(letters):
             raise DerivationError(index, "cancel position beyond word end")
         g, e = letters[pos]
-        # a tuple compare takes identity before ==, and parse_word, sigma,
-        # rho and tau hand out one Generator per letter, so this compare
-        # rarely calls Generator.__eq__
+        # letters and Generators are tuples, so this compare runs in C
         if letters[pos + 1] != (g, -e):
             raise DerivationError(index, "letters at position are not an inverse pair")
         del letters[pos : pos + 2]
@@ -314,6 +329,10 @@ def _apply(p: Presentation, letters: list[Letter], step: DerivationStep, index: 
         return
     # FREE_INSERT
     word = c.letters
+    if len(word) == 1:  # every FreeInsert the engine writes
+        g, e = letter = word[0]
+        letters[pos:pos] = (letter, (g, -e))
+        return
     if not word:
         raise DerivationError(index, "free insert needs a nonempty word")
     letters[pos:pos] = [*word, *_inverse_letters(word)]
@@ -360,14 +379,17 @@ def verify_derivation(p: Presentation, d: Derivation) -> bool:
 # proof algebra: mechanical step-sequence constructors
 
 
-def _reduction_steps(letters: list[Letter]) -> list[DerivationStep]:
-    """reduction_steps on a letter list, which it reduces in place."""
+def _reduction_steps(letters: list[Letter], start: int = 0) -> list[DerivationStep]:
+    """reduction_steps on a letter list, which it reduces in place.  No
+    inverse pair may lie in letters[:start + 1]: the scan for the leftmost
+    pair starts at start."""
     steps: list[DerivationStep] = []
-    i = 0
+    i = start
     while i < len(letters) - 1:
         g, e = letters[i]
         if letters[i + 1] == (g, -e):
-            steps.append(DerivationStep(FREE_CANCEL, i))
+            # i >= start >= 0 is an int, so the step needs no check
+            steps.append(_unchecked_step((FREE_CANCEL, i, 0, False, EMPTY)))
             del letters[i : i + 2]
             # no pair lies left of i - 1: the next leftmost pair is there or later
             i = max(i - 1, 0)
@@ -380,15 +402,13 @@ def reduction_steps(w: BraidWord) -> tuple[list[DerivationStep], BraidWord]:
     """FreeCancels performing canonical (leftmost-pair) free reduction of w."""
     letters = list(w.letters)
     steps = _reduction_steps(letters)
-    return steps, BraidWord(tuple(letters))
+    return steps, _trusted_word(tuple(letters))
 
 
 def pair_insert_steps(c: BraidWord, pos: int) -> list[DerivationStep]:
     """Single-letter FreeInserts building the literal word c c^-1 at pos."""
-    steps = []
-    for i, let in enumerate(c.letters):
-        steps.append(DerivationStep(FREE_INSERT, pos + i, conjugator=BraidWord((let,))))
-    return steps
+    return [DerivationStep(FREE_INSERT, pos + i, conjugator=_trusted_word((let,)))
+            for i, let in enumerate(c.letters)]
 
 
 BUILD = "build"
@@ -471,6 +491,12 @@ class LemmaUse:
     kind: str
     offset: int = 0
 
+    def __post_init__(self):
+        if self.kind not in _INVERSE_KIND:
+            raise ValueError(f"unknown lemma use kind {self.kind!r}")
+        if type(self.offset) is not int or self.offset < 0:
+            raise ValueError(f"offset must be an int >= 0, got {self.offset!r}")
+
     def __len__(self) -> int:
         return self.lemma.step_count(self.kind)
 
@@ -499,21 +525,29 @@ class LemmaUse:
 def flatten(items, offset: int = 0) -> list[DerivationStep]:
     """The derivation-v1 steps of items, shifted right by offset: each use
     expands, recursively, to its lemma's body."""
+    if type(offset) is not int or offset < 0:
+        raise ValueError(f"offset must be an int >= 0, got {offset!r}")
     out: list[DerivationStep] = []
     _flatten_into(items, offset, out)
     return out
 
 
 def _flatten_into(items, offset: int, out: list[DerivationStep]) -> None:
+    """flatten into out.  The shifted copy of a DerivationStep is built
+    with no check: offset is an int >= 0 (flatten and
+    LemmaUse check theirs), so only the position changes, and it stays an
+    int >= 0.  Any other item goes through the checked constructor."""
     for item in items:
-        if type(item) is LemmaUse:
+        item_type = type(item)
+        if item_type is LemmaUse:
             _flatten_into(item.lemma.body(item.kind), offset + item.offset, out)
-        elif offset:
-            action, position, relator_index, inverse_flag, conjugator = item
-            out.append(DerivationStep(action, position + offset, relator_index, inverse_flag,
-                                      conjugator))
-        else:
+        elif not offset:
             out.append(item)
+        else:
+            action, position, relator_index, inverse_flag, conjugator = item
+            step = (action, position + offset, relator_index, inverse_flag, conjugator)
+            out.append(_unchecked_step(step) if item_type is DerivationStep
+                       else DerivationStep(*step))
 
 
 def _flat_len(items) -> int:
@@ -542,14 +576,18 @@ def _replay_inverted(p: Presentation, letters, items) -> tuple[list, tuple[Lette
         # the letter a FreeCancel deletes, read before the step applies
         cancelled = letters[pos : pos + 1] if action == FREE_CANCEL else None
         _apply(p, letters, step, i)
+        # step passed _apply, so it is a checked DerivationStep, and its
+        # inverse, built from its fields, needs no check
         if action == INSERT_RELATOR:
-            out.append(DerivationStep(DELETE_RELATOR, pos, ref, inv, c))
+            out.append(_unchecked_step((DELETE_RELATOR, pos, ref, inv, c)))
         elif action == DELETE_RELATOR:
-            out.append(DerivationStep(INSERT_RELATOR, pos, ref, inv, c))
+            out.append(_unchecked_step((INSERT_RELATOR, pos, ref, inv, c)))
         elif action == FREE_CANCEL:
-            out.append(DerivationStep(FREE_INSERT, pos, conjugator=BraidWord(tuple(cancelled))))
+            cancelled = _trusted_word(tuple(cancelled))
+            out.append(_unchecked_step((FREE_INSERT, pos, 0, False, cancelled)))
         else:  # FREE_INSERT of c c^-1: cancel from the innermost pair outwards
-            out.extend(DerivationStep(FREE_CANCEL, pos + j) for j in range(len(c)))
+            out.extend(_unchecked_step((FREE_CANCEL, pos + j, 0, False, EMPTY))
+                       for j in range(len(c)))
     out.reverse()
     return out, tuple(letters)
 
@@ -786,7 +824,11 @@ def _compile_path(table: _MoveTable, start_word: BraidWord, path) -> list:
     L^-1), then c^-1 go in at the move's position: one use item, whatever
     the size of the lemma's body.  The use is not applied here; its net
     effect is written down, and _lemma_from_proof or, after flattening,
-    _checked_derivation replays the result."""
+    _checked_derivation replays the result.
+
+    start_word must be freely reduced.  Then so is the word before every
+    move, which leaves no inverse pair left of the junction at pos - 1, and
+    the free reduction after the move scans from there."""
     p = table.presentation
     items: list = []
     w = list(start_word.letters)
@@ -795,7 +837,7 @@ def _compile_path(table: _MoveTable, start_word: BraidWord, path) -> list:
         base = p.relators[ref] if kind == "relator" else table.lemmas[ref].relator
         if inv:
             base = base.inverse()
-        prefix = BraidWord(base.letters[:rot])
+        prefix = _trusted_word(base.letters[:rot])
         c = prefix.inverse()
         if kind == "relator":
             items.append(DerivationStep(INSERT_RELATOR, pos, ref, inv, c))
@@ -805,7 +847,7 @@ def _compile_path(table: _MoveTable, start_word: BraidWord, path) -> list:
             items.append(LemmaUse(table.lemmas[ref], BUILD_INVERSE if inv else BUILD,
                                   pos + len(prefix)))
             w[pos:pos] = c.letters + base.letters + prefix.letters
-        items += _reduction_steps(w)
+        items += _reduction_steps(w, max(pos - 1, 0))
     return items
 
 

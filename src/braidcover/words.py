@@ -14,44 +14,65 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator
 
 KINDS = ("s", "r", "t")  # sigma, rho, tau
 
 
-@dataclass(frozen=True, order=True)
-class Generator:
-    kind: str  # "s" | "r" | "t"
-    index: int
+class Generator(tuple):
+    """One generator letter without exponent: the tuple (kind, index), with
+    read-only fields of those names.
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.index < 1:
-            raise ValueError(f"generator index must be >= 1, got {self.index}")
+    The constructor raises ValueError unless kind is one of KINDS and index
+    is an int >= 1 (bool is not an int here).  A generator equals, orders
+    and hashes as its plain (kind, index) tuple, in C, as the dataclass it
+    replaces did by its generated methods; its repr is that dataclass's."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, index: int):
+        if kind not in KINDS:
+            raise ValueError(f"unknown generator kind {kind!r}")
+        if type(index) is not int:
+            raise ValueError(f"generator index must be an int, got {index!r}")
+        if index < 1:
+            raise ValueError(f"generator index must be >= 1, got {index}")
+        return tuple.__new__(cls, (kind, index))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return "%s(kind=%r, index=%r)" % (type(self).__qualname__, *self)
+
+    kind = property(itemgetter(0))
+    index = property(itemgetter(1))
 
     def check_bounds(self, n: int) -> None:
         """Validate the index against an ambient strand count n."""
-        if self.kind == "s" and not (1 <= self.index <= n - 1):
-            raise ValueError(f"sigma index {self.index} out of bounds for n={n}")
-        if self.kind == "r" and not (1 <= self.index <= n):
-            raise ValueError(f"rho index {self.index} out of bounds for n={n}")
-        if self.kind == "t" and self.index != 1:
-            raise ValueError(f"tau index must be 1, got {self.index}")
+        kind, index = self
+        if kind == "s" and not (1 <= index <= n - 1):
+            raise ValueError(f"sigma index {index} out of bounds for n={n}")
+        if kind == "r" and not (1 <= index <= n):
+            raise ValueError(f"rho index {index} out of bounds for n={n}")
+        if kind == "t" and index != 1:
+            raise ValueError(f"tau index must be 1, got {index}")
 
     def __str__(self):
-        return f"{self.kind}{self.index}"
+        return "%s%s" % self
 
 
 # A letter is (generator, exponent) with exponent +1 or -1.
 Letter = tuple[Generator, int]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _generator(kind: str, index: int) -> Generator:
     """The one Generator per (kind, index) that sigma, rho, tau and
     parse_word hand out, so that equal letters they build are usually one
-    object and tuple compares decide by identity."""
+    object and tuple compares decide by identity.  Typed, so that sigma(True)
+    is refused as Generator("s", True) is, not answered with sigma(1)."""
     return Generator(kind, index)
 
 
@@ -75,12 +96,21 @@ def letter_codes(generators) -> dict[Letter, int]:
 
 @dataclass(frozen=True)
 class BraidWord:
+    """A tuple of letters.  The constructor raises ValueError unless
+    letters is a tuple of (Generator, e) pairs with e the int +1 or -1.
+    Words derived from checked words (products, powers, inverses, free
+    reductions, parse_word's output and the library's internal builders)
+    are built by _trusted_word, which skips that check."""
+
     letters: tuple[Letter, ...] = ()
 
     def __post_init__(self):
-        for g, e in self.letters:
-            if e not in (1, -1):
-                raise ValueError(f"exponent must be +1 or -1, got {e}")
+        if type(self.letters) is not tuple:
+            raise ValueError(f"letters must be a tuple, got {self.letters!r}")
+        for let in self.letters:
+            if not (type(let) is tuple and len(let) == 2 and type(let[0]) is Generator
+                    and type(let[1]) is int and let[1] in (1, -1)):
+                raise ValueError(f"a letter must be a (Generator, +1 or -1) pair, got {let!r}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -89,15 +119,15 @@ class BraidWord:
         return iter(self.letters)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
-        return BraidWord(self.letters + other.letters)
+        return _trusted_word(self.letters + other.letters)
 
     def __pow__(self, k: int) -> "BraidWord":
         if k < 0:
             return self.inverse() ** (-k)
-        return BraidWord(self.letters * k)
+        return _trusted_word(self.letters * k)
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(tuple((g, -e) for g, e in reversed(self.letters)))
+        return _trusted_word(tuple([(g, -e) for g, e in reversed(self.letters)]))
 
     def free_reduce(self) -> "BraidWord":
         out: list[Letter] = []
@@ -106,10 +136,23 @@ class BraidWord:
                 out.pop()
             else:
                 out.append(let)
-        return BraidWord(tuple(out))
+        return _trusted_word(tuple(out))
 
     def __str__(self):
         return format_word(self)
+
+
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
+def _trusted_word(letters: tuple[Letter, ...]) -> BraidWord:
+    """The BraidWord on letters, built without the constructor's check.
+    Only for letters that come from checked words or are built here from
+    interned generators and exponents +1 and -1."""
+    w = _new_object(BraidWord)
+    _set_field(w, "letters", letters)
+    return w
 
 
 EMPTY = BraidWord()
@@ -142,7 +185,7 @@ def parse_word(text: str) -> BraidWord:
         if idx < 1:
             raise WordFormatError(f"bad index in token {tok!r}")
         letters.append((_generator(kind, idx), -1 if inv else 1))
-    return BraidWord(tuple(letters))
+    return _trusted_word(tuple(letters))
 
 
 def format_word(w: BraidWord) -> str:
@@ -202,8 +245,8 @@ def permutation_image(w: BraidWord, n: int) -> Permutation:
     occupant = list(range(1, n + 1))  # occupant[q-1] = strand currently at position q
     for g, _e in w.letters:
         g.check_bounds(n)
-        if g.kind == "s":
-            i = g.index
+        kind, i = g
+        if kind == "s":
             occupant[i - 1], occupant[i] = occupant[i], occupant[i - 1]
     # strand-endpoint map is the inverse of the final occupancy row
     return Permutation(tuple(occupant)).inverse()

@@ -57,6 +57,36 @@ def test_certificates_are_pinned(engine_factory, n, digest, steps):
     assert sum(len(d.steps) for d in certs.values()) == steps
 
 
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_certificate_steps_pass_the_step_check(engine_factory, n):
+    # flatten shifts lemma steps, and the compiler inverts and reduces,
+    # without the constructor's checks: every step must be one it accepts,
+    # over a conjugator BraidWord's constructor accepts
+    for d in engine_factory(n).certify_all().values():
+        for step in d.steps:
+            assert type(step) is rewriting.DerivationStep
+            assert step == rewriting.DerivationStep(*step)
+            assert step.conjugator == BraidWord(step.conjugator.letters)
+
+
+def test_lemma_use_checks_its_fields(engine_factory):
+    lemma = engine_factory(2).lemmas["rn2"]
+    assert rewriting.LemmaUse(lemma, rewriting.PROOF, 3).offset == 3
+    for args in ((lemma, "bogus"), (lemma, rewriting.BUILD, True), (lemma, rewriting.BUILD, -1),
+                 (lemma, rewriting.BUILD, 1.0)):
+        with pytest.raises(ValueError):
+            rewriting.LemmaUse(*args)
+    use = rewriting.LemmaUse(lemma, rewriting.BUILD)
+    with pytest.raises(ValueError):
+        dataclasses.replace(use, kind="bogus")
+    for offset in (-1, True, 0.5):
+        with pytest.raises(ValueError):
+            rewriting.flatten((use,), offset)
+    assert rewriting.flatten((use,), 2) == [
+        rewriting.DerivationStep(s.action, s.position + 2, s.relator_index, s.inverse_flag,
+                                 s.conjugator) for s in use]
+
+
 def test_certificates_use_only_presentation_relators(engine_factory):
     engine = engine_factory(2)
     p = van_buskirk(2)

@@ -408,6 +408,22 @@ def test_reduction_steps_match_leftmost_pair_scan():
         assert all(s.action == "FreeCancel" for s in steps)
 
 
+letter_lists = st.lists(st.tuples(st.sampled_from((sigma(1), sigma(2), rho(1))),
+                                  st.sampled_from((1, -1))), max_size=8)
+
+
+@given(letter_lists, letter_lists, st.integers(0, 8))
+def test_reduction_from_the_junction_matches_a_full_scan(w, u, pos):
+    # a move inserts u at pos into a freely reduced word: scanning for the
+    # leftmost pair from pos - 1 gives the same steps as scanning from 0
+    w = list(BraidWord(tuple(w)).free_reduce().letters)
+    pos = min(pos, len(w))
+    full, junction = w[:pos] + u + w[pos:], w[:pos] + u + w[pos:]
+    assert rewriting._reduction_steps(full) == rewriting._reduction_steps(junction,
+                                                                          max(pos - 1, 0))
+    assert full == junction
+
+
 # ---------------------------------------------------------------------------
 # replay on letter tuples
 

@@ -1,13 +1,19 @@
+import copy
+import pickle
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from braidcover.words import (
     EMPTY,
+    KINDS,
     BraidWord,
     Generator,
     Permutation,
     WordFormatError,
+    _trusted_word,
     format_word,
     gen_word,
     letter_codes,
@@ -36,6 +42,15 @@ def test_generator_validation():
         Generator("q", 1)
     with pytest.raises(ValueError):
         Generator("s", 0)
+    # an index that is not exactly an int: 1.5 and True would format as
+    # s1.5 and sTrue, text parse_word rejects
+    for index in (1.5, True, "2", None):
+        with pytest.raises(ValueError):
+            Generator("s", index)
+    with pytest.raises(ValueError):
+        sigma(True)
+    with pytest.raises(ValueError):
+        rho(2.0)
     with pytest.raises(ValueError):
         sigma(3).check_bounds(3)
     sigma(2).check_bounds(3)
@@ -44,6 +59,104 @@ def test_generator_validation():
         rho(4).check_bounds(3)
     with pytest.raises(ValueError):
         Generator("t", 2).check_bounds(3)
+
+
+@dataclass(frozen=True, order=True)
+class DataclassGenerator:
+    """The frozen ordered dataclass Generator once was: the reference for
+    equality, order, hash, text and pickling."""
+
+    kind: str
+    index: int
+
+    def __str__(self):
+        return f"{self.kind}{self.index}"
+
+
+generator_pairs = st.tuples(st.sampled_from(KINDS),
+                            st.one_of(st.integers(1, 12), st.integers(1, 10**30)))
+
+
+@given(st.lists(generator_pairs, max_size=12))
+def test_tuple_generator_matches_the_dataclass(pairs):
+    new = [Generator(*pair) for pair in pairs]
+    ref = [DataclassGenerator(*pair) for pair in pairs]
+    for g, r in zip(new, ref):
+        assert (g.kind, g.index) == (r.kind, r.index)
+        assert str(g) == str(r) and f"{g}" == f"{r}"
+        assert repr(g) == repr(r).replace("DataclassGenerator", "Generator")
+        assert eval(repr(g)) == g
+        assert hash(g) == hash(r)
+        for clone in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+            assert type(clone) is Generator and clone == g and hash(clone) == hash(g)
+        for h, q in zip(new, ref):
+            assert (g == h, g != h, g < h, g <= h, g > h, g >= h) == \
+                   (r == q, r != q, r < q, r <= q, r > q, r >= q)
+    order = sorted(range(len(pairs)), key=new.__getitem__)
+    assert order == sorted(range(len(pairs)), key=ref.__getitem__)
+    assert [str(g) for g in sorted(new)] == [str(r) for r in sorted(ref)]
+    assert list(dict.fromkeys(new)) == [Generator(r.kind, r.index) for r in dict.fromkeys(ref)]
+
+
+def test_generator_is_an_immutable_tuple():
+    g = sigma(2)
+    assert g == ("s", 2) and len(g) == 2 and not hasattr(g, "__dict__")
+    with pytest.raises(AttributeError):
+        g.index = 3
+    with pytest.raises(AttributeError):
+        g.note = "x"
+    assert pickle.loads(pickle.dumps(g)) == g
+
+
+@pytest.mark.parametrize("letter", [(sigma(1), True), (sigma(1), 1.0), ("x", 1), (sigma(1), 2),
+                                    (sigma(1), 0), ("s1", 1), (("s", 1), 1), [sigma(1), 1],
+                                    (sigma(1), 1, 1), (sigma(1),), sigma(1)])
+def test_braid_word_rejects_a_bad_letter(letter):
+    with pytest.raises(ValueError):
+        BraidWord((letter,))
+    with pytest.raises(ValueError):
+        BraidWord(((rho(1), -1), letter))
+
+
+def test_braid_word_wants_a_tuple():
+    with pytest.raises(ValueError):
+        BraidWord([(sigma(1), 1)])
+
+
+@given(words_over(4, kinds="srt"), words_over(4, kinds="srt"), st.integers(-3, 3))
+def test_derived_words_pass_the_constructor_check(u, v, k):
+    # the words derived from checked words are built without the check;
+    # each must be one the checked constructor accepts and equals
+    derived = [u.inverse(), u.free_reduce(), u * v, u**k, parse_word(format_word(u)),
+               _trusted_word(u.letters)]
+    for w in derived:
+        assert type(w) is BraidWord and w == BraidWord(w.letters)
+        assert hash(w) == hash(BraidWord(w.letters))
+
+
+def test_library_words_pass_the_constructor_check():
+    # the library's own builders make their words unchecked, from checked
+    # words or from interned generators; each must pass the check
+    from braidcover.covering import annulus_cover_image, psi
+    from braidcover.enumeration import coset_enumerate, group_table, table_from_permutations
+    from braidcover.oracles import _forget_strands, annulus_to_disc
+    from braidcover.presentations import finite_group_presentation, half_twist
+    from braidcover.rewriting import invert_steps, pair_insert_steps, reduction_steps
+
+    w = parse_word("s1 r2^-1 s2^-1 s2 r3 s1^-1")
+    annulus = parse_word("t1 s1 s2^-1 t1^-1 s1")
+    words = [psi(3, w), half_twist(5), annulus_to_disc(3, annulus),
+             annulus_cover_image(2, 2, parse_word("t1 s1^-1")),
+             _forget_strands(half_twist(4) * half_twist(4), 4, 2), reduction_steps(w)[1]]
+    words += group_table(coset_enumerate(finite_group_presentation("Dic", 3))).words
+    words += table_from_permutations("S3", [Permutation((2, 1, 3)),
+                                            Permutation((1, 3, 2))]).words
+    # free inserts, and the inverses of a reduction's free cancels
+    steps = pair_insert_steps(w, 0) + invert_steps(None, w, reduction_steps(w)[0])
+    assert {step.action for step in steps} == {"FreeInsert"}
+    words += [step.conjugator for step in steps]
+    for v in words:
+        assert type(v) is BraidWord and v == BraidWord(v.letters)
 
 
 def test_parse_format_examples():
