@@ -84,8 +84,15 @@ def cmd_wp(args) -> int:
 
 def cmd_lift(args) -> int:
     # the only command that needs the sampled geometry, and so numpy
-    from .geometry import (ANTIPODAL, extract_word, lift_motion, scene_to_svg, scene_to_text,
-                           word_motion)
+    try:
+        from .geometry import (ANTIPODAL, extract_word, lift_motion, scene_to_svg, scene_to_text,
+                               word_motion)
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print("error: lift needs numpy; install the geometry extra: "
+              "pip install 'braidcover[geometry]'", file=sys.stderr)
+        return EXIT_FAILURE
 
     w = parse_word(args.word)
     scene = lift_motion(word_motion(w, args.n, "rp2"), ANTIPODAL)

@@ -6,8 +6,8 @@ and, via an added fixed strand, for annulus braids.  The sphere variant
 acts on the rank m-1 quotient up to inner automorphisms, and a pure braid
 whose action is inner is 1 or the full twist.  So sphere verdicts are
 layered: permutation, then an exact test that the action is inner, then
-the forgetful map to the order-12 group B_3(S^2), which separates 1 from
-the full twist on every strand count.
+the exponent sum of the crossings among strands 1..3, which separates 1
+from the full twist on every strand count.
 
 Free-group words are tuples of nonzero ints: letter +i / -i is the i-th
 basis letter x_i or its inverse; words are kept reduced.  So a product of
@@ -20,25 +20,10 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .enumeration import GroupTable, coset_enumerate, group_table
-from .presentations import full_twist, sphere_presentation
 from .words import BraidWord, Letter, _trusted_word, permutation_image, sigma
 
 FreeWord = tuple[int, ...]
-
-
-def free_reduce(letters) -> FreeWord:
-    out: list[int] = []
-    for x in letters:
-        if x == 0:
-            raise ValueError("0 is not a free letter")
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
 
 
 def free_invert(w: FreeWord) -> FreeWord:
@@ -46,7 +31,7 @@ def free_invert(w: FreeWord) -> FreeWord:
 
 
 def _join(*words: FreeWord) -> FreeWord:
-    """free_reduce of the concatenation of reduced words: letters cancel
+    """The reduced concatenation of reduced words: letters cancel
     only where one word meets the next (at most the whole next word, and
     then on into the word before)."""
     out: list[int] = []
@@ -81,16 +66,6 @@ class FreeEndo:
 
     def is_identity(self) -> bool:
         return all(w == (i,) for i, w in enumerate(self.images, start=1))
-
-    def apply(self, w: FreeWord) -> FreeWord:
-        inverses = [free_invert(img) for img in self.images]
-        return _join(*(self.images[x - 1] if x > 0 else inverses[-x - 1] for x in w))
-
-    def compose(self, other: "FreeEndo") -> "FreeEndo":
-        """self o other: apply `other` first."""
-        if other.rank != self.rank:
-            raise ValueError("rank mismatch")
-        return FreeEndo(self.rank, tuple(self.apply(w) for w in other.images))
 
 
 def _artin_step(images: list[FreeWord], i: int, e: int) -> None:
@@ -204,53 +179,37 @@ class SphereWPVerdict:
     certificate: None = None
 
 
-def _forget_strands(w: BraidWord, m: int, k: int) -> BraidWord:
-    """Delete every strand of an m-strand word except strands 1..k.
-
-    A crossing stays only when both of its strands are kept, and it is
-    renumbered by position among the kept strands.  This is the forgetful
-    map on pure braids, and on B_m(S^2) it sends the full twist to the
-    full twist on k strands.
-    """
-    at = list(range(1, m + 1))  # at[p - 1] is the strand at position p
-    letters = []
-    for (_kind, i), e in w.letters:
-        if at[i - 1] <= k and at[i] <= k:
-            kept_upto_i = sum(1 for s in at[:i] if s <= k)
-            letters.append((sigma(kept_upto_i), e))
-        at[i - 1], at[i] = at[i], at[i - 1]
-    return _trusted_word(tuple(letters))
-
-
-@lru_cache(maxsize=None)
-def _sphere_table(k: int) -> tuple[GroupTable, int]:
-    """Group table of B_k(S^2), k <= 3, and the element of its full twist."""
-    table = group_table(coset_enumerate(sphere_presentation(k)))
-    return table, table.evaluate(full_twist(k))
-
-
 def sphere_word_problem(m: int, w: BraidWord) -> SphereWPVerdict:
     """Decide w in B_m(S^2): Nontrivial, Trivial, or FullTwist.
 
     A pure braid whose sphere action is inner is 1 or the full twist
     (Fadell-Van Buskirk; Gillette-Van Buskirk), and sphere_action decides
     innerness exactly with a checked conjugator.  Forgetting every strand
-    but the first min(m, 3) sends the full twist to the central involution
-    of B_3(S^2) (to 1 in B_2(S^2), where it is trivial), so evaluating the
-    forgotten word in that finite group's table separates the two.
+    but the first k = min(m, 3) is a map of pure braids that sends the
+    full twist to the full twist on k strands.  P_3(S^2) = {1, full twist}
+    and H_1(B_k(S^2)) = Z/2(k-1), where the full twist's k(k-1) crossings
+    give class 2 for k = 3 (and 0 for k = 2, where it is trivial).  So the
+    exponent sum of the crossings between two of strands 1..k, mod
+    2(k-1), separates the two.
     """
     if not permutation_image(w, m).is_identity():
         return SphereWPVerdict("Nontrivial", "permutation")
     if not sphere_action(m, w).is_identity():
         return SphereWPVerdict("Nontrivial", "action")
     k = min(m, 3)
-    table, twist = _sphere_table(k)
-    x = table.evaluate(_forget_strands(w, m, k))
+    at = list(range(1, m + 1))  # at[p - 1] is the strand at position p
+    total = 0
+    for (_kind, i), e in w.letters:
+        a, b = at[i - 1], at[i]
+        if a <= k and b <= k:
+            total += e
+        at[i - 1], at[i] = b, a
+    x = total % (2 * (k - 1))
     if x == 0:
         return SphereWPVerdict("Trivial", "forgetful map")
-    if x == twist:
+    if x == 2:
         return SphereWPVerdict("FullTwist", "forgetful map")
-    raise AssertionError(f"action-trivial word maps to element {x} of B_{k}(S^2)")
+    raise AssertionError(f"action-trivial word has exponent class {x} in B_{k}(S^2)")
 
 
 def annulus_to_disc(n: int, w: BraidWord) -> BraidWord:

@@ -175,19 +175,24 @@ from braidcover.cli import main
 for n in range(2, 6):
     verify_suite(n)
 codes = [main(argv) for argv in (["verify", "3"], ["derive", "rn2", "3"],
-                                 ["wp", "s2", "3", "s1 s2 s1 s2 s1 s2"], ["classify", "rp2", "7"])]
+                                 ["wp", "s2", "3", "s1 s2 s1 s2 s1 s2"], ["classify", "rp2", "7"],
+                                 ["lift", "2", "s1", "--out", sys.argv[1]])]
 assert "braidcover.geometry" not in sys.modules
 print("codes", codes)
 """
 
 
-def test_exact_paths_run_without_numpy():
+def test_exact_paths_run_without_numpy(tmp_path):
     # the verification suite, certificates, the sphere oracle and the
-    # classification never touch the sampled geometry
+    # classification never touch the sampled geometry; lift needs it, and
+    # says so with exit code 1 instead of a traceback
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", _NO_NUMPY], capture_output=True, text=True,
-                         env=env, timeout=300)
+    out = subprocess.run([sys.executable, "-c", _NO_NUMPY, str(tmp_path / "scene")],
+                         capture_output=True, text=True, env=env, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == f"codes {[EXIT_GAPS, EXIT_OK, EXIT_OK, EXIT_OK]}"
+    assert out.stdout.splitlines()[-1] == (
+        f"codes {[EXIT_GAPS, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_FAILURE]}")
+    assert "Traceback" not in out.stderr
+    assert "geometry extra" in out.stderr

@@ -1,9 +1,15 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from braidcover.enumeration import coset_enumerate, group_table
 from braidcover.oracles import (
     FreeEndo,
     _drop_last_letter,
@@ -13,7 +19,6 @@ from braidcover.oracles import (
     annulus_to_disc,
     disc_action,
     free_invert,
-    free_reduce,
     sphere_action,
     sphere_word_problem,
 )
@@ -22,9 +27,31 @@ from braidcover.presentations import (
     full_twist,
     sphere_presentation,
 )
-from braidcover.words import BraidWord, parse_word, sigma
+from braidcover.words import BraidWord, _trusted_word, parse_word, permutation_image, sigma
 
 from .test_words import words_over
+
+
+def free_reduce(letters) -> tuple:
+    """Letter-by-letter free reduction: the reference for _join."""
+    out: list[int] = []
+    for x in letters:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def _apply(e: FreeEndo, w) -> tuple:
+    """e(w), reduced in full."""
+    inverses = [free_invert(img) for img in e.images]
+    return free_reduce(x for v in w for x in (e.images[v - 1] if v > 0 else inverses[-v - 1]))
+
+
+def _compose(e: FreeEndo, f: FreeEndo) -> FreeEndo:
+    """e o f: apply f first."""
+    return FreeEndo(e.rank, tuple(_apply(e, w) for w in f.images))
 
 
 def free_words(rank: int, max_len: int = 8):
@@ -41,8 +68,6 @@ def test_free_reduce_and_invert(w):
 
 def test_free_word_helpers():
     assert free_reduce((1, 2, -2, -1, 3)) == (3,)
-    with pytest.raises(ValueError):
-        free_reduce((0,))
     with pytest.raises(ValueError):
         FreeEndo(2, ((3,), (1,)))
     with pytest.raises(ValueError):
@@ -91,13 +116,13 @@ def test_artin_steps_match_full_reduction(case):
 @given(free_words(3), free_words(3))
 def test_endo_apply_is_homomorphic(u, v):
     e = disc_action(3, parse_word("s1 s2 s1^-1"))
-    assert e.apply(free_reduce(u + v)) == free_reduce(e.apply(u) + e.apply(v))
+    assert _apply(e, free_reduce(u + v)) == free_reduce(_apply(e, u) + _apply(e, v))
 
 
 @given(words_over(5, max_len=8, kinds="s"), words_over(5, max_len=8, kinds="s"))
 def test_disc_action_composition(u, v):
     left = disc_action(5, u * v)
-    right = disc_action(5, v).compose(disc_action(5, u))
+    right = _compose(disc_action(5, v), disc_action(5, u))
     assert left == right
 
 
@@ -200,6 +225,91 @@ def test_sphere_word_problem_decides_twist_conjugates(m):
         twist = c * full_twist(m) * c.inverse()
         assert sphere_word_problem(m, twist).verdict == "FullTwist"
         assert sphere_word_problem(m, twist * twist).verdict == "Trivial"
+
+
+def _forget_strands(w: BraidWord, m: int, k: int) -> BraidWord:
+    """Delete every strand of an m-strand word except strands 1..k: a
+    crossing stays only when both of its strands are kept, renumbered by
+    position among the kept strands."""
+    at = list(range(1, m + 1))  # at[p - 1] is the strand at position p
+    letters = []
+    for (_kind, i), e in w.letters:
+        if at[i - 1] <= k and at[i] <= k:
+            kept_upto_i = sum(1 for s in at[:i] if s <= k)
+            letters.append((sigma(kept_upto_i), e))
+        at[i - 1], at[i] = at[i], at[i - 1]
+    return _trusted_word(tuple(letters))
+
+
+@lru_cache(maxsize=None)
+def _sphere_table(k: int):
+    table = group_table(coset_enumerate(sphere_presentation(k)))
+    return table, table.evaluate(full_twist(k))
+
+
+def _verdict_by_group_table(m: int, w: BraidWord) -> tuple[str, str]:
+    """The sphere oracle with the forgotten word evaluated in the group
+    table of B_k(S^2), k = min(m, 3), as its last layer: the reference for
+    the exponent sum."""
+    if not permutation_image(w, m).is_identity():
+        return ("Nontrivial", "permutation")
+    if not sphere_action(m, w).is_identity():
+        return ("Nontrivial", "action")
+    table, twist = _sphere_table(min(m, 3))
+    x = table.evaluate(_forget_strands(w, m, min(m, 3)))
+    assert x in (0, twist)
+    return ("Trivial" if x == 0 else "FullTwist", "forgetful map")
+
+
+def _pure_words(m: int, rng: random.Random):
+    def word(length):
+        return BraidWord(tuple((sigma(rng.randint(1, m - 1)), rng.choice((1, -1)))
+                               for _ in range(length)))
+
+    for k in range(-2, 3):
+        c = word(rng.randint(0, 8))
+        yield c * full_twist(m) ** k * c.inverse()
+    for _ in range(6):
+        a, b = word(rng.randint(1, 6)), word(rng.randint(1, 6))
+        yield (a * b * a.inverse() * b.inverse()) ** 2
+    for _ in range(8):
+        w = BraidWord()
+        for _ in range(rng.randint(1, 4)):
+            c, i, e = word(rng.randint(0, 6)), rng.randint(1, m - 1), rng.choice((1, -1))
+            w = w * c * BraidWord(((sigma(i), e), (sigma(i), e))) * c.inverse()
+        yield w
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_exponent_sum_matches_the_group_table(m):
+    rng = random.Random(100 + m)
+    for w in _pure_words(m, rng):
+        v = sphere_word_problem(m, w)
+        assert (v.verdict, v.evidence) == _verdict_by_group_table(m, w)
+    for w in (parse_word("s1 s1 s1"), full_twist(m) * parse_word("s1")):
+        v = sphere_word_problem(m, w)
+        assert (v.verdict, v.evidence) == _verdict_by_group_table(m, w)
+
+
+_NO_ENUMERATION = """
+import sys
+from braidcover.covering import verify_relator_images
+from braidcover.oracles import sphere_word_problem
+from braidcover.presentations import full_twist
+assert verify_relator_images(4).ok
+assert sphere_word_problem(6, full_twist(6)).verdict == "FullTwist"
+print("braidcover.enumeration" in sys.modules)
+"""
+
+
+def test_exact_covering_verdicts_load_no_coset_enumeration():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _NO_ENUMERATION], capture_output=True,
+                         text=True, env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_annulus_to_disc():

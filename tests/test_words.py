@@ -139,15 +139,14 @@ def test_library_words_pass_the_constructor_check():
     # words or from interned generators; each must pass the check
     from braidcover.covering import annulus_cover_image, psi
     from braidcover.enumeration import coset_enumerate, group_table, table_from_permutations
-    from braidcover.oracles import _forget_strands, annulus_to_disc
+    from braidcover.oracles import annulus_to_disc
     from braidcover.presentations import finite_group_presentation, half_twist
     from braidcover.rewriting import invert_steps, pair_insert_steps, reduction_steps
 
     w = parse_word("s1 r2^-1 s2^-1 s2 r3 s1^-1")
     annulus = parse_word("t1 s1 s2^-1 t1^-1 s1")
     words = [psi(3, w), half_twist(5), annulus_to_disc(3, annulus),
-             annulus_cover_image(2, 2, parse_word("t1 s1^-1")),
-             _forget_strands(half_twist(4) * half_twist(4), 4, 2), reduction_steps(w)[1]]
+             annulus_cover_image(2, 2, parse_word("t1 s1^-1")), reduction_steps(w)[1]]
     words += group_table(coset_enumerate(finite_group_presentation("Dic", 3))).words
     words += table_from_permutations("S3", [Permutation((2, 1, 3)),
                                             Permutation((1, 3, 2))]).words
