@@ -290,11 +290,8 @@ def _quotient_isomorphic(family: str, param: int | None, target: str,
 def _check_quotients(n: int) -> ClaimStatus:
     checks: list[tuple[str, bool]] = []
     for m, label in ((2 * n, "Dic_{8n}"), (2 * (n - 1), "Dic_{8(n-1)}")):
-        if m >= 2:
-            checks.append(
-                (f"{label}/center = Dih_{{{2 * m}}}",
-                 _quotient_isomorphic("Dic", m, "Dih", m))
-            )
+        checks.append((f"{label}/center = Dih_{{{2 * m}}}",
+                       _quotient_isomorphic("Dic", m, "Dih", m)))
     if n % 3 in (0, 1):
         checks.append(("Ostar/center = S4", _quotient_isomorphic("Ostar", None, "S4", None)))
     if n % 15 in (0, 1, 6, 10):
@@ -324,7 +321,7 @@ def _check_order_ledger(n: int) -> ClaimStatus:
         raise VerificationFailure(f"permutation of a has order {pa.order()} != {n}")
     if not permutation_image(a**n, n).is_identity():
         raise VerificationFailure("permutation of a^n is not the identity")
-    if n >= 2 and permutation_image(delta, n).is_identity():
+    if permutation_image(delta, n).is_identity():
         raise VerificationFailure("permutation of the half twist is trivial")
     gaps = []
     if n == 2:

@@ -71,15 +71,11 @@ def cmd_wp(args) -> int:
         print(f"{v.verdict} ({v.evidence})")
         return EXIT_OK
     if args.surface == "annulus":
-        verdict = "Trivial" if annulus_oracle(args.m, w) else "Nontrivial"
-        print(verdict)
-        return EXIT_OK
-    if args.surface == "disc":
-        verdict = "Trivial" if disc_action(args.m, w).is_identity() else "Nontrivial"
-        print(verdict)
-        return EXIT_OK
-    print(f"unknown surface {args.surface!r}", file=sys.stderr)
-    return EXIT_FAILURE
+        trivial = annulus_oracle(args.m, w)
+    else:  # "disc": argparse's choices admit no other surface
+        trivial = disc_action(args.m, w).is_identity()
+    print("Trivial" if trivial else "Nontrivial")
+    return EXIT_OK
 
 
 def cmd_lift(args) -> int:
@@ -117,11 +113,7 @@ def _report_exit(report) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        report = verify_suite(args.n)
-    except VerificationFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    report = verify_suite(args.n)
     for c in report.claims:
         print(f"{c.name:30s} {c.status}")
         for g in c.gaps:
@@ -130,11 +122,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        report = verify_suite(args.n)
-    except VerificationFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    report = verify_suite(args.n)
     print(report.to_json() if args.format == "json" else report.to_markdown(), end="")
     return _report_exit(report)
 
@@ -195,6 +183,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except VerificationFailure as exc:  # raised by verify and report
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

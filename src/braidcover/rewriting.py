@@ -32,12 +32,14 @@ The search half of the module (find_equality) finds certificates for
 short identities by best-first insertion of cyclic rotations of relators.
 Its move tables also check the certificate engine's script steps, where a
 move may insert a previously certified auxiliary identity (a lemma), and
-its splice and compile code serves both.  A lemma is banked as its proof
-in items: an item is a step or a LemmaUse, which runs one of a banked
-lemma's bodies at an offset, so a lemma move costs one item however large
-the lemma's own proof is.  Only a certificate that is returned is
-flattened into steps that reference presentation relators alone, and it
-is replayed flat before it is returned.
+its splice and compile code serves both.  A lemma L = 1 is banked with
+two bodies in items, its proof (L -> empty) and its build (empty -> L):
+an item is a step or a LemmaUse, which runs one of those bodies at an
+offset, so a lemma move costs one item however large the lemma's own
+proof is.  A move that inserts L^-1 free-inserts L^-1 L and uses the
+proof.  Only a certificate that is returned is flattened into steps that
+reference presentation relators alone, and it is replayed flat before it
+is returned.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import heapq
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from operator import itemgetter
 
 from .presentations import Presentation
@@ -412,13 +414,10 @@ def pair_insert_steps(c: BraidWord, pos: int) -> list[DerivationStep]:
 
 
 BUILD = "build"
-BUILD_INVERSE = "build_inverse"
 PROOF = "proof"
-PROOF_INVERSE = "proof_inverse"
 
 # the kind of the use that undoes a use of each kind
-_INVERSE_KIND = {BUILD: PROOF, PROOF: BUILD, BUILD_INVERSE: PROOF_INVERSE,
-                 PROOF_INVERSE: BUILD_INVERSE}
+_INVERSE_KIND = {BUILD: PROOF, PROOF: BUILD}
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,10 +433,9 @@ class Lemma:
     the build has proof_steps flat steps too, and inverting a flattened
     build step by step gives back the flattened proof (inverting a use to
     the use of the opposite body flattens to the same steps as inverting
-    its flat body would).  build_inverse and proof_inverse add the
-    len(L) FreeInserts or FreeCancels of L^-1 L.  build and build_inverse
-    are the flattened bodies empty -> L and empty -> L^-1: len() reads
-    step_count, iterating flattens."""
+    its flat body would).  build is the flattened body empty -> L: len()
+    reads proof_steps, iterating flattens.  A lemma holds no use of
+    itself, so a bank is freed by reference counting alone."""
 
     name: str
     relator: BraidWord
@@ -449,43 +447,14 @@ class Lemma:
     def build(self) -> "LemmaUse":
         return LemmaUse(self, BUILD)
 
-    @property
-    def build_inverse(self) -> "LemmaUse":
-        return LemmaUse(self, BUILD_INVERSE)
-
-    def body(self, kind: str) -> tuple:
-        """The items of one body at offset 0.  build_inverse free-inserts
-        L^-1 L and runs the proof on the L half; proof_inverse is its
-        inverse.  Both are built on first use and kept."""
-        if kind == PROOF:
-            return self.proof_items
-        if kind == BUILD:
-            return self.build_items
-        return self._build_inverse_items if kind == BUILD_INVERSE else self._proof_inverse_items
-
-    @cached_property
-    def _build_inverse_items(self) -> tuple:
-        k = len(self.relator)
-        return (*pair_insert_steps(self.relator.inverse(), 0), LemmaUse(self, PROOF, k))
-
-    @cached_property
-    def _proof_inverse_items(self) -> tuple:
-        k = len(self.relator)
-        return (LemmaUse(self, BUILD, k),
-                *(DerivationStep(FREE_CANCEL, j) for j in reversed(range(k))))
-
-    def step_count(self, kind: str) -> int:
-        """The flat step count of one body: proof_steps for the proof and
-        the build, and len(relator) more for the two inverse bodies."""
-        return self.proof_steps if kind in (PROOF, BUILD) else self.proof_steps + len(self.relator)
-
 
 @dataclass(frozen=True)
 class LemmaUse:
     """An item that runs one body of a banked lemma L at offset: build
-    (empty -> L), build_inverse (empty -> L^-1), proof (L -> empty) or
-    proof_inverse (L^-1 -> empty).  As a step sequence it is its flattened
-    body: len() reads the lemma's stored counts, iterating flattens."""
+    (empty -> L) or proof (L -> empty).  L^-1 has no body of its own: it
+    is free-inserted as L^-1 L, and the proof then deletes the L.  As a
+    step sequence a use is its flattened body: len() reads the lemma's
+    stored count, iterating flattens."""
 
     lemma: Lemma
     kind: str
@@ -498,49 +467,49 @@ class LemmaUse:
             raise ValueError(f"offset must be an int >= 0, got {self.offset!r}")
 
     def __len__(self) -> int:
-        return self.lemma.step_count(self.kind)
+        return self.lemma.proof_steps
 
     def __iter__(self):
         return iter(flatten((self,)))
 
     def _apply(self, letters: list[Letter], index: int) -> None:
         """The body's net effect on a letter list, in place as _apply's: a
-        build places its word at offset, a proof checks that its word is
-        there and deletes it.  The body itself passed its replay when the
-        lemma was banked."""
+        build places L at offset, a proof checks that L is there and
+        deletes it.  The body itself passed its replay when the lemma was
+        banked."""
         word = self.lemma.relator.letters
-        word = _inverse_letters(word) if self.kind in (BUILD_INVERSE, PROOF_INVERSE) else [*word]
         pos = self.offset
-        if self.kind in (BUILD, BUILD_INVERSE):
+        if self.kind == BUILD:
             if pos > len(letters):
                 raise DerivationError(index, f"position {pos} beyond word of length {len(letters)}")
             letters[pos:pos] = word
             return
         k = len(word)
-        if letters[pos : pos + k] != word:
+        if letters[pos : pos + k] != [*word]:
             raise DerivationError(index, f"lemma {self.lemma.name} not present at position")
         del letters[pos : pos + k]
 
 
-def flatten(items, offset: int = 0) -> list[DerivationStep]:
-    """The derivation-v1 steps of items, shifted right by offset: each use
-    expands, recursively, to its lemma's body."""
-    if type(offset) is not int or offset < 0:
-        raise ValueError(f"offset must be an int >= 0, got {offset!r}")
+def flatten(items) -> list[DerivationStep]:
+    """The derivation-v1 steps of items: each use expands, recursively, to
+    its lemma's body, shifted right by the use's offset."""
     out: list[DerivationStep] = []
-    _flatten_into(items, offset, out)
+    _flatten_into(items, 0, out)
     return out
 
 
 def _flatten_into(items, offset: int, out: list[DerivationStep]) -> None:
-    """flatten into out.  The shifted copy of a DerivationStep is built
-    with no check: offset is an int >= 0 (flatten and
-    LemmaUse check theirs), so only the position changes, and it stays an
-    int >= 0.  Any other item goes through the checked constructor."""
+    """flatten into out, with every step shifted right by offset.  The
+    shifted copy of a DerivationStep is built with no check: offset is a
+    sum of LemmaUse offsets, each an int >= 0, so only the position
+    changes, and it stays an int >= 0.  Any other item goes through the
+    checked constructor."""
     for item in items:
         item_type = type(item)
         if item_type is LemmaUse:
-            _flatten_into(item.lemma.body(item.kind), offset + item.offset, out)
+            lemma = item.lemma
+            body = lemma.proof_items if item.kind == PROOF else lemma.build_items
+            _flatten_into(body, offset + item.offset, out)
         elif not offset:
             out.append(item)
         else:
@@ -819,10 +788,12 @@ def _compile_path(table: _MoveTable, start_word: BraidWord, path) -> list:
     each insertion.
 
     A relator move is one step, applied with _apply's check.  A lemma move
-    free-inserts the rotation's conjugator c and then uses the lemma's
-    build (build_inverse for the inverse) just past c, so c, then L (or
-    L^-1), then c^-1 go in at the move's position: one use item, whatever
-    the size of the lemma's body.  The use is not applied here; its net
+    inserts c L c^-1 (or c L^-1 c^-1 for the inverse) at the move's
+    position, where c is the rotation's conjugator.  The forward move
+    free-inserts c and uses the lemma's build just past c.  The inverse
+    move free-inserts c L^-1, which puts c L^-1 L c^-1 in place, and uses
+    the lemma's proof to delete the L.  Either way the lemma's body is one
+    use item, whatever its size.  The use is not applied here; its net
     effect is written down, and _lemma_from_proof or, after flattening,
     _checked_derivation replays the result.
 
@@ -843,9 +814,12 @@ def _compile_path(table: _MoveTable, start_word: BraidWord, path) -> list:
             items.append(DerivationStep(INSERT_RELATOR, pos, ref, inv, c))
             _apply(p, w, items[-1], len(items) - 1)
         else:
-            items += pair_insert_steps(c, pos)
-            items.append(LemmaUse(table.lemmas[ref], BUILD_INVERSE if inv else BUILD,
-                                  pos + len(prefix)))
+            if inv:
+                items += pair_insert_steps(c * base, pos)
+                items.append(LemmaUse(table.lemmas[ref], PROOF, pos + rot + len(base)))
+            else:
+                items += pair_insert_steps(c, pos)
+                items.append(LemmaUse(table.lemmas[ref], BUILD, pos + rot))
             w[pos:pos] = c.letters + base.letters + prefix.letters
         items += _reduction_steps(w, max(pos - 1, 0))
     return items
@@ -856,12 +830,13 @@ def _move_cost(table: _MoveTable, mi: int) -> int:
     shared by all moves that turn one word into the same next word.  A
     rotation by k adds a conjugator of k letters on each side, which costs
     k more FreeCancels; a lemma rotation also spends k FreeInserts on it
-    and uses the lemma's build (build_inverse for the inverse), whose flat
-    step count the lemma stores."""
+    and runs one of the lemma's bodies, proof_steps flat steps, and the
+    inverse move spends len(L) more FreeInserts on L^-1."""
     kind, ref, inv, rot = table.origins[mi]
     if kind == "relator":
         return rot
-    return 2 * rot + table.lemmas[ref].step_count(BUILD_INVERSE if inv else BUILD)
+    lemma = table.lemmas[ref]
+    return 2 * rot + lemma.proof_steps + inv * len(lemma.relator)
 
 
 def _derivation(p: Presentation, source: BraidWord, target: BraidWord, body: list) -> list:

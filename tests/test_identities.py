@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import hashlib
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given
@@ -81,8 +83,8 @@ def test_lemma_use_checks_its_fields(engine_factory):
         dataclasses.replace(use, kind="bogus")
     for offset in (-1, True, 0.5):
         with pytest.raises(ValueError):
-            rewriting.flatten((use,), offset)
-    assert rewriting.flatten((use,), 2) == [
+            dataclasses.replace(use, offset=offset)
+    assert list(dataclasses.replace(use, offset=2)) == [
         rewriting.DerivationStep(s.action, s.position + 2, s.relator_index, s.inverse_flag,
                                  s.conjugator) for s in use]
 
@@ -102,12 +104,20 @@ def test_engine_validation():
         CertificateEngine(1)
 
 
+def _inverse_build(lemma) -> tuple:
+    # what an inverse lemma move runs at offset 0: free inserts of L^-1 L,
+    # then the lemma's proof deletes the L, leaving L^-1
+    k = len(lemma.relator)
+    return tuple(rewriting.flatten([*rewriting.pair_insert_steps(lemma.relator.inverse(), 0),
+                                    rewriting.LemmaUse(lemma, rewriting.PROOF, k)]))
+
+
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_scripted_lemmas_replay(engine_factory, n):
     # every lemma is scripted, the two fixed-size cores included.  Flattened,
-    # every banked lemma's build and build_inverse take the empty word to L
-    # and to L^-1 against the bare presentation, in as many steps as the
-    # lemma's stored counts say
+    # every banked lemma's build takes the empty word to L, and the inverse
+    # move's free inserts and proof take it to L^-1, against the bare
+    # presentation, in as many steps as the lemma's stored count says
     engine = engine_factory(n)
     p = van_buskirk(n)
     assert {"permute_rho_core", *(f"invsig_mid_{j}" for j in range(1, n)),
@@ -116,23 +126,42 @@ def test_scripted_lemmas_replay(engine_factory, n):
             "realdic_a", "realdic_b", "rn2", "conjw", "dconj_b", "powerab_a", "powerab_b",
             "mirror", "delta4", "permute_rho_1", f"pal_{n}"} <= set(engine.lemmas)
     for lemma in engine.lemmas.values():
-        build, build_inverse = tuple(lemma.build), tuple(lemma.build_inverse)
-        assert (len(build), len(build_inverse)) == (len(lemma.build), len(lemma.build_inverse))
+        build, build_inverse = tuple(lemma.build), _inverse_build(lemma)
+        k = len(lemma.relator)
+        assert (len(build), len(build_inverse)) == (lemma.proof_steps, lemma.proof_steps + k)
         assert verify_derivation(p, Derivation(EMPTY, lemma.relator, build))
         assert verify_derivation(p, Derivation(EMPTY, lemma.relator.inverse(), build_inverse))
 
 
 def test_lemma_bank_is_pinned(engine_factory):
-    # the flattened bodies of the n = 3 bank; a change to the compiler or
-    # the ladder that alters a lemma body on purpose updates the pin
+    # the flattened builds of L and of L^-1 over the n = 3 bank; a change
+    # to the compiler or the ladder that alters a lemma body on purpose
+    # updates the pin
     engine = engine_factory(3)
     text = "".join(Derivation(EMPTY, lemma.relator, tuple(lemma.build)).to_json()
-                   + Derivation(EMPTY, lemma.relator.inverse(),
-                                tuple(lemma.build_inverse)).to_json()
+                   + Derivation(EMPTY, lemma.relator.inverse(), _inverse_build(lemma)).to_json()
                    for _name, lemma in sorted(engine.lemmas.items()))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "8a0ec2a5e721e3e3"
     assert len(engine.lemmas) == 33
-    assert sum(len(lem.build) + len(lem.build_inverse) for lem in engine.lemmas.values()) == 6744
+    assert sum(len(lem.build) + len(_inverse_build(lem))
+               for lem in engine.lemmas.values()) == 6744
+
+
+def test_lemma_bank_frees_without_the_cycle_collector():
+    # a banked lemma holds no use of itself, so reference counting alone
+    # frees an engine's bank once the engine and its certificates go
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        engine = CertificateEngine(4)
+        certs = engine.certify_all()
+        refs = [weakref.ref(lemma) for lemma in engine.lemmas.values()]
+        del engine, certs
+        assert refs
+        assert [ref().name for ref in refs if ref() is not None] == []
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
