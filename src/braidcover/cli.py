@@ -15,7 +15,7 @@ import sys
 from .atlas import VerificationFailure, classify, verify_suite
 from .enumeration import EnumerationOverflow, TableNotClosed, coset_enumerate
 from .identities import CertificateEngine, claim_builders
-from .oracles import annulus_oracle, disc_action, sphere_word_problem
+from .oracles import annulus_oracle, disc_word_problem, sphere_word_problem
 from .presentations import Presentation, annulus_presentation, sphere_presentation, van_buskirk
 from .words import format_word, parse_word
 
@@ -24,18 +24,13 @@ EXIT_FAILURE = 1
 EXIT_GAPS = 2
 
 
-def _presentation_for(surface: str, n: int) -> Presentation:
-    if surface == "rp2":
-        return van_buskirk(n)
-    if surface == "s2":
-        return sphere_presentation(n)
-    if surface == "annulus":
-        return annulus_presentation(n)
-    raise ValueError(f"unknown surface {surface!r}")
+# per surface, in the order of each command's choices
+_PRESENTATIONS = {"rp2": van_buskirk, "s2": sphere_presentation, "annulus": annulus_presentation}
+_WORD_PROBLEMS = {"s2": sphere_word_problem, "annulus": annulus_oracle, "disc": disc_word_problem}
 
 
 def cmd_present(args) -> int:
-    print(_presentation_for(args.surface, args.n).to_text(), end="")
+    print(_PRESENTATIONS[args.surface](args.n).to_text(), end="")
     return EXIT_OK
 
 
@@ -65,16 +60,8 @@ def cmd_derive(args) -> int:
 
 
 def cmd_wp(args) -> int:
-    w = parse_word(args.word)
-    if args.surface == "s2":
-        v = sphere_word_problem(args.m, w)
-        print(f"{v.verdict} ({v.evidence})")
-        return EXIT_OK
-    if args.surface == "annulus":
-        trivial = annulus_oracle(args.m, w)
-    else:  # "disc": argparse's choices admit no other surface
-        trivial = disc_action(args.m, w).is_identity()
-    print("Trivial" if trivial else "Nontrivial")
+    v = _WORD_PROBLEMS[args.surface](args.m, parse_word(args.word))
+    print(f"{v.verdict} ({v.evidence})")
     return EXIT_OK
 
 
@@ -136,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("present", help="print a presentation")
-    p.add_argument("surface", choices=["rp2", "s2", "annulus"])
+    p.add_argument("surface", choices=list(_PRESENTATIONS))
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_present)
 
@@ -151,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("wp", help="word problem verdict")
-    p.add_argument("surface", choices=["s2", "annulus", "disc"])
+    p.add_argument("surface", choices=list(_WORD_PROBLEMS))
     p.add_argument("m", type=int)
     p.add_argument("word")
     p.set_defaults(func=cmd_wp)

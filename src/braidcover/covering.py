@@ -32,24 +32,26 @@ of its letter images, and verify_relator_images decides every defining
 relator's image trivial with the exact sphere oracle, which makes the
 formula a homomorphism.
 
-The d-fold annulus cover's generator images are extracted from
-geometric lifts, and its relator images are decided by the faithful
-Artin action.  The sampled geometry lives in braidcover.geometry, the
-only module that imports numpy.  Its names (StrandMotion, LiftScene,
-generator_motion, word_motion, lift_motion, extract_word, the scene
-exports and the rest) are also reached here: the first use of one loads
-that module.  Psi and every exact verdict built on it never load it; the
-geometric lifts stay an independent witness of the formula.
+The d-fold annulus cover's generator images come from geometric lifts,
+joined the same way.  One loop decides both covers' relator images, each
+with its own surface's oracle: disc_word_problem decides the annulus
+cover's, and its spot checks.  The sampled geometry lives in
+braidcover.geometry, the only module that imports numpy.  Its names
+(StrandMotion, LiftScene, generator_motion, word_motion, lift_motion,
+extract_word, the scene exports and the rest) are also reached here: the
+first use of one loads that module.  Psi and every exact verdict built
+on it never load it; the geometric lifts stay an independent witness of
+the formula.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import zip_longest
 
-from .oracles import SphereWPVerdict, annulus_oracle, disc_action, sphere_word_problem
+from .oracles import Verdict, annulus_oracle, disc_word_problem, sphere_word_problem
 from .presentations import _van_buskirk_relators, annulus_presentation
 from .words import BraidWord, Generator, _trusted_word, sigma, tau
 
@@ -94,6 +96,11 @@ def _psi_generator(n: int, g: Generator, e: int) -> BraidWord:
     return w if e == 1 else w.inverse()
 
 
+def _join_images(w: BraidWord, image) -> BraidWord:
+    """The concatenation of the letter images image(g, e) of w."""
+    return _trusted_word(tuple(letter for g, e in w.letters for letter in image(g, e).letters))
+
+
 def psi(n: int, w: BraidWord) -> BraidWord:
     """Embedding of the projective-plane braid group on n strands into
     the sphere braid group on 2n strands induced by the antipodal cover,
@@ -102,21 +109,14 @@ def psi(n: int, w: BraidWord) -> BraidWord:
     concatenation of the letter images."""
     if n < 1:
         raise ValueError("strand count must be >= 1")
-    return _trusted_word(
-        tuple(
-            letter
-            for g, e in w.letters
-            for letter in _psi_generator(n, g, 1 if e == 1 else -1).letters
-        )
-    )
+    return _join_images(w, partial(_psi_generator, n))
 
 
 @dataclass(frozen=True)
 class RelatorImageEntry:
     label: str
     relator: BraidWord
-    image_length: int
-    verdict: SphereWPVerdict
+    verdict: Verdict
 
     @property
     def ok(self) -> bool:
@@ -133,18 +133,21 @@ class RelatorImageReport:
         return all(e.ok for e in self.entries)
 
 
+def _relator_report(n: int, relators, image, decide) -> RelatorImageReport:
+    """An entry per (label, r) in relators: decide(image(r).free_reduce())."""
+    entries = (RelatorImageEntry(label, rel, decide(image(rel).free_reduce()))
+               for label, rel in relators)
+    return RelatorImageReport(n, tuple(entries))
+
+
 def verify_relator_images(n: int) -> RelatorImageReport:
     """Decide whether every defining relator of the projective-plane braid
     group maps to a trivial sphere braid under psi.
 
     The sphere oracle is exact, so any verdict other than Trivial
     falsifies the generator images."""
-    entries = []
-    for label, rel in _van_buskirk_relators(n):
-        img = psi(n, rel).free_reduce()
-        verdict = sphere_word_problem(2 * n, img)
-        entries.append(RelatorImageEntry(label, rel, len(img), verdict))
-    return RelatorImageReport(n, tuple(entries))
+    return _relator_report(n, _van_buskirk_relators(n), partial(psi, n),
+                           partial(sphere_word_problem, 2 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -173,32 +176,22 @@ def annulus_cover_image(d: int, n: int, w: BraidWord) -> BraidWord:
     for g, _e in w.letters:
         geometry.generator_motion(g, n, "annulus")
     geometry.annulus_dfold(d)
-    return _trusted_word(
-        tuple(
-            letter
-            for g, e in w.letters
-            for letter in _annulus_generator(d, n, g, 1 if e == 1 else -1).letters
-        )
-    )
+    return _join_images(w, partial(_annulus_generator, d, n))
 
 
 @lru_cache(maxsize=None)
 def verify_annulus_relator_images(d: int, n: int) -> RelatorImageReport:
     """Decide whether every defining relator of the annulus braid group
     on n strands maps to a trivial braid under the d-fold cover
-    embedding.  The Artin action on d*n+1 strands is faithful, so each
-    verdict ("Trivial" or "Nontrivial", evidence "action") is exact;
-    entries are labelled by relator index in annulus_presentation(n)."""
+    embedding.  The disc oracle on d*n+1 strands is exact, so each
+    verdict is; entries are labelled by relator index in
+    annulus_presentation(n)."""
     from . import geometry
 
     geometry.annulus_dfold(d)  # rejects d < 2 also at n = 1, which has no relators
-    entries = []
-    for i, rel in enumerate(annulus_presentation(n).relators):
-        img = annulus_cover_image(d, n, rel).free_reduce()
-        trivial = disc_action(d * n + 1, img).is_identity()
-        verdict = SphereWPVerdict("Trivial" if trivial else "Nontrivial", "action")
-        entries.append(RelatorImageEntry(f"relator {i}", rel, len(img), verdict))
-    return RelatorImageReport(n, tuple(entries))
+    relators = ((f"relator {i}", rel) for i, rel in enumerate(annulus_presentation(n).relators))
+    return _relator_report(n, relators, partial(annulus_cover_image, d, n),
+                           partial(disc_word_problem, d * n + 1))
 
 
 @dataclass(frozen=True)
@@ -220,8 +213,7 @@ def injectivity_spotcheck_annulus(
 ) -> SpotcheckReport:
     """Random nontrivial annulus braid words must lift to nontrivial
     cover braids; any trivial image would contradict injectivity of the
-    cover embedding.  Both sides are decided exactly via the faithful
-    disc action."""
+    cover embedding.  Both sides are decided exactly by the disc oracle."""
     if d < 2 or n < 1 or trials < 0 or max_len < 1:
         raise ValueError(
             f"spot check needs d >= 2, n >= 1, trials >= 0 and max_len >= 1; "
@@ -241,12 +233,11 @@ def injectivity_spotcheck_annulus(
     for _ in range(trials):
         w = BraidWord(tuple((rng.choice(gens), rng.choice((1, -1)))
                             for _k in range(rng.randint(1, max_len)))).free_reduce()
-        if len(w) == 0 or annulus_oracle(n, w):
+        if len(w) == 0 or annulus_oracle(n, w).verdict == "Trivial":
             skipped += 1
             continue
         checked += 1
-        img = annulus_cover_image(d, n, w)
-        if disc_action(d * n + 1, img).is_identity():
+        if disc_word_problem(d * n + 1, annulus_cover_image(d, n, w)).verdict == "Trivial":
             failures.append(w)
     return SpotcheckReport(d, n, trials, checked, skipped, tuple(failures))
 

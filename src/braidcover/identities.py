@@ -402,10 +402,6 @@ class CertificateEngine:
                                        for t in range(i, i + k - j)))
 
         for name, m, k in (("a", element_a(n), n), ("b", element_b(n), n - 1)):
-            if k < 2:
-                self.add_scripted_lemma(f"powerab_{name}", m**k, _chain_down(rho, k, 1), [])
-                continue
-
             def block(j: int) -> BraidWord:
                 return _chain_down(sigma, k - 1, j + 1, -1) * _chain_down(sigma, j, 1)
 

@@ -1,13 +1,14 @@
 """Word problem oracles built on the Artin action.
 
-The disc braid group acts faithfully on the free group generated by loops
-around the punctures; this gives an exact triviality test for disc braids
-and, via an added fixed strand, for annulus braids.  The sphere variant
-acts on the rank m-1 quotient up to inner automorphisms, and a pure braid
-whose action is inner is 1 or the full twist.  So sphere verdicts are
-layered: permutation, then an exact test that the action is inner, then
-the exponent sum of the crossings among strands 1..3, which separates 1
-from the full twist on every strand count.
+Every oracle returns a Verdict that names the layer that decided.  The
+disc braid group acts faithfully on the free group generated by loops
+around the punctures, so disc braids are decided by the permutation and
+then that action, and annulus braids likewise via an added fixed strand.
+The sphere variant acts on the rank m-1 quotient up to inner
+automorphisms, and a pure braid whose action is inner is 1 or the full
+twist.  So sphere verdicts are layered: permutation, then an exact test
+that the action is inner, then the exponent sum of the crossings among
+strands 1..3, which separates 1 from the full twist on every strand count.
 
 Free-group words are tuples of nonzero ints: letter +i / -i is the i-th
 basis letter x_i or its inverse; words are kept reduced.  So a product of
@@ -166,11 +167,11 @@ def sphere_action(m: int, w: BraidWord) -> FreeEndo:
 
 
 @dataclass(frozen=True)
-class SphereWPVerdict:
-    """Layered word-problem verdict for sphere braid words.
+class Verdict:
+    """Layered word-problem verdict, on every surface.
 
-    verdict is one of Nontrivial / Trivial / FullTwist; evidence names the
-    layer that decided.  certificate is always None: every layer decides
+    verdict is Nontrivial, Trivial or (sphere only) FullTwist; evidence names
+    the layer that decided.  certificate is always None: every layer decides
     without a derivation, and the field stays for callers that read it.
     """
 
@@ -179,7 +180,19 @@ class SphereWPVerdict:
     certificate: None = None
 
 
-def sphere_word_problem(m: int, w: BraidWord) -> SphereWPVerdict:
+def disc_word_problem(m: int, w: BraidWord) -> Verdict:
+    """Decide w in B_m of the disc: Nontrivial or Trivial.
+
+    A braid that permutes the strands is nontrivial; a pure braid is
+    decided by the Artin action, which is faithful."""
+    if any(g.kind != "s" for g, _e in w.letters):
+        raise ValueError(f"disc words are sigma-only, got {w}")
+    if not permutation_image(w, m).is_identity():
+        return Verdict("Nontrivial", "permutation")
+    return Verdict("Trivial" if disc_action(m, w).is_identity() else "Nontrivial", "action")
+
+
+def sphere_word_problem(m: int, w: BraidWord) -> Verdict:
     """Decide w in B_m(S^2): Nontrivial, Trivial, or FullTwist.
 
     A pure braid whose sphere action is inner is 1 or the full twist
@@ -193,9 +206,9 @@ def sphere_word_problem(m: int, w: BraidWord) -> SphereWPVerdict:
     2(k-1), separates the two.
     """
     if not permutation_image(w, m).is_identity():
-        return SphereWPVerdict("Nontrivial", "permutation")
+        return Verdict("Nontrivial", "permutation")
     if not sphere_action(m, w).is_identity():
-        return SphereWPVerdict("Nontrivial", "action")
+        return Verdict("Nontrivial", "action")
     k = min(m, 3)
     at = list(range(1, m + 1))  # at[p - 1] is the strand at position p
     total = 0
@@ -206,9 +219,9 @@ def sphere_word_problem(m: int, w: BraidWord) -> SphereWPVerdict:
         at[i - 1], at[i] = b, a
     x = total % (2 * (k - 1))
     if x == 0:
-        return SphereWPVerdict("Trivial", "forgetful map")
+        return Verdict("Trivial", "forgetful map")
     if x == 2:
-        return SphereWPVerdict("FullTwist", "forgetful map")
+        return Verdict("FullTwist", "forgetful map")
     raise AssertionError(f"action-trivial word has exponent class {x} in B_{k}(S^2)")
 
 
@@ -228,14 +241,11 @@ def annulus_to_disc(n: int, w: BraidWord) -> BraidWord:
     return _trusted_word(tuple(letters))
 
 
-def annulus_oracle(n: int, w: BraidWord) -> bool:
-    """Exact triviality test in B_n(annulus): true iff trivial.
+def annulus_oracle(n: int, w: BraidWord) -> Verdict:
+    """Decide w in B_n(annulus): Nontrivial or Trivial.
 
-    The embedding into the disc group on n+1 strands is injective and the
-    Artin action is faithful there."""
+    The embedding into the disc group on n+1 strands is injective, so the
+    disc verdict of the image is exact."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    image = annulus_to_disc(n, w)
-    if not permutation_image(image, n + 1).is_identity():
-        return False
-    return disc_action(n + 1, image).is_identity()
+    return disc_word_problem(n + 1, annulus_to_disc(n, w))

@@ -75,10 +75,13 @@ def test_wp_verdicts(capsys):
     # an even strand count is decided too: no undecided exit 2
     code, out, _ = run(capsys, "wp", "s2", "4", "s1 s2 s3 " * 4)
     assert code == EXIT_OK and out == "FullTwist (forgetful map)\n"
+    # every surface prints the verdict and the layer that decided it
     code, out, _ = run(capsys, "wp", "annulus", "2", "t1")
-    assert code == EXIT_OK and "Nontrivial" in out
+    assert code == EXIT_OK and out == "Nontrivial (action)\n"
     code, out, _ = run(capsys, "wp", "disc", "3", "s1 s1^-1")
-    assert code == EXIT_OK and "Trivial" in out
+    assert code == EXIT_OK and out == "Trivial (action)\n"
+    code, out, _ = run(capsys, "wp", "disc", "3", "s1 s2")
+    assert code == EXIT_OK and out == "Nontrivial (permutation)\n"
     code, _out, err = run(capsys, "wp", "disc", "3", "q1")
     assert code == EXIT_FAILURE and "error" in err
 
@@ -175,7 +178,9 @@ from braidcover.cli import main
 for n in range(2, 6):
     verify_suite(n)
 codes = [main(argv) for argv in (["verify", "3"], ["derive", "rn2", "3"],
-                                 ["wp", "s2", "3", "s1 s2 s1 s2 s1 s2"], ["classify", "rp2", "7"],
+                                 ["wp", "s2", "3", "s1 s2 s1 s2 s1 s2"],
+                                 ["wp", "annulus", "2", "t1"], ["wp", "disc", "3", "s1 s1^-1"],
+                                 ["classify", "rp2", "7"],
                                  ["lift", "2", "s1", "--out", sys.argv[1]])]
 assert "braidcover.geometry" not in sys.modules
 print("codes", codes)
@@ -193,6 +198,6 @@ def test_exact_paths_run_without_numpy(tmp_path):
                          capture_output=True, text=True, env=env, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == (
-        f"codes {[EXIT_GAPS, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_FAILURE]}")
+        f"codes {[EXIT_GAPS, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_FAILURE]}")
     assert "Traceback" not in out.stderr
     assert "geometry extra" in out.stderr

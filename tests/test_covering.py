@@ -37,7 +37,7 @@ from braidcover.covering import (
 )
 from braidcover.geometry import generator_lift
 from braidcover.oracles import (
-    SphereWPVerdict,
+    Verdict,
     annulus_oracle,
     disc_action,
     sphere_action,
@@ -508,8 +508,7 @@ def test_annulus_generators_are_lifted_once(monkeypatch):
 
 def test_annulus_spotcheck_needs_trivial_relator_images(monkeypatch):
     real = verify_annulus_relator_images(2, 2)
-    bad = RelatorImageEntry("relator 0", real.entries[0].relator, 20,
-                            SphereWPVerdict("Nontrivial", "action"))
+    bad = RelatorImageEntry("relator 0", real.entries[0].relator, Verdict("Nontrivial", "action"))
     monkeypatch.setattr(covering, "verify_annulus_relator_images",
                         lambda d, n: RelatorImageReport(n, (bad,)))
     with pytest.raises(AssertionError, match="relator 0"):
@@ -535,7 +534,7 @@ def test_annulus_cover_image():
     assert not disc_action(3, img).is_identity()
     # trivial base words lift to trivial cover words
     w = parse_word("s1 t1 t1^-1 s1^-1")
-    assert annulus_oracle(2, w)
+    assert annulus_oracle(2, w).verdict == "Trivial"
     img = annulus_cover_image(2, 2, w)
     assert disc_action(5, img).is_identity()
 

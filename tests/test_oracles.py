@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 from braidcover.enumeration import coset_enumerate, group_table
 from braidcover.oracles import (
     FreeEndo,
+    Verdict,
     _drop_last_letter,
     _inner_conjugator,
     _join,
     annulus_oracle,
     annulus_to_disc,
     disc_action,
+    disc_word_problem,
     free_invert,
     sphere_action,
     sphere_word_problem,
@@ -139,12 +141,13 @@ def test_disc_action_kills_artin_relators(m):
 
 
 def test_disc_action_rejects_bad_words():
-    with pytest.raises(ValueError):
-        disc_action(3, parse_word("s3"))
-    with pytest.raises(ValueError):
-        disc_action(3, parse_word("r1"))
-    with pytest.raises(ValueError):
-        disc_action(0, BraidWord())
+    # the disc oracle too, also where its permutation layer would decide
+    # first (s1 r1 is not a pure braid)
+    for decide in (disc_action, disc_word_problem):
+        for m, w in ((3, parse_word("s3")), (3, parse_word("r1")), (3, parse_word("s1 r1")),
+                     (0, BraidWord())):
+            with pytest.raises(ValueError):
+                decide(m, w)
 
 
 @pytest.mark.parametrize("m", range(2, 8))
@@ -332,16 +335,24 @@ def test_annulus_to_disc():
 def test_annulus_oracle():
     for n in (1, 2, 3):
         for r in annulus_presentation(n).relators:
-            assert annulus_oracle(n, r)
-    assert not annulus_oracle(1, parse_word("t1"))
-    assert not annulus_oracle(2, parse_word("s1 s1"))
-    assert not annulus_oracle(2, parse_word("t1 s1"))
-    assert annulus_oracle(2, parse_word("s1 s1^-1"))
+            assert annulus_oracle(n, r).verdict == "Trivial"
+    assert annulus_oracle(1, parse_word("t1")) == Verdict("Nontrivial", "action")
+    assert annulus_oracle(2, parse_word("s1 s1")) == Verdict("Nontrivial", "action")
+    assert annulus_oracle(2, parse_word("t1 s1")) == Verdict("Nontrivial", "permutation")
+    assert annulus_oracle(2, parse_word("s1 s1^-1")) == Verdict("Trivial", "action")
     with pytest.raises(ValueError):
         annulus_oracle(0, BraidWord())
 
 
 @given(words_over(3, max_len=8, kinds="st"))
 def test_annulus_oracle_consistent_under_inverse(w):
-    assert annulus_oracle(3, w * w.inverse())
+    assert annulus_oracle(3, w * w.inverse()).verdict == "Trivial"
     assert annulus_oracle(3, w) == annulus_oracle(3, w.inverse())
+
+
+@given(st.integers(2, 5).flatmap(lambda m: st.tuples(st.just(m), words_over(m, 10, "s"))))
+def test_disc_word_problem_matches_the_action(case):
+    m, w = case
+    v = disc_word_problem(m, w)
+    assert (v.verdict == "Trivial") == disc_action(m, w).is_identity()
+    assert (v.evidence == "permutation") == (not permutation_image(w, m).is_identity())

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from braidcover.covering import RelatorImageEntry, RelatorImageReport
-from braidcover.oracles import SphereWPVerdict
+from braidcover.oracles import Verdict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -39,8 +39,8 @@ def test_annulus_spotchecks_fails_on_a_nontrivial_relator_image(monkeypatch, cap
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     check = script.verify_annulus_relator_images
-    bad = RelatorImageEntry("relator 0", check(2, 2).entries[0].relator, 20,
-                            SphereWPVerdict("Nontrivial", "action"))
+    bad = RelatorImageEntry("relator 0", check(2, 2).entries[0].relator,
+                            Verdict("Nontrivial", "action"))
     monkeypatch.setattr(script, "verify_annulus_relator_images",
                         lambda d, n: check(d, n) if n == 1 else RelatorImageReport(n, (bad,)))
     monkeypatch.setattr(sys, "argv", ["annulus_spotchecks.py", "--trials", "2", "--max-n", "2",
