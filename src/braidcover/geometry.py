@@ -12,11 +12,15 @@ tilted coordinate functional, crossing signs from the depth coordinate.
 This is the only module of the package that imports numpy.  The exact
 paths never load it: covering writes the double-cover images in closed
 form, and loads this module only for a geometric name or an annulus
-cover image.  Every check runs on every motion and scene in whole-array
-operations.  A motion or scene keeps the samples it validated (coords),
-and lifting, the projection check and the diagram reader read them from
-there instead of stacking the paths again; the projection check runs one
-sheet at a time, so that its temporaries span one sheet, not the lift.
+cover image.  Every motion and scene is checked, in whole-array
+operations.  A motion or scene keeps the samples it validated (coords)
+and its squared separation, and lifting, the projection check and the
+diagram reader read the samples from there instead of stacking the paths
+again; the projection check runs one sheet at a time, so that its
+temporaries span one sheet, not the lift.  An antipodal lift that is
+exactly the pair (p, -p) of a projective-plane motion's samples p
+measures nothing twice: its projection error is 0 and its separation is
+one its source measured, by exact IEEE identities (see LiftScene).
 """
 
 from __future__ import annotations
@@ -82,9 +86,10 @@ def _pair_blocks(k: int, width: int):
         yield a[lo:lo + step], b[lo:lo + step]
 
 
-def _pairwise_min_distance(c: np.ndarray, antipodal: bool) -> float:
-    """Least distance, at a common sample, between two of the paths with
-    coordinates c (see _coords), or between one and the other's antipode."""
+def _pairwise_min_sq_distance(c: np.ndarray, antipodal: bool) -> float:
+    """Least squared distance, at a common sample, between two of the paths
+    with coordinates c (see _coords), or between one and the other's
+    antipode: |p_a - p_b|^2 or |p_a + p_b|^2 over a < b; inf for one path."""
     best = math.inf
     for a, b in _pair_blocks(c.shape[1], c[:, 0].size):
         pa, pb = c[:, a], c[:, b]
@@ -92,7 +97,7 @@ def _pairwise_min_distance(c: np.ndarray, antipodal: bool) -> float:
         if antipodal:
             pa += pb  # the block's own copy: the sum, with no new temporary
             best = min(best, float(np.min(_sq_norms(*pa))))
-    return math.sqrt(best)
+    return best
 
 
 def _match_point(v: np.ndarray, pool: list[np.ndarray], antipodal: bool) -> int:
@@ -126,6 +131,9 @@ class StrandMotion:
     paths: tuple[np.ndarray, ...]
     # the validated samples in (3, n, T) layout (see _coords), read-only
     coords: np.ndarray = field(init=False, repr=False)
+    # the squared separation it measured (see _pairwise_min_sq_distance;
+    # with antipodes on rp2), inf for one strand
+    sq_separation: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.surface not in ("rp2", "annulus"):
@@ -144,13 +152,15 @@ class StrandMotion:
         if good < self.n:
             raise ValueError("paths must share the sample grid")
         antip = self.surface == "rp2"
-        if self.n > 1 and _pairwise_min_distance(c, antip) <= SEPARATION_TOL:
+        sq = _pairwise_min_sq_distance(c, antip)
+        if math.sqrt(sq) <= SEPARATION_TOL:
             raise ValueError("strand paths are not disjoint")
         starts = [p[0] for p in self.paths]
         for p in self.paths:
             _match_point(p[-1], starts, antip)
         c.flags.writeable = False
         object.__setattr__(self, "coords", c)
+        object.__setattr__(self, "sq_separation", sq)
 
 
 @dataclass(frozen=True)
@@ -171,32 +181,60 @@ def annulus_dfold(d: int) -> Cover:
 @dataclass(frozen=True, eq=False)
 class LiftScene:
     """Lift of a strand motion: d*n strand paths on the cover.  Strand i
-    of the base lifts to sheets i, i+n, ..., i+(d-1)n."""
+    of the base lifts to sheets i, i+n, ..., i+(d-1)n.
+
+    A scene checks that each lifted path projects to its source and that
+    the lifted paths are disjoint.  The antipodal lift of a projective-plane
+    motion whose samples are exactly (p, -p), p the motion's validated
+    samples, takes both results from its source instead of measuring 2n
+    strands again.  It projects with error 0: p - p and -p + p are zero.
+    In IEEE arithmetic x - (-y) = x + y, (-x) - (-y) = -(x - y) and
+    addition commutes, so the squared distance of every lifted pair is, bit
+    for bit, one the source measured with antipodes (|p_a - p_b|^2 within a
+    sheet, |p_a + p_b|^2 across), or |p_i + p_i|^2 for the two lifts of one
+    strand.  Any other scene (the band cover, a sheet off by one sample,
+    a non-finite sample, an annulus source) is measured whole.
+    """
 
     source: StrandMotion
     cover: Cover
     paths: tuple[np.ndarray, ...]
     # the validated samples in (3, d*n, T) layout (see _coords), read-only
     coords: np.ndarray = field(init=False, repr=False)
+    # the least squared distance between two lifted paths at a sample
+    sq_separation: float = field(init=False, repr=False)
 
     def __post_init__(self):
         d, n = self.cover.degree, self.source.n
         if len(self.paths) != d * n:
             raise ValueError("lift must have d*n paths")
         good = _grid_prefix(self.paths, self.source.paths[0].shape)
-        if good:
-            c = _coords(self.paths[:good])
-            src = self.source.coords
-            # sheet by sheet, so that no temporary spans the whole lift
-            for lo in range(0, good, n):
-                err = _projection_error(c[:, lo:lo + n], src[:, :min(n, good - lo)], self.cover)
-                _check_error(err, UNIT_TOL, c, "lifted path does not project to its source")
+        c = _coords(self.paths[:good]) if good else None
+        src = self.source.coords
+        inherit = good == d * n and self._copies_source(c)
+        if inherit:
+            errors = (0.0,)
+        else:  # sheet by sheet, so that no temporary spans the whole lift
+            errors = (_projection_error(c[:, lo:lo + n], src[:, :min(n, good - lo)], self.cover)
+                      for lo in range(0, good, n))
+        for err in errors:
+            _check_error(err, UNIT_TOL, c, "lifted path does not project to its source")
         if good < d * n:
             raise ValueError("lifted path sample grid mismatch")
-        if _pairwise_min_distance(c, False) <= SEPARATION_TOL:
+        sq = (min(self.source.sq_separation, float(np.min(_sq_norms(*(src + src)))))
+              if inherit else _pairwise_min_sq_distance(c, False))
+        if math.sqrt(sq) <= SEPARATION_TOL:
             raise ValueError("lifted paths are not disjoint")
         c.flags.writeable = False
         object.__setattr__(self, "coords", c)
+        object.__setattr__(self, "sq_separation", sq)
+
+    def _copies_source(self, c: np.ndarray) -> bool:
+        """Whether the samples c are exactly (p, -p), p the coordinates of a
+        projective-plane source, on the antipodal cover."""
+        src, n = self.source.coords, self.source.n
+        return (self.cover == ANTIPODAL and self.source.surface == "rp2"
+                and np.array_equal(c[:, :n], src) and np.array_equal(c[:, n:], -src))
 
 
 def _projection_error(lift: np.ndarray, src: np.ndarray, cover: Cover) -> float:
@@ -361,9 +399,10 @@ def lift_motion(m: StrandMotion, cover: Cover) -> LiftScene:
     if cover.kind == "antipodal_sphere":
         if m.surface != "rp2":
             raise ValueError("antipodal cover lifts projective-plane motions")
-        # stored paths are continuous on the sphere already; take the
-        # sheet through the stored representative and its antipode
-        return LiftScene(m, cover, (*m.paths, *(-p for p in m.paths)))
+        # the validated samples are continuous on the sphere already; take
+        # the sheet through them and its antipode, as (T, 3) views
+        sheets = (m.coords.transpose(1, 2, 0), (-m.coords).transpose(1, 2, 0))
+        return LiftScene(m, cover, (*sheets[0], *sheets[1]))
     if cover.kind == "annulus_dfold":
         if m.surface != "annulus":
             raise ValueError("d-fold band cover lifts annulus motions")

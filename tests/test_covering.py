@@ -18,7 +18,7 @@ from braidcover.covering import (
     RelatorImageReport,
     StrandMotion,
     _coords,
-    _pairwise_min_distance,
+    _pairwise_min_sq_distance,
     _psi_generator,
     _read_diagram,
     annulus_cover_image,
@@ -239,6 +239,60 @@ def test_lift_scene_checks(cover, surface, word):
     last[3, 1] = math.nan
     with pytest.raises(ValueError, match="must be finite"):
         LiftScene(m, cover, tuple(paths[:-1]) + (last,))
+
+
+@pytest.mark.parametrize("cover, surface, word", [(ANTIPODAL, "rp2", "s1 r2"),
+                                                  (annulus_dfold(2), "annulus", "s1 t1")])
+def test_lift_reads_the_validated_samples(cover, surface, word):
+    # a word motion's paths stay writable; an edit after validation must
+    # not reach the lift
+    m = word_motion(parse_word(word), 2, surface)
+    expected = lift_motion(m, cover)
+    m.paths[0][5] = m.paths[0][5][[1, 0, 2]]
+    scene = lift_motion(m, cover)
+    assert np.array_equal(scene.coords, expected.coords)
+    assert extract_word(scene) == extract_word(expected)
+
+
+def _seeded_rp2_words():
+    rng = random.Random(29)
+    yield 1, EMPTY
+    for n in range(1, 7):
+        gens = _rp2_generators(n)
+        for length in (1, 3, 8, 16):
+            for _ in range(2):
+                yield n, BraidWord(tuple((rng.choice(gens), rng.choice((1, -1)))
+                                         for _ in range(length)))
+
+
+def test_antipodal_lift_inherits_its_source_checks(monkeypatch):
+    # the separation an exact lift takes from its source is, bit for bit,
+    # the one measured on its 2n paths; one ulp off, the scene is measured
+    calls = []
+    measure = geometry._pairwise_min_sq_distance
+    monkeypatch.setattr(geometry, "_pairwise_min_sq_distance",
+                        lambda *args: calls.append(args) or measure(*args))
+    for n, w in _seeded_rp2_words():
+        m = word_motion(w, n)
+        del calls[:]
+        scene = lift_motion(m, ANTIPODAL)
+        assert not calls, (n, str(w))
+        assert math.sqrt(scene.sq_separation) == _pairwise_min_distance_per_pair(scene.paths,
+                                                                                  False)
+        paths = list(scene.paths)
+        paths[n] = paths[n].copy()
+        paths[n][len(w), 0] = np.nextafter(paths[n][len(w), 0], math.inf)
+        moved = LiftScene(m, ANTIPODAL, tuple(paths))
+        assert len(calls) == 1, (n, str(w))
+        assert math.sqrt(moved.sq_separation) == _pairwise_min_distance_per_pair(paths, False)
+
+
+def test_antipodal_shortcut_needs_an_rp2_source():
+    # (p, -p) is two points of the band; its antipodal "lift" repeats p
+    p = np.stack([np.array([0.0, 0.0, 1.0])] * 4)
+    m = StrandMotion(2, "annulus", (p, -p))
+    with pytest.raises(ValueError, match="not disjoint"):
+        LiftScene(m, ANTIPODAL, (*m.paths, *(-q for q in m.paths)))
 
 
 def test_psi_generator_images_regression():
@@ -692,5 +746,5 @@ def test_read_diagram_matches_per_pair_reader(diagram, block):
 def test_pairwise_min_distance_matches_per_pair(k, t, seed, antipodal, block):
     rng = np.random.default_rng(seed)
     paths = tuple(rng.normal(size=(t, 3)) for _ in range(k))
-    assert (_blocked(block, _pairwise_min_distance, _coords(paths), antipodal)
+    assert (math.sqrt(_blocked(block, _pairwise_min_sq_distance, _coords(paths), antipodal))
             == _pairwise_min_distance_per_pair(paths, antipodal))
