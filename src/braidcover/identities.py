@@ -42,7 +42,6 @@ from .rewriting import (
     _derivation,
     _hits,
     _lemma_from_proof,
-    _move_cost,
     _MoveTable,
 )
 from .words import EMPTY, BraidWord, _trusted_word, rho, sigma
@@ -213,9 +212,10 @@ class CertificateEngine:
         a step whose word reduces to the current one needs no move.  The
         insertions of the label that turn the current word into the next
         are found by one lookup per position (rewriting._hits) within the
-        move's length, plus the drop in length, of where the two words
-        first and last differ.  That is a bounded check, not a search.  A
-        step that does not apply raises ScriptError.
+        label's longest move, plus the drop in length, of where the two
+        words first and last differ; _move compiles the first.  That is a
+        bounded check, not a search.  A step that does not apply raises
+        ScriptError.
         """
         tail = target.inverse()
         current = (source * tail).free_reduce()
@@ -236,19 +236,19 @@ class CertificateEngine:
 
     def _move(self, name: str, index: int, label: str, current: BraidWord,
               following: BraidWord, word: BraidWord) -> list:
-        """The items of the insertion of label that turns the freely reduced
-        word current into following (none if they are equal), or
-        ScriptError.  Every hit lands on the same word; the one that
-        compiles shortest is taken, ties going to the first in (move,
-        position) order."""
+        """The items of the first insertion of label, in (move, position)
+        order, that turns the freely reduced word current into following
+        (none if they are equal), or ScriptError.  It compiles shortest:
+        every hit rotates label's word L, or every hit rotates L^-1
+        (rewriting._hits), and rotation k costs k more FreeCancels, and for
+        a lemma k more FreeInserts, than rotation 0 of the same class."""
         table = self._step_table(name, index, label)
         if following == current:
             return []
         hits = _hits(table, table.encode(current), table.encode(following))
         if not hits:
             raise ScriptError(name, index, f"no {label} move reaches {word}")
-        mi, q = min(hits, key=lambda hit: _move_cost(table, hit[0]))
-        return _compile_path(table, current, [(mi, q)])
+        return _compile_path(table, current, hits[:1])
 
     def _add_disc_lemma(self, name: str, source: BraidWord, target: BraidWord) -> Lemma:
         return self.add_scripted_lemma(name, source, target,

@@ -180,13 +180,18 @@ class Verdict:
     certificate: None = None
 
 
+def _require_sigma_only(surface: str, w: BraidWord) -> None:
+    # the permutation layer would read rho and tau letters as pure
+    if any(g.kind != "s" for g, _e in w.letters):
+        raise ValueError(f"{surface} words are sigma-only, got {w}")
+
+
 def disc_word_problem(m: int, w: BraidWord) -> Verdict:
     """Decide w in B_m of the disc: Nontrivial or Trivial.
 
     A braid that permutes the strands is nontrivial; a pure braid is
     decided by the Artin action, which is faithful."""
-    if any(g.kind != "s" for g, _e in w.letters):
-        raise ValueError(f"disc words are sigma-only, got {w}")
+    _require_sigma_only("disc", w)
     if not permutation_image(w, m).is_identity():
         return Verdict("Nontrivial", "permutation")
     return Verdict("Trivial" if disc_action(m, w).is_identity() else "Nontrivial", "action")
@@ -203,8 +208,9 @@ def sphere_word_problem(m: int, w: BraidWord) -> Verdict:
     and H_1(B_k(S^2)) = Z/2(k-1), where the full twist's k(k-1) crossings
     give class 2 for k = 3 (and 0 for k = 2, where it is trivial).  So the
     exponent sum of the crossings between two of strands 1..k, mod
-    2(k-1), separates the two.
+    2(k-1), separates the two.  A rho or tau letter raises ValueError.
     """
+    _require_sigma_only("sphere", w)
     if not permutation_image(w, m).is_identity():
         return Verdict("Nontrivial", "permutation")
     if not sphere_action(m, w).is_identity():

@@ -690,13 +690,20 @@ def _hits(table: _MoveTable, w: tuple[int, ...], goal: tuple[int, ...]) -> list[
     """Every (move, position) whose splice turns the reduced word w into
     goal, in the order (move, position).
 
-    A splice at q replaces w[i:l] by part of the move mv, with i <= q <= l,
-    i <= pre, l >= lw - suf and l - i <= lw - lg + len(mv), where pre and
-    suf are the lengths of the common prefix and suffix of w and goal, so
-    only q in that window can hit.  _splice(w, q, mv) == goal exactly when
-    mv is w[:q]^-1 goal w[q:]^-1 freely reduced, because reduced words are
-    normal forms: each q is one lookup in table.by_reduced, and the key
-    for q + 1 is the key for q conjugated by w[q]."""
+    _splice(w, q, mv) == goal exactly when mv is w[:q]^-1 goal w[q:]^-1
+    freely reduced, because reduced words are normal forms: each q is one
+    lookup in table.by_reduced, and the key for q + 1 is the key for q
+    conjugated by w[q].  A hit replaces w[i:l] by part of mv, i <= q <= l,
+    with i <= pre and lw - l <= suf for the common prefix and suffix
+    lengths of w and goal, so lg - suf - len(mv) <= q <= pre + lw - lg +
+    len(mv): only that window for the longest move is looked up.
+
+    If the table has one source word L, not freely trivial, the hits all
+    rotate L or all rotate L^-1: w[:q] X w[q:] = w[:q'] Y w[q':] for X
+    conjugate to L and Y to L^-1 would give X = g Y g^-1, g = w[:q]^-1
+    w[:q'], and no nontrivial free group element is conjugate to its
+    inverse.  The table lists each class by increasing rotation, so the
+    first hit has the least."""
     lw, lg = len(w), len(goal)
     pre = next((i for i, (x, y) in enumerate(zip(w, goal)) if x != y), min(lw, lg))
     suf = next((i for i, (x, y) in enumerate(zip(reversed(w), reversed(goal))) if x != y),
@@ -707,10 +714,7 @@ def _hits(table: _MoveTable, w: tuple[int, ...], goal: tuple[int, ...]) -> list[
     key = _reduce_enc(_inverse_enc(w[:lo]) + goal + _inverse_enc(w[lo:]))
     hits = []
     for q in range(lo, hi + 1):
-        for mi in table.by_reduced.get(key, ()):
-            m = len(table.reduced[mi])
-            if lg - suf - m <= q <= pre + lw - lg + m:
-                hits.append((mi, q))
+        hits += ((mi, q) for mi in table.by_reduced.get(key, ()))
         if q < hi:
             key = _conjugate_enc(key, w[q])
     hits.sort()
@@ -823,20 +827,6 @@ def _compile_path(table: _MoveTable, start_word: BraidWord, path) -> list:
             w[pos:pos] = c.letters + base.letters + prefix.letters
         items += _reduction_steps(w, max(pos - 1, 0))
     return items
-
-
-def _move_cost(table: _MoveTable, mi: int) -> int:
-    """The flat steps _compile_path spends on move mi, up to a constant
-    shared by all moves that turn one word into the same next word.  A
-    rotation by k adds a conjugator of k letters on each side, which costs
-    k more FreeCancels; a lemma rotation also spends k FreeInserts on it
-    and runs one of the lemma's bodies, proof_steps flat steps, and the
-    inverse move spends len(L) more FreeInserts on L^-1."""
-    kind, ref, inv, rot = table.origins[mi]
-    if kind == "relator":
-        return rot
-    lemma = table.lemmas[ref]
-    return 2 * rot + lemma.proof_steps + inv * len(lemma.relator)
 
 
 def _derivation(p: Presentation, source: BraidWord, target: BraidWord, body: list) -> list:

@@ -86,6 +86,14 @@ def test_wp_verdicts(capsys):
     assert code == EXIT_FAILURE and "error" in err
 
 
+@pytest.mark.parametrize("word", ["s1 r1", "s1 t1", "r1 r1"])
+def test_wp_sphere_rejects_a_rho_or_tau_letter(capsys, word):
+    code, out, err = run(capsys, "wp", "s2", "3", word)
+    assert code == EXIT_FAILURE
+    assert err == f"error: sphere words are sigma-only, got {word}\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("word", ["t2", "s1 t1 t3^-1"])
 def test_wp_annulus_rejects_a_tau_index(capsys, word):
     code, out, err = run(capsys, "wp", "annulus", "2", word)

@@ -213,6 +213,64 @@ def test_scripted_lemmas_never_search(monkeypatch):
     assert {k: d.to_json() for k, d in first.items()} == {k: d.to_json() for k, d in second.items()}
 
 
+def _reference_move_cost(table, mi: int) -> int:
+    """The flat steps the compiler spends on move mi, up to a constant
+    shared by all moves that turn one word into the same next word.  A
+    rotation by k adds a conjugator of k letters on each side, which costs
+    k more FreeCancels; a lemma rotation also spends k FreeInserts on it
+    and runs one of the lemma's bodies, proof_steps flat steps, and the
+    inverse move spends len(L) more FreeInserts on L^-1."""
+    kind, ref, inv, rot = table.origins[mi]
+    if kind == "relator":
+        return rot
+    lemma = table.lemmas[ref]
+    return 2 * rot + lemma.proof_steps + inv * len(lemma.relator)
+
+
+def test_first_hit_compiles_shortest(monkeypatch):
+    # the engine takes the first hit of every script and claim move; over
+    # the real moves of the ladder it must be one that a cost model would
+    # pick.  A claim move is its lemma's inverse at rotation 0, position 0
+    moves = []
+    real = identities._hits
+
+    def recording(table, w, goal):
+        hits = real(table, w, goal)
+        moves.append((table, hits))
+        return hits
+
+    monkeypatch.setattr(identities, "_hits", recording)
+    for n in range(2, 9):
+        engine = CertificateEngine(n)
+        engine.seed_all()
+        scripted = len(moves)
+        engine.certify_all()
+        for k, (table, hits) in enumerate(moves):
+            costs = [_reference_move_cost(table, mi) for mi, _q in hits]
+            assert costs[0] == min(costs), (n, k)
+            if k >= scripted:
+                assert table.origins[hits[0][0]] == ("lemma", 0, True, 0) and hits[0][1] == 0
+        assert len(moves) - scripted == sum(c.source.free_reduce() != c.target.free_reduce()
+                                            for c in paper_claims(n))
+        moves.clear()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_claims_agree_with_the_ladder(engine_factory, n):
+    # a claim whose label names a banked lemma is that lemma, letter for
+    # letter; rjr1_1 alone has none and needs no move
+    engine = engine_factory(n)
+    unbanked = []
+    for claim in paper_claims(n):
+        lemma = engine.lemmas.get(claim.label)
+        if lemma is None:
+            unbanked.append(claim.label)
+            assert engine.certify(claim).steps == ()
+        else:
+            assert (claim.source * claim.target.inverse()).letters == lemma.relator.letters
+    assert unbanked == ["rjr1_1"]
+
+
 def test_claim_through_tampered_lemma_fails_replay():
     # compiling a lemma move writes down a use of the lemma's banked body
     # without applying it, so a broken body must be caught by the flat

@@ -219,6 +219,19 @@ def test_sphere_word_problem_layers():
     assert sphere_word_problem(2, full_twist(2)).verdict == "Trivial"
 
 
+@pytest.mark.parametrize("surface, oracle", [("sphere", sphere_word_problem),
+                                             ("disc", disc_word_problem)])
+@pytest.mark.parametrize("text, pure", [("s1 r1", False), ("s1 s1 r1", True),
+                                        ("s1 t1", False), ("t1 s2 s2", True)])
+def test_word_problems_reject_rho_and_tau_letters(surface, oracle, text, pure):
+    # rho and tau letters count as pure in the permutation layer; a
+    # permuting and a pure word with each must be refused, not decided
+    w = parse_word(text)
+    assert permutation_image(w, 4).is_identity() == pure
+    with pytest.raises(ValueError, match=f"^{surface} words are sigma-only, got {text}$"):
+        oracle(4, w)
+
+
 @pytest.mark.parametrize("m", range(3, 9))
 def test_sphere_word_problem_decides_twist_conjugates(m):
     rng = random.Random(m)

@@ -388,6 +388,39 @@ def test_hits_match_splice_scan(case):
     assert _hits(table, w, goal) == scan
 
 
+@st.composite
+def one_source_hits(draw):
+    """A move table of one relator L, not freely trivial, a reduced word u
+    and the word one of its moves spliced into u makes."""
+    gens = VB3.generators
+    letters = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
+    relator = draw(st.lists(letters, min_size=1, max_size=6)
+                   .map(lambda r: BraidWord(tuple(r)))
+                   .filter(lambda r: r.free_reduce().letters))
+    table = _MoveTable(Presentation("random", gens, (relator,)), (), (0,))
+    u = draw(st.lists(st.integers(0, 2 * len(gens) - 1), max_size=10).map(_reduce_enc))
+    mi = draw(st.integers(0, len(table.moves) - 1))
+    return table, u, mi, _splice(u, draw(st.integers(0, len(u))), table.reduced[mi])
+
+
+@given(one_source_hits())
+def test_one_source_hits_come_from_one_class(case):
+    # no nontrivial free group element is conjugate to its inverse, so the
+    # hits all rotate L or all rotate L^-1, the first by the least k; and
+    # each lies in its own move's window, which _hits does not check
+    table, u, mi, goal = case
+    hits = _hits(table, u, goal)
+    origins = [table.origins[mj] for mj, _q in hits]
+    assert {inv for _kind, _ref, inv, _k in origins} == {table.origins[mi][2]}
+    assert origins[0][3] == min(k for _kind, _ref, _inv, k in origins)
+    lu, lg = len(u), len(goal)
+    pre = next((i for i, (x, y) in enumerate(zip(u, goal)) if x != y), min(lu, lg))
+    suf = next((i for i, (x, y) in enumerate(zip(u[::-1], goal[::-1])) if x != y), min(lu, lg))
+    for mj, q in hits:
+        m = len(table.reduced[mj])
+        assert lg - suf - m <= q <= pre + lu - lg + m
+
+
 def test_reduction_steps_match_leftmost_pair_scan():
     def quadratic(w):
         steps, letters = [], list(w.letters)
