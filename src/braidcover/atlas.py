@@ -288,18 +288,20 @@ def _quotient_isomorphic(family: str, param: int | None, target: str,
 
 
 def _check_quotients(n: int) -> ClaimStatus:
-    checks: list[tuple[str, bool]] = []
-    for m, label in ((2 * n, "Dic_{8n}"), (2 * (n - 1), "Dic_{8(n-1)}")):
-        checks.append((f"{label}/center = Dih_{{{2 * m}}}",
-                       _quotient_isomorphic("Dic", m, "Dih", m)))
-    if n % 3 in (0, 1):
-        checks.append(("Ostar/center = S4", _quotient_isomorphic("Ostar", None, "S4", None)))
-    if n % 15 in (0, 1, 6, 10):
-        checks.append(("Istar/center = A5", _quotient_isomorphic("Istar", None, "A5", None)))
-    failed = [name for name, ok in checks if not ok]
+    def param(e: ClassificationEntry) -> int | None:
+        # finite_group_presentation takes m for Dic_{4m} and Dih_{2m}
+        return {"Dic": e.order // 4, "Dih": e.order // 2}.get(e.family)
+
+    entries = classify("rp2", n)
+    failed = []
+    for e in entries:
+        q = center_quotient_entry(e)
+        if not _quotient_isomorphic(e.family, param(e), q.family, param(q)):
+            failed.append(f"{e.describe()}/center = {q.describe()}")
     if failed:
         raise VerificationFailure(f"quotient checks failed: {failed}")
-    detail = f"{len(checks)} center-quotient isomorphisms confirmed by enumeration"
+    plural = "s" if len(entries) > 1 else ""
+    detail = f"{len(entries)} center-quotient isomorphism{plural} confirmed by enumeration"
     return ClaimStatus("quotient-structure", "verified", detail)
 
 

@@ -8,9 +8,11 @@ for bijectivity), center/quotient computation, and abelianization via an
 exact integer Smith normal form (one pivoting loop whose pivots divide
 each other by construction).
 
-Every table that group_table and center_and_quotient build is checked for
-associativity, whatever its order, by Light's test in O(n^2 g) lookups for
-n elements and g generators (GroupTable.check_associativity).
+Every table comes from group_table, which reads it off a coset table of
+the trivial subgroup: permutation groups and center quotients write their
+generators' regular action as one.  So every table, whatever its order,
+passes Light's associativity test in O(n^2 g) lookups for n elements and
+g generators (GroupTable.check_associativity).
 """
 
 from __future__ import annotations
@@ -268,12 +270,18 @@ class GroupTable:
 
 
 def group_table(t: CosetTable) -> GroupTable:
-    """Materialize the group from a coset table of the trivial subgroup."""
+    """Materialize the group from a coset table of the trivial subgroup.
+
+    Element d is coset d, with the witness word of a breadth-first tree
+    from coset 0.  Column d of the table sends i to i * words[d], so for a
+    tree edge c -x-> d it is column c moved by the letter x.
+    """
     n = t.num_cosets
-    # witness words by BFS from the identity coset
     code = letter_codes(t.generators)
     words: list[BraidWord | None] = [None] * n
     words[0] = EMPTY
+    # column 0 is the identity; every other is replaced when reached
+    columns = [list(range(n))] * n
     queue = deque([0])
     while queue:
         c = queue.popleft()
@@ -281,23 +289,15 @@ def group_table(t: CosetTable) -> GroupTable:
             d = t.action[c][x]
             if words[d] is None:
                 words[d] = words[c] * _trusted_word((letter,))
+                columns[d] = [t.action[i][x] for i in columns[c]]
                 queue.append(d)
     if any(w is None for w in words):
         raise TableNotClosed("coset table not transitive")
-
-    def apply(c: int, xs: list[int]) -> int:
-        for x in xs:
-            c = t.action[c][x]
-        return c
-
-    encoded = [list(map(code.__getitem__, w.letters)) for w in words]
-    mult = tuple(tuple(apply(i, xs) for xs in encoded) for i in range(n))
-    generator_ids = tuple(t.action[0][code[g, 1]] for g in t.generators)
     table = GroupTable(
         name=t.presentation_name,
-        mult=mult,
+        mult=tuple(zip(*columns)),
         generators=t.generators,
-        generator_ids=generator_ids,
+        generator_ids=tuple(t.action[0][code[g, 1]] for g in t.generators),
         words=tuple(words),
     )
     table.check_associativity()
@@ -308,31 +308,23 @@ def table_from_permutations(name: str, perms: list[Permutation]) -> GroupTable:
     """Multiplication table of the permutation group generated by `perms`.
 
     Independent of any presentation machinery; used as an oracle for the
-    symmetric/alternating comparisons.
+    symmetric/alternating comparisons.  Elements are numbered as applying
+    the generators finds them, and they act like words: the letter of
+    perms[k] takes element p to perms[k] o p.
     """
-    gens = tuple(sigma(i + 1) for i in range(len(perms)))
     ident = Permutation.identity(len(perms[0].images))
     elements = [ident]
     index = {ident.images: 0}
-    words: list[BraidWord] = [EMPTY]
-    i = 0
-    while i < len(elements):
-        for k, q in enumerate(perms):
-            prod = q.compose(elements[i])
+    for p in elements:
+        for q in perms:
+            prod = q.compose(p)
             if prod.images not in index:
                 index[prod.images] = len(elements)
                 elements.append(prod)
-                words.append(words[i] * _trusted_word(((gens[k], 1),)))
-        i += 1
-    n = len(elements)
-    # product convention: elements act like words, mult[i][j] = element of
-    # word_i * word_j, i.e. permutation elements[j] o elements[i]
-    mult = tuple(
-        tuple(index[elements[j].compose(elements[i]).images] for j in range(n))
-        for i in range(n)
-    )
-    generator_ids = tuple(index[q.images] for q in perms)
-    return GroupTable(name, mult, gens, generator_ids, tuple(words))
+    moves = [m for q in perms for m in (q, q.inverse())]
+    action = tuple(tuple(index[m.compose(p).images] for m in moves) for p in elements)
+    gens = tuple(sigma(i + 1) for i in range(len(perms)))
+    return group_table(CosetTable(name, gens, action))
 
 
 def symmetric_table(k: int) -> GroupTable:
@@ -404,30 +396,23 @@ def isomorphic(a: GroupTable, b: GroupTable) -> tuple[bool, dict[int, int] | Non
 
 
 def center_and_quotient(t: GroupTable) -> tuple[set[int], GroupTable]:
-    """Center of t and the quotient by its order-2 central subgroup."""
+    """Center of t and the quotient by its central subgroup of order 2;
+    a ValueError unless the center holds exactly one involution."""
     z = t.center()
     involutions = [e for e in z if e != 0 and t.mult[e][e] == 0]
-    if not involutions:
-        raise ValueError("no central element of order 2")
-    c = involutions[0]
-    # cosets {e, ce}
-    rep_of = {}
+    if len(involutions) != 1:
+        raise ValueError(f"{len(involutions)} central elements of order 2, not one")
+    (c,) = involutions
+    # cosets {e, ce}, numbered by first representative
+    rep_of: dict[int, int] = {}
     reps = []
     for e in range(t.size):
         if e not in rep_of:
-            rep_of[e] = len(reps)
-            rep_of[t.mult[c][e]] = len(reps)
+            rep_of[e] = rep_of[t.mult[c][e]] = len(reps)
             reps.append(e)
-    n = len(reps)
-    mult = tuple(
-        tuple(rep_of[t.mult[reps[i]][reps[j]]] for j in range(n))
-        for i in range(n)
-    )
-    gen_ids = tuple(rep_of[g] for g in t.generator_ids)
-    words = tuple(t.words[r] for r in reps)
-    q = GroupTable(t.name + "/Z2", mult, t.generators, gen_ids, words)
-    q.check_associativity()
-    return z, q
+    moves = [m for g in t.generator_ids for m in (g, t.inverse(g))]
+    action = tuple(tuple(rep_of[t.mult[r][m]] for m in moves) for r in reps)
+    return z, group_table(CosetTable(t.name + "/Z2", t.generators, action))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 from dataclasses import replace
 
@@ -29,7 +30,7 @@ from braidcover.presentations import (
     van_buskirk,
 )
 from braidcover.rewriting import _MoveTable
-from braidcover.words import EMPTY, letter_codes, parse_word, sigma
+from braidcover.words import EMPTY, format_word, letter_codes, parse_word, sigma
 
 
 def table_of(family, param=None):
@@ -112,6 +113,15 @@ def test_center_and_quotient():
     assert ok
     with pytest.raises(ValueError):
         center_and_quotient(symmetric_table(3))  # trivial center
+
+
+def test_center_and_quotient_needs_one_central_involution():
+    # Z2 x Z2 is abelian with three involutions, so no quotient of order 2
+    # is the quotient by the central involution
+    klein = table_of("Dih", 2)
+    assert len(klein.center()) == 4
+    with pytest.raises(ValueError, match="3 central elements of order 2"):
+        center_and_quotient(klein)
 
 
 def z4_by_z4(name: str, twist: bool) -> GroupTable:
@@ -282,10 +292,38 @@ def test_every_table_is_checked(monkeypatch):
                         lambda self: checked.append(self.size) or check(self))
     t = table_of("Dih", 130)
     _z, q = center_and_quotient(t)
-    assert checked == [t.size, q.size] == [260, 130]
+    s4, a5 = symmetric_table(4), alternating_table(5)
+    assert checked == [t.size, q.size, s4.size, a5.size] == [260, 130, 24, 60]
 
 
 def test_one_element_table_passes():
     t = group_table(coset_enumerate(Presentation("trivial", (), ())))
     assert t.size == 1 and t.generator_ids == ()
     t.check_associativity()
+
+
+def tables_digest(tables: dict[str, GroupTable], with_words: bool) -> str:
+    """sha256 prefix over each table's key, name, mult and generator ids,
+    and with_words also its witness words; the same under every hash seed."""
+    h = hashlib.sha256()
+    for key in sorted(tables):
+        t = tables[key]
+        h.update(repr((key, t.name, t.mult, t.generator_ids)).encode())
+        if with_words:
+            h.update(repr([format_word(w) for w in t.words]).encode())
+    return h.hexdigest()[:16]
+
+
+def test_tables_are_pinned():
+    # every builder's output, element numbering included: the permutation
+    # tables and the center quotients by (name, mult, generator ids), the
+    # tables built from coset enumeration also by their witness words
+    tables = named_tables()
+    built = {key: tables[key] for key in ("S3", "S4", "A4", "A5")}
+    built |= {key: t for key, t in tables.items() if key.endswith("/Z")}
+    enumerated = {key: t for key, t in tables.items()
+                  if key not in built and key not in ("Z4xZ4", "Z4:Z4")}
+    enumerated["B2(RP2)"] = group_table(coset_enumerate(van_buskirk(2)))
+    assert len(built) == 23 and len(enumerated) == 28
+    assert tables_digest(built, with_words=False) == "2005887719c19e86"
+    assert tables_digest(enumerated, with_words=True) == "be7b44bd707dc500"
