@@ -38,7 +38,7 @@ from .rewriting import (
     Derivation,
     Lemma,
     _checked_derivation,
-    _compile_path,
+    _compile_move,
     _derivation,
     _hits,
     _lemma_from_proof,
@@ -248,7 +248,7 @@ class CertificateEngine:
         hits = _hits(table, table.encode(current), table.encode(following))
         if not hits:
             raise ScriptError(name, index, f"no {label} move reaches {word}")
-        return _compile_path(table, current, hits[:1])
+        return _compile_move(table, current, hits[0])
 
     def _add_disc_lemma(self, name: str, source: BraidWord, target: BraidWord) -> Lemma:
         return self.add_scripted_lemma(name, source, target,

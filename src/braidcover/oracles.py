@@ -172,7 +172,8 @@ class Verdict:
 
     verdict is Nontrivial, Trivial or (sphere only) FullTwist; evidence names
     the layer that decided.  certificate is always None: every layer decides
-    without a derivation, and the field stays for callers that read it.
+    without a derivation.  The field stays only because the benchmark
+    harness's traced run (perfbench/layers.py) reads it.
     """
 
     verdict: str

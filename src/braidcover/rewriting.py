@@ -28,23 +28,29 @@ conjugator once, and builds the steps with no per-step check left to
 make; a certificate that fails a column check is read again step by
 step, which names the first bad step.
 
-The search half of the module (find_equality) finds certificates for
-short identities by best-first insertion of cyclic rotations of relators.
-Its move tables also check the certificate engine's script steps, where a
-move may insert a previously certified auxiliary identity (a lemma), and
-its splice and compile code serves both.  A lemma L = 1 is banked with
-two bodies in items, its proof (L -> empty) and its build (empty -> L):
-an item is a step or a LemmaUse, which runs one of those bodies at an
-offset, so a lemma move costs one item however large the lemma's own
-proof is.  A move that inserts L^-1 free-inserts L^-1 L and uses the
-proof.  Only a certificate that is returned is flattened into steps that
-reference presentation relators alone, and it is replayed flat before it
-is returned.
+The engine half of the module checks one move at a time.  A _MoveTable
+holds every cyclic rotation of chosen relators and of certified auxiliary
+identities (lemmas), and of their inverses; _hits finds, with one lookup
+per position, each insertion of one of them that turns a freely reduced
+word into a given next word, and _compile_move compiles one such hit.  A
+lemma L = 1 is banked with two bodies in items, its proof (L -> empty)
+and its build (empty -> L): an item is a step or a LemmaUse, which runs
+one of those bodies at an offset, so a lemma move costs one item however
+large the lemma's own proof is.  A move that inserts L^-1 free-inserts
+L^-1 L and uses the proof.  Only a certificate that is returned is
+flattened into steps that reference presentation relators alone, and it
+is replayed flat before it is returned.
+
+find_equality is the same one-move check over every relator of a
+presentation: it certifies source = target when the two are freely equal
+or one relator move apart, and raises NotFound otherwise.  It decides
+nothing the certificate engine needs; it and NotFound keep their names
+because the benchmark harness (perfbench) wraps the one and catches the
+other.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 from dataclasses import dataclass
@@ -562,24 +568,12 @@ def _replay_inverted(p: Presentation, letters, items) -> tuple[list, tuple[Lette
 
 
 # ---------------------------------------------------------------------------
-# certificate search
-
-
-# candidates find_equality splices before it gives up with NotFound
-MAX_CANDIDATES = 1_000_000
-
-
-@dataclass(frozen=True)
-class SearchStats:
-    candidates: int
-    expanded: int
-    found: bool
+# one-move checks
 
 
 class NotFound(Exception):
-    def __init__(self, stats: SearchStats):
-        super().__init__(f"no certificate within budget ({stats.candidates} candidates)")
-        self.stats = stats
+    """Raised by find_equality when no single relator move turns the
+    source into the target."""
 
 
 def _lemma_from_proof(p: Presentation, name: str, relator: BraidWord, proof) -> Lemma:
@@ -614,7 +608,7 @@ class _MoveTable:
         seen: set[tuple[int, ...]] = set()
         sources = [("relator", i, p.relators[i]) for i in relators]
         sources += [("lemma", i, l.relator) for i, l in enumerate(lemmas)]
-        # the freely reduced form of each move is what a splice inserts.
+        # the freely reduced form of each move is what _hits looks up.
         # Rotation k is x^-1 (rotation k - 1) x for x = enc[k - 1], so each
         # source word is reduced once and each rotation's reduced form is
         # the previous one conjugated
@@ -654,28 +648,6 @@ def _reduce_enc(letters) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _splice(w: tuple[int, ...], q: int, mv: tuple[int, ...]) -> tuple[int, ...]:
-    """_reduce_enc(w[:q] + mv + w[q:]) for freely reduced w and mv.
-
-    Only the junctions can cancel: w[:q] against the head of mv, then the
-    tail of mv against w[q:], and, once mv is used up, w[:i] against w[l:].
-    Free reduction is confluent, so the result is the same word."""
-    lw, lm = len(w), len(mv)
-    i, j = q, 0
-    while i and j < lm and w[i - 1] == mv[j] ^ 1:
-        i -= 1
-        j += 1
-    k, l = lm, q
-    while l < lw and k > j and mv[k - 1] == w[l] ^ 1:
-        k -= 1
-        l += 1
-    if j == k:
-        while i and l < lw and w[i - 1] == w[l] ^ 1:
-            i -= 1
-            l += 1
-    return w[:i] + mv[j:k] + w[l:]
-
-
 def _inverse_enc(letters: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(code ^ 1 for code in reversed(letters))
 
@@ -688,10 +660,11 @@ def _conjugate_enc(key: tuple[int, ...], x: int) -> tuple[int, ...]:
 
 def _hits(table: _MoveTable, w: tuple[int, ...], goal: tuple[int, ...]) -> list[tuple[int, int]]:
     """Every (move, position) whose splice turns the reduced word w into
-    goal, in the order (move, position).
+    goal, in the order (move, position).  The splice of move mv at
+    position q is w[:q] mv w[q:], freely reduced.
 
-    _splice(w, q, mv) == goal exactly when mv is w[:q]^-1 goal w[q:]^-1
-    freely reduced, because reduced words are normal forms: each q is one
+    That splice is goal exactly when mv is w[:q]^-1 goal w[q:]^-1 freely
+    reduced, because reduced words are normal forms: each q is one
     lookup in table.by_reduced, and the key for q + 1 is the key for q
     conjugated by w[q].  A hit replaces w[i:l] by part of mv, i <= q <= l,
     with i <= pre and lw - l <= suf for the common prefix and suffix
@@ -721,75 +694,9 @@ def _hits(table: _MoveTable, w: tuple[int, ...], goal: tuple[int, ...]) -> list[
     return hits
 
 
-def _search_reduced(table: _MoveTable, start: tuple[int, ...], goal: tuple[int, ...], cap: int):
-    """Best-first search on free-reduced encoded words.  Neighbors insert a
-    relator (or lemma) rotation at a position where it cancels against the
-    word boundary; bare insertions are allowed only into the empty word.
-    Each candidate is spliced from the move's reduced form, cancelling only
-    at the two junctions (see _splice) instead of re-reducing the word.
-    Words longer than cap are dropped, and NotFound is raised past
-    MAX_CANDIDATES candidates.  Returns the move path as
-    [(move_index, position)]."""
-    if start == goal:
-        return [], SearchStats(0, 0, True)
-    counter = itertools.count()
-    # priority len + 3*depth: long plateaus of same-length shuffle moves
-    # are explored breadth-last, short derivations first
-    heap = [(len(start), next(counter), start, 0)]
-    parent: dict[tuple[int, ...], tuple] = {start: None}
-    candidates = 0
-    expanded = 0
-    moves = table.moves
-    reduced = table.reduced
-    max_candidates = MAX_CANDIDATES
-    # moves indexed by the letter their first/last letter cancels against
-    by_first: dict[int, list[int]] = {}
-    by_last: dict[int, list[int]] = {}
-    for mi, mv in enumerate(moves):
-        by_first.setdefault(mv[0] ^ 1, []).append(mi)
-        by_last.setdefault(mv[-1] ^ 1, []).append(mi)
-    while heap:
-        _, _, w, depth = heapq.heappop(heap)
-        expanded += 1
-        lw = len(w)
-        if lw == 0:
-            pairs = [(mi, 0) for mi in range(len(moves))]
-        else:
-            # insertions that cancel against the left or right boundary letter
-            pairs = []
-            for q in range(lw + 1):
-                if q > 0:
-                    pairs.extend((mi, q) for mi in by_first.get(w[q - 1], ()))
-                if q < lw:
-                    pairs.extend(
-                        (mi, q)
-                        for mi in by_last.get(w[q], ())
-                        if not (q > 0 and moves[mi][0] ^ 1 == w[q - 1])
-                    )
-        for mi, q in pairs:
-            cand = _splice(w, q, reduced[mi])
-            candidates += 1
-            if candidates > max_candidates:
-                raise NotFound(SearchStats(candidates, expanded, False))
-            if len(cand) > cap or cand in parent:
-                continue
-            parent[cand] = (w, mi, q)
-            if cand == goal:
-                path = []
-                node = cand
-                while parent[node] is not None:
-                    prev, mj, pos = parent[node]
-                    path.append((mj, pos))
-                    node = prev
-                path.reverse()
-                return path, SearchStats(candidates, expanded, True)
-            heapq.heappush(heap, (len(cand) + 3 * (depth + 1), next(counter), cand, depth + 1))
-    raise NotFound(SearchStats(candidates, expanded, False))
-
-
-def _compile_path(table: _MoveTable, start_word: BraidWord, path) -> list:
-    """Expand search moves into items, with canonical free reduction after
-    each insertion.
+def _compile_move(table: _MoveTable, word: BraidWord, hit: tuple[int, int]) -> list:
+    """The items of one (move, position) hit on word, followed by
+    canonical free reduction.
 
     A relator move is one step, applied with _apply's check.  A lemma move
     inserts c L c^-1 (or c L^-1 c^-1 for the inverse) at the move's
@@ -801,32 +708,29 @@ def _compile_path(table: _MoveTable, start_word: BraidWord, path) -> list:
     effect is written down, and _lemma_from_proof or, after flattening,
     _checked_derivation replays the result.
 
-    start_word must be freely reduced.  Then so is the word before every
-    move, which leaves no inverse pair left of the junction at pos - 1, and
-    the free reduction after the move scans from there."""
+    word must be freely reduced.  That leaves no inverse pair left of the
+    junction at pos - 1, and the free reduction after the move scans from
+    there."""
     p = table.presentation
-    items: list = []
-    w = list(start_word.letters)
-    for mi, pos in path:
-        kind, ref, inv, rot = table.origins[mi]
-        base = p.relators[ref] if kind == "relator" else table.lemmas[ref].relator
+    mi, pos = hit
+    kind, ref, inv, rot = table.origins[mi]
+    base = p.relators[ref] if kind == "relator" else table.lemmas[ref].relator
+    if inv:
+        base = base.inverse()
+    prefix = _trusted_word(base.letters[:rot])
+    c = prefix.inverse()
+    w = list(word.letters)
+    if kind == "relator":
+        items = [DerivationStep(INSERT_RELATOR, pos, ref, inv, c)]
+        _apply(p, w, items[0], 0)
+    else:
         if inv:
-            base = base.inverse()
-        prefix = _trusted_word(base.letters[:rot])
-        c = prefix.inverse()
-        if kind == "relator":
-            items.append(DerivationStep(INSERT_RELATOR, pos, ref, inv, c))
-            _apply(p, w, items[-1], len(items) - 1)
+            items = [*pair_insert_steps(c * base, pos),
+                     LemmaUse(table.lemmas[ref], PROOF, pos + rot + len(base))]
         else:
-            if inv:
-                items += pair_insert_steps(c * base, pos)
-                items.append(LemmaUse(table.lemmas[ref], PROOF, pos + rot + len(base)))
-            else:
-                items += pair_insert_steps(c, pos)
-                items.append(LemmaUse(table.lemmas[ref], BUILD, pos + rot))
-            w[pos:pos] = c.letters + base.letters + prefix.letters
-        items += _reduction_steps(w, max(pos - 1, 0))
-    return items
+            items = [*pair_insert_steps(c, pos), LemmaUse(table.lemmas[ref], BUILD, pos + rot)]
+        w[pos:pos] = c.letters + base.letters + prefix.letters
+    return items + _reduction_steps(w, max(pos - 1, 0))
 
 
 def _derivation(p: Presentation, source: BraidWord, target: BraidWord, body: list) -> list:
@@ -853,25 +757,24 @@ def _checked_derivation(p: Presentation, source: BraidWord, target: BraidWord,
     return d
 
 
-# The certificate engine proves by checked scripts and never searches.
-# find_equality, SearchStats and NotFound stay as the public certificate
-# search for arbitrary words, and the benchmark harness wraps find_equality
-# and reads NotFound.
 def find_equality(p: Presentation, source: BraidWord, target: BraidWord) -> Derivation:
-    """Certificate for source = target in the presented group, or NotFound.
+    """Certificate for source = target by free moves and at most one
+    relator move, or NotFound.
 
-    The search inserts relator rotations only, through words of at most
-    four times the longest of source, target and the relators, and the
-    result is flattened into derivation-v1 steps.  A source or target
-    letter outside p's generators raises ValueError.
+    Freely equal words get the free reduction of source and the undone
+    free reduction of target.  Otherwise the first hit of _hits on a move
+    table of every relator of p is compiled, and the certificate is
+    replayed before it is returned.  A source or target letter outside
+    p's generators raises ValueError.
     """
     foreign = _foreign_letter(p, source, target)
     if foreign is not None:
         raise ValueError(f"letter {foreign} is not a generator of {p.name}")
+    src_red, tgt_red = source.free_reduce(), target.free_reduce()
+    if src_red == tgt_red:
+        return _checked_derivation(p, source, target, [])
     table = _MoveTable(p, (), range(len(p.relators)))
-    src_red = source.free_reduce()
-    cap = 4 * max(len(source), len(target), *map(len, p.relators), 1)
-    path, _stats = _search_reduced(
-        table, table.encode(src_red), table.encode(target.free_reduce()), cap
-    )
-    return _checked_derivation(p, source, target, _compile_path(table, src_red, path))
+    hits = _hits(table, table.encode(src_red), table.encode(tgt_red))
+    if not hits:
+        raise NotFound(f"no single relator move of {p.name} reaches the target")
+    return _checked_derivation(p, source, target, _compile_move(table, src_red, hits[0]))

@@ -127,7 +127,7 @@ def test_criterion_4_identity_certificates(engine_factory):
         for claim in paper_claims(n):
             try:
                 d = engine.certify(claim)
-            except Exception as exc:  # NotFound or anything else
+            except Exception as exc:  # a ScriptError, a failed replay or any other fault
                 failures.append(f"n={n} claim {claim.label}: {exc}")
                 continue
             if not verify_derivation(p, d):

@@ -190,12 +190,12 @@ def test_certify_all_six_replays():
 
 
 def test_scripted_lemmas_never_search(monkeypatch):
-    # seeding and certifying run no certificate search, and the ladder is
+    # seeding and certifying never call find_equality, and the ladder is
     # proved once: a second certify_all proves no lemma again
     def no_search(*args):
-        raise AssertionError("the engine searched")
+        raise AssertionError("the engine called find_equality")
 
-    monkeypatch.setattr(rewriting, "_search_reduced", no_search)
+    monkeypatch.setattr(rewriting, "find_equality", no_search)
     proved = []
     real = CertificateEngine.add_scripted_lemma
 
@@ -290,8 +290,8 @@ def test_corrupted_lemma_proof_is_not_banked(monkeypatch, corrupt):
     # a scripted proof is replayed once, as it is banked: a compiled body
     # that misses its last step ends off the empty word, one that misses its
     # first step stops at a step that does not apply; neither is banked
-    real = identities._compile_path
-    monkeypatch.setattr(identities, "_compile_path", lambda *args: real(*args)[corrupt])
+    real = identities._compile_move
+    monkeypatch.setattr(identities, "_compile_move", lambda *args: real(*args)[corrupt])
     engine = CertificateEngine(3)
     s1, s2 = gen_word(sigma(1)), gen_word(sigma(2))
     with pytest.raises(AssertionError, match="failed replay"):
@@ -322,19 +322,19 @@ def test_each_certificate_step_is_applied_once(monkeypatch):
     # the item level, where a use applies no step of the body it runs.
     # Every claim certificate is replayed once, flat, before it is returned
     applied, relator_moves = [0], [0]
-    real_apply, real_compile = rewriting._apply, rewriting._compile_path
+    real_apply, real_compile = rewriting._apply, rewriting._compile_move
 
     def counting_apply(*args):
         applied[0] += 1
         return real_apply(*args)
 
-    def counting_compile(table, start, path):
-        relator_moves[0] += sum(table.origins[move[0]][0] == "relator" for move in path)
-        return real_compile(table, start, path)
+    def counting_compile(table, word, hit):
+        relator_moves[0] += table.origins[hit[0]][0] == "relator"
+        return real_compile(table, word, hit)
 
     monkeypatch.setattr(rewriting, "_apply", counting_apply)
-    monkeypatch.setattr(rewriting, "_compile_path", counting_compile)
-    monkeypatch.setattr(identities, "_compile_path", counting_compile)
+    monkeypatch.setattr(rewriting, "_compile_move", counting_compile)
+    monkeypatch.setattr(identities, "_compile_move", counting_compile)
     engine = CertificateEngine(4)
     engine.seed_all()
     lemmas = engine.lemmas.values()

@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 
 from braidcover import rewriting
 from braidcover.identities import CertificateEngine, paper_claims
-from braidcover.presentations import Presentation, sphere_presentation, van_buskirk
+from braidcover.presentations import (
+    Presentation,
+    finite_group_presentation,
+    sphere_presentation,
+    van_buskirk,
+)
 from braidcover.rewriting import (
     ACTIONS,
     CertificateFormatError,
@@ -24,7 +29,6 @@ from braidcover.rewriting import (
     _hits,
     _MoveTable,
     _reduce_enc,
-    _splice,
     find_equality,
     invert_steps,
     reduction_steps,
@@ -277,14 +281,13 @@ def test_find_equality_rejects_a_foreign_letter():
             find_equality(p, parse_word(source), parse_word(target))
 
 
-def test_budget_exhaustion_reports_stats(monkeypatch):
-    monkeypatch.setattr(rewriting, "MAX_CANDIDATES", 200)
+def test_find_equality_needs_one_move():
+    # the full twist is not trivial in B_4(S^2), and no single relator
+    # move reaches the empty word from it
     p = sphere_presentation(4)
-    hard = parse_word("s1 s2 s3 s1 s2 s3") ** 4  # the full twist: not trivial
-    with pytest.raises(NotFound, match=r"within budget \(201 candidates\)") as err:
+    hard = parse_word("s1 s2 s3 s1 s2 s3") ** 4
+    with pytest.raises(NotFound, match=r"no single relator move of B_4\(S2\) reaches the target"):
         find_equality(p, hard, EMPTY)
-    assert err.value.stats.candidates > 0
-    assert not err.value.stats.found
 
 
 def test_trivial_equality_is_empty_certificate(vb3):
@@ -294,7 +297,29 @@ def test_trivial_equality_is_empty_certificate(vb3):
 
 
 # ---------------------------------------------------------------------------
-# junction-only splice
+# junction-only splice: the reference the one-move checks are tested against
+
+
+def _splice(w: tuple[int, ...], q: int, mv: tuple[int, ...]) -> tuple[int, ...]:
+    """_reduce_enc(w[:q] + mv + w[q:]) for freely reduced w and mv.
+
+    Only the junctions can cancel: w[:q] against the head of mv, then the
+    tail of mv against w[q:], and, once mv is used up, w[:i] against w[l:].
+    Free reduction is confluent, so the result is the same word."""
+    lw, lm = len(w), len(mv)
+    i, j = q, 0
+    while i and j < lm and w[i - 1] == mv[j] ^ 1:
+        i -= 1
+        j += 1
+    k, l = lm, q
+    while l < lw and k > j and mv[k - 1] == w[l] ^ 1:
+        k -= 1
+        l += 1
+    if j == k:
+        while i and l < lw and w[i - 1] == w[l] ^ 1:
+            i -= 1
+            l += 1
+    return w[:i] + mv[j:k] + w[l:]
 
 
 # codes over four generators: code ^ 1 is the inverse letter
@@ -419,6 +444,64 @@ def test_one_source_hits_come_from_one_class(case):
     for mj, q in hits:
         m = len(table.reduced[mj])
         assert lg - suf - m <= q <= pre + lu - lg + m
+
+
+# move tables of every relator, as find_equality builds them
+ONE_MOVE_TABLES = [_MoveTable(p, (), range(len(p.relators)))
+                   for p in (van_buskirk(3), sphere_presentation(4),
+                             finite_group_presentation("Istar"))]
+
+
+def decode(table, codes) -> BraidWord:
+    letters = {code: letter for letter, code in table.code.items()}
+    return BraidWord(tuple(letters[code] for code in codes))
+
+
+@st.composite
+def one_move_cases(draw):
+    """A move table of every relator of a presentation, a random reduced
+    word u over it and the splice of any move into u at any position."""
+    table = draw(st.sampled_from(ONE_MOVE_TABLES))
+    top = 2 * len(table.presentation.generators) - 1
+    u = draw(st.lists(st.integers(0, top), max_size=12).map(_reduce_enc))
+    mi = draw(st.integers(0, len(table.moves) - 1))
+    return table, u, _splice(u, draw(st.integers(0, len(u))), table.reduced[mi])
+
+
+@given(one_move_cases())
+def test_find_equality_certifies_every_one_move_target(case):
+    table, u, goal = case
+    p = table.presentation
+    d = find_equality(p, decode(table, u), decode(table, goal))
+    assert verify_derivation(p, d)
+    assert (d.source.letters, d.target.letters) == (decode(table, u).letters,
+                                                    decode(table, goal).letters)
+
+
+@given(one_move_cases(), st.data())
+def test_find_equality_fails_only_without_a_hit(case, data):
+    # a second move spliced on may or may not be one move from u: the
+    # certificate must verify, and NotFound comes exactly when _hits finds
+    # nothing and the two words are not freely equal
+    table, u, goal = case
+    mj = data.draw(st.integers(0, len(table.moves) - 1))
+    goal = _splice(goal, data.draw(st.integers(0, len(goal))), table.reduced[mj])
+    p = table.presentation
+    hits = _hits(table, u, goal)
+    try:
+        d = find_equality(p, decode(table, u), decode(table, goal))
+    except NotFound:
+        assert not hits and u != goal
+    else:
+        assert verify_derivation(p, d)
+        assert hits or u == goal
+
+
+def test_find_equality_on_freely_equal_words(vb3):
+    # freely equal but not letter-equal: free moves only, no relator
+    d = find_equality(vb3, parse_word("s1 s1^-1 s2"), parse_word("s2"))
+    assert verify_derivation(vb3, d)
+    assert d.steps and {step.action for step in d.steps} <= {"FreeCancel", "FreeInsert"}
 
 
 def test_reduction_steps_match_leftmost_pair_scan():
