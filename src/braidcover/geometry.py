@@ -17,10 +17,15 @@ operations.  A motion or scene keeps the samples it validated (coords)
 and its squared separation, and lifting, the projection check and the
 diagram reader read the samples from there instead of stacking the paths
 again; the projection check runs one sheet at a time, so that its
-temporaries span one sheet, not the lift.  An antipodal lift that is
-exactly the pair (p, -p) of a projective-plane motion's samples p
-measures nothing twice: its projection error is 0 and its separation is
-one its source measured, by exact IEEE identities (see LiftScene).
+temporaries span one sheet, not the lift.  Two builders take their
+checks from samples that were validated already, instead of measuring
+them again: word_motion joins cached pieces of each letter's validated
+generator motion and takes its unit error and separation from their
+cached extremes, and the antipodal lift of a projective-plane motion
+(p, -p) takes its projection error (0) and separation from its source.
+Both give, bit for bit, what the checks would measure, by exact IEEE
+identities (see word_motion and _antipodal_lift).  The diagram is still
+read from the whole lifted scene.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,12 +106,16 @@ def _pairwise_min_sq_distance(c: np.ndarray, antipodal: bool) -> float:
     return best
 
 
-def _match_point(v: np.ndarray, pool: list[np.ndarray], antipodal: bool) -> int:
-    for idx, p in enumerate(pool):
-        for gap in ((v - p, v + p) if antipodal else (v - p,)):
-            if gap @ gap < 1e-12:
-                return idx
-    raise ValueError("endpoint does not return to the basepoint set")
+def _check_return(c: np.ndarray, antipodal: bool) -> None:
+    """Raise ValueError unless each path with coordinates c (see _coords)
+    ends at a start point, or on rp2 at its antipode: squared gap < 1e-12,
+    in one (n, n) comparison of final points against start points."""
+    ends, starts = c[:, :, -1, None], c[:, None, :, 0]
+    near = _sq_norms(*(ends - starts)) < 1e-12
+    if antipodal:
+        near |= _sq_norms(*(ends + starts)) < 1e-12
+    if not near.any(axis=1).all():
+        raise ValueError("endpoint does not return to the basepoint set")
 
 
 def _check_error(err: float, tol: float, c: np.ndarray, message: str) -> None:
@@ -124,7 +134,12 @@ def _grid_prefix(paths, shape: tuple[int, int]) -> int:
 class StrandMotion:
     """n disjoint strand paths over [0,1], sampled; paths are stored as
     (T, 3) arrays of unit vectors.  surface is "rp2" (antipodal
-    semantics) or "annulus" (equatorial band)."""
+    semantics) or "annulus" (equatorial band).
+
+    A motion checks whatever paths it is handed: unit norms, disjointness
+    (with antipodes on rp2) and that the endpoints return to the start
+    points.  word_motion builds its motions without this check, from
+    validated generator motions (see there)."""
 
     n: int
     surface: str
@@ -155,9 +170,7 @@ class StrandMotion:
         sq = _pairwise_min_sq_distance(c, antip)
         if math.sqrt(sq) <= SEPARATION_TOL:
             raise ValueError("strand paths are not disjoint")
-        starts = [p[0] for p in self.paths]
-        for p in self.paths:
-            _match_point(p[-1], starts, antip)
+        _check_return(c, antip)
         c.flags.writeable = False
         object.__setattr__(self, "coords", c)
         object.__setattr__(self, "sq_separation", sq)
@@ -184,16 +197,9 @@ class LiftScene:
     of the base lifts to sheets i, i+n, ..., i+(d-1)n.
 
     A scene checks that each lifted path projects to its source and that
-    the lifted paths are disjoint.  The antipodal lift of a projective-plane
-    motion whose samples are exactly (p, -p), p the motion's validated
-    samples, takes both results from its source instead of measuring 2n
-    strands again.  It projects with error 0: p - p and -p + p are zero.
-    In IEEE arithmetic x - (-y) = x + y, (-x) - (-y) = -(x - y) and
-    addition commutes, so the squared distance of every lifted pair is, bit
-    for bit, one the source measured with antipodes (|p_a - p_b|^2 within a
-    sheet, |p_a + p_b|^2 across), or |p_i + p_i|^2 for the two lifts of one
-    strand.  Any other scene (the band cover, a sheet off by one sample,
-    a non-finite sample, an annulus source) is measured whole.
+    the lifted paths are disjoint, whatever paths it is handed.
+    lift_motion builds the antipodal lift of a projective-plane motion
+    without this check (see _antipodal_lift).
     """
 
     source: StrandMotion
@@ -211,30 +217,28 @@ class LiftScene:
         good = _grid_prefix(self.paths, self.source.paths[0].shape)
         c = _coords(self.paths[:good]) if good else None
         src = self.source.coords
-        inherit = good == d * n and self._copies_source(c)
-        if inherit:
-            errors = (0.0,)
-        else:  # sheet by sheet, so that no temporary spans the whole lift
-            errors = (_projection_error(c[:, lo:lo + n], src[:, :min(n, good - lo)], self.cover)
-                      for lo in range(0, good, n))
-        for err in errors:
+        # sheet by sheet, so that no temporary spans the whole lift
+        for lo in range(0, good, n):
+            err = _projection_error(c[:, lo:lo + n], src[:, :min(n, good - lo)], self.cover)
             _check_error(err, UNIT_TOL, c, "lifted path does not project to its source")
         if good < d * n:
             raise ValueError("lifted path sample grid mismatch")
-        sq = (min(self.source.sq_separation, float(np.min(_sq_norms(*(src + src)))))
-              if inherit else _pairwise_min_sq_distance(c, False))
+        sq = _pairwise_min_sq_distance(c, False)
         if math.sqrt(sq) <= SEPARATION_TOL:
             raise ValueError("lifted paths are not disjoint")
         c.flags.writeable = False
         object.__setattr__(self, "coords", c)
         object.__setattr__(self, "sq_separation", sq)
 
-    def _copies_source(self, c: np.ndarray) -> bool:
-        """Whether the samples c are exactly (p, -p), p the coordinates of a
-        projective-plane source, on the antipodal cover."""
-        src, n = self.source.coords, self.source.n
-        return (self.cover == ANTIPODAL and self.source.surface == "rp2"
-                and np.array_equal(c[:, :n], src) and np.array_equal(c[:, n:], -src))
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass cls with the given fields, built
+    without its __post_init__ check.  Only for values whose check holds
+    by construction; the caller gives the argument."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _projection_error(lift: np.ndarray, src: np.ndarray, cover: Cover) -> float:
@@ -359,38 +363,142 @@ def generator_motion(g: Generator, n: int, surface: str = "rp2") -> StrandMotion
     return motion
 
 
+_build_generator_motion = generator_motion.__wrapped__  # the same, uncached
+
+
+class _Segment(NamedTuple):
+    """One stretch of samples of every word motion, slot by slot."""
+
+    slot: tuple[int, ...]  # the slot that the strand in slot j moves to
+    pieces: tuple[np.ndarray, ...]  # slot j's samples, (3, k), read-only
+    flipped: tuple[np.ndarray, ...]  # their negations, read-only
+    starts: tuple[tuple[float, ...], ...]  # the first point of slot j's path
+    ends: tuple[tuple[float, ...], ...]  # its last point, the piece's last
+    flipped_ends: tuple[tuple[float, ...], ...]  # their negations
+    error: float  # the largest unit error of the pieces
+    sq_separation: float  # theirs, with antipodes on rp2 (see _pairwise_min_sq_distance)
+
+
+def _piece(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The samples p, (3, k), and their negation, read-only; a strand that
+    stays put (every sample the first, bit for bit) is held as one point,
+    broadcast."""
+    first = p[:, :1]
+    if (p.view(np.uint64) == first.view(np.uint64)).all():
+        return np.broadcast_to(first.copy(), p.shape), np.broadcast_to(-first, p.shape)
+    p = np.ascontiguousarray(p)
+    q = -p
+    p.flags.writeable = q.flags.writeable = False
+    return p, q
+
+
+def _segment(c: np.ndarray, slot, starts, ends, antipodal: bool) -> _Segment:
+    """The _Segment of the samples c (see _coords) with the given slot map
+    and path end points, measured as StrandMotion measures."""
+    pieces, flipped = zip(*(_piece(c[:, j]) for j in range(c.shape[1])))
+    starts, ends = (tuple(tuple(p.tolist()) for p in ps) for ps in (starts, ends))
+    return _Segment(slot, pieces, flipped, starts, ends, tuple(tuple(-v for v in p) for p in ends),
+                    float(np.max(np.abs(np.sqrt(_sq_norms(*c)) - 1.0))),
+                    _pairwise_min_sq_distance(c, antipodal))
+
+
+@lru_cache(maxsize=None)
+def _basepoint_segment(n: int, surface: str) -> _Segment:
+    """The first sample of every word motion: the basepoints."""
+    base = basepoints(n, surface)
+    return _segment(_coords([b[None] for b in base]), tuple(range(n)), base, base,
+                    surface == "rp2")
+
+
+@lru_cache(maxsize=None)
+def _letter_segment(g: Generator, e: int, n: int, surface: str) -> _Segment:
+    """The samples that the letter g^e appends to a word motion: each slot's
+    path of the validated generator_motion(g, n, surface), reversed for
+    e = -1, without its first sample (samples 1..T-1 forward, 0..T-2
+    reversed).  Cached per (g, e, n, surface).  The motion is built here
+    and not kept, so that these pieces are the one copy of its samples
+    that word motions hold on to."""
+    gm = _build_generator_motion(g, n, surface)
+    swap = {g.index - 1: g.index, g.index: g.index - 1} if g.kind == "s" else {}
+    slot = tuple(swap.get(j, j) for j in range(n))
+    # the reversed path occupying slot j is the reversal of the forward
+    # path that ends at slot j
+    paths = gm.paths if e == 1 else [gm.paths[k][::-1] for k in slot]
+    return _segment(_coords([p[1:] for p in paths]), slot, [p[0] for p in paths],
+                    [p[-1] for p in paths], surface == "rp2")
+
+
 def word_motion(w: BraidWord, n: int, surface: str = "rp2") -> StrandMotion:
     """Concatenated motion of a braid word, one generator segment per
     letter; strands follow the slot currently holding them, and each
     appended segment is kept continuous on the sphere (segments for
-    projective-plane loops may need the antipodal representative)."""
+    projective-plane loops may need the antipodal representative).
+
+    The samples are the cached pieces of each letter's validated generator
+    motion (see _letter_segment), each negated where a strand needs the
+    antipodal representative, and the motion is built without the
+    StrandMotion check; its unit error and squared separation are the
+    extremes of the basepoints and of the pieces, bit for bit the ones
+    the check would measure.  Negation changes no sample's norm: |-p| =
+    |p|.  On rp2 it swaps |p_a - p_b|^2 and |p_a + p_b|^2 exactly (see
+    _antipodal_lift), and the check measures both; reordering strands
+    only permutes the pairs.  The band check measures no |p_a + p_b|^2,
+    so a band motion with a negated piece, which the band generators
+    never need, is measured whole.  Endpoint return is checked on the
+    final points.
+    """
     if n < 1:
         raise ValueError("strand count must be >= 1")
-    base = basepoints(n, surface)
-    strand_paths: list[list[np.ndarray]] = [[b[None]] for b in base]
-    tails = base  # the last point of each strand's path so far
+    first = _basepoint_segment(n, surface)
+    chunks = [[p] for p in first.pieces]  # each strand's pieces so far
+    tails = list(first.ends)  # the last point of each strand's path so far
     slot_of = list(range(n))  # strand index -> current slot (0-based)
+    err, sq, flips = first.error, first.sq_separation, False
     for g, e in w.letters:
-        gm = generator_motion(g, n, surface)
-        if g.kind == "s":
-            perm = {g.index - 1: g.index, g.index: g.index - 1}
-        else:
-            perm = {}
-        if e == 1:
-            seg = gm.paths
-        else:
-            # the reversed path occupying slot j is the reversal of the
-            # forward path that ends at slot j
-            seg = [gm.paths[perm.get(j, j)][::-1] for j in range(n)]
+        seg = _letter_segment(g, e, n, surface)
         for s, j in enumerate(slot_of):
-            piece = seg[j][1:]
-            gap = seg[j][0] - tails[s]
-            if gap @ gap > 1e-12:
-                piece = -piece
-            strand_paths[s].append(piece)
-            tails[s] = piece[-1]
-        slot_of = [perm.get(j, j) for j in slot_of]
-    return StrandMotion(n, surface, tuple(np.concatenate(chunks) for chunks in strand_paths))
+            (x, y, z), (tx, ty, tz) = seg.starts[j], tails[s]
+            dx, dy, dz = x - tx, y - ty, z - tz
+            if dx * dx + dy * dy + dz * dz > 1e-12:
+                chunks[s].append(seg.flipped[j])
+                tails[s] = seg.flipped_ends[j]
+                flips = True
+            else:
+                chunks[s].append(seg.pieces[j])
+                tails[s] = seg.ends[j]
+        slot_of = [seg.slot[j] for j in slot_of]
+        err, sq = max(err, seg.error), min(sq, seg.sq_separation)
+    # strand-major pieces side by side are the (3, n, T) layout of _coords
+    c = np.concatenate([p for pieces in chunks for p in pieces], axis=1).reshape(3, n, -1)
+    paths = tuple(np.array(c.transpose(1, 2, 0)))  # the caller's copy, writable
+    if flips and surface == "annulus":
+        return StrandMotion(n, surface, paths)
+    _check_error(err, UNIT_TOL, c, "path points must be unit vectors")
+    if math.sqrt(sq) <= SEPARATION_TOL:
+        raise ValueError("strand paths are not disjoint")
+    _check_return(c, surface == "rp2")
+    c.flags.writeable = False
+    return _trusted(StrandMotion, n=n, surface=surface, paths=paths, coords=c, sq_separation=sq)
+
+
+def _antipodal_lift(m: StrandMotion) -> LiftScene:
+    """The antipodal lift of a projective-plane motion m, built without the
+    LiftScene check: the sheet through m's validated samples p, which are
+    continuous on the sphere already, and its antipode -p.
+
+    Each lifted path projects to its source with error 0: p - p and -p + p
+    are zero.  In IEEE arithmetic x - (-y) = x + y, (-x) - (-y) = -(x - y)
+    and addition commutes, so the squared distance of every lifted pair
+    is, bit for bit, one m measured with antipodes (|p_a - p_b|^2 within a
+    sheet, |p_a + p_b|^2 across), or |p_i + p_i|^2 for the two lifts of
+    one strand.  The scene's squared separation is the least of those.
+    """
+    src = m.coords
+    c = np.concatenate((src, -src), axis=1)
+    c.flags.writeable = False
+    sq = min(m.sq_separation, float(np.min(_sq_norms(*(src + src)))))
+    return _trusted(LiftScene, source=m, cover=ANTIPODAL, paths=tuple(c.transpose(1, 2, 0)),
+                    coords=c, sq_separation=sq)
 
 
 def lift_motion(m: StrandMotion, cover: Cover) -> LiftScene:
@@ -399,10 +507,7 @@ def lift_motion(m: StrandMotion, cover: Cover) -> LiftScene:
     if cover.kind == "antipodal_sphere":
         if m.surface != "rp2":
             raise ValueError("antipodal cover lifts projective-plane motions")
-        # the validated samples are continuous on the sphere already; take
-        # the sheet through them and its antipode, as (T, 3) views
-        sheets = (m.coords.transpose(1, 2, 0), (-m.coords).transpose(1, 2, 0))
-        return LiftScene(m, cover, (*sheets[0], *sheets[1]))
+        return _antipodal_lift(m)
     if cover.kind == "annulus_dfold":
         if m.surface != "annulus":
             raise ValueError("d-fold band cover lifts annulus motions")
@@ -462,7 +567,9 @@ def _read_diagram(u: np.ndarray, depth: np.ndarray) -> BraidWord:
         diff = u[a] - u[b]
         if not diff.all():
             raise NonGenericScene("strands coincide in the order functional")
-        pair, t = np.nonzero(diff[:, :-1] * diff[:, 1:] < 0)
+        # a sign change; a product of two differences can underflow to 0
+        sign = np.signbit(diff)
+        pair, t = np.nonzero(sign[:, :-1] != sign[:, 1:])
         hits.append((a[pair], b[pair], t))
     a, b, t = (np.concatenate(col) for col in zip(*hits))
     d0, d1 = u[a, t] - u[b, t], u[a, t + 1] - u[b, t + 1]

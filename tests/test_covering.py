@@ -168,6 +168,7 @@ def test_word_motion_matches_uncached_generators(monkeypatch, surface, n):
     assert words
     cached = [word_motion(w, n, surface) for w in words]
     monkeypatch.setattr(geometry, "generator_motion", generator_motion.__wrapped__)
+    monkeypatch.setattr(geometry, "_letter_segment", geometry._letter_segment.__wrapped__)
     for w, m in zip(words, cached):
         fresh = word_motion(w, n, surface)
         assert all(np.array_equal(a, b) for a, b in zip(m.paths, fresh.paths)), str(w)
@@ -254,15 +255,76 @@ def test_lift_reads_the_validated_samples(cover, surface, word):
     assert extract_word(scene) == extract_word(expected)
 
 
-def _seeded_rp2_words():
-    rng = random.Random(29)
-    yield 1, EMPTY
-    for n in range(1, 7):
-        gens = _rp2_generators(n)
-        for length in (1, 3, 8, 16):
-            for _ in range(2):
-                yield n, BraidWord(tuple((rng.choice(gens), rng.choice((1, -1)))
+def _construction_words(surface: str):
+    """Seeded words for the by-construction builders: on rp2 for n = 1..6
+    the empty word, random sigma/rho words of up to 24 letters and
+    rho-only words; on the band for n = 1..5 random sigma/tau words."""
+    rng = random.Random(f"by construction {surface}")
+    for n in range(1, 7) if surface == "rp2" else range(1, 6):
+        yield n, EMPTY
+        gens = _rp2_generators(n) if surface == "rp2" else _annulus_generators(n)
+        pools = [gens, [rho(j) for j in range(1, n + 1)]] if surface == "rp2" else [gens]
+        for pool in pools:
+            for length in (1, 3, 8, 16, 24):
+                yield n, BraidWord(tuple((rng.choice(pool), rng.choice((1, -1)))
                                          for _ in range(length)))
+
+
+def _annulus_generators(n: int) -> list[Generator]:
+    return [sigma(i) for i in range(1, n)] + [tau()]
+
+
+@pytest.mark.parametrize("surface, cover", [("rp2", ANTIPODAL), ("annulus", annulus_dfold(2)),
+                                            ("annulus", annulus_dfold(3))])
+def test_by_construction_builders_match_the_checks(monkeypatch, surface, cover):
+    # word_motion and the antipodal lift set their samples and separation
+    # without the constructors' checks; the constructors, handed copies of
+    # the same paths, measure the same values bit for bit
+    calls = []
+    measure = geometry._pairwise_min_sq_distance
+    monkeypatch.setattr(geometry, "_pairwise_min_sq_distance",
+                        lambda *args: calls.append(args) or measure(*args))
+    for n, w in _construction_words(surface):
+        word_motion(w, n, surface)  # the generator segments, once
+        del calls[:]
+        m = word_motion(w, n, surface)
+        scene = lift_motion(m, cover)
+        # none on the whole word; the band lift is measured whole
+        assert len(calls) == (cover != ANTIPODAL), (n, str(w))
+        measured = StrandMotion(n, surface, tuple(p.copy() for p in m.paths))
+        assert np.array_equal(m.coords, measured.coords), (n, str(w))
+        assert m.sq_separation == measured.sq_separation, (n, str(w))
+        lifted = LiftScene(m, cover, tuple(p.copy() for p in scene.paths))
+        assert np.array_equal(scene.coords, lifted.coords), (n, str(w))
+        assert scene.sq_separation == lifted.sq_separation, (n, str(w))
+        assert m.coords.flags.c_contiguous and not m.coords.flags.writeable
+        assert scene.coords.flags.c_contiguous and not scene.coords.flags.writeable
+
+
+def test_hand_built_antipodal_scene_is_measured(monkeypatch):
+    # an exact (p, -p) scene handed to the constructor is checked whole
+    calls = []
+    for name in ("_pairwise_min_sq_distance", "_projection_error"):
+        measure = getattr(geometry, name)
+        monkeypatch.setattr(geometry, name,
+                            lambda *args, measure=measure, name=name:
+                            calls.append(name) or measure(*args))
+    m = word_motion(parse_word("s1 r2 s2^-1 r1"), 3)
+    scene = LiftScene(m, ANTIPODAL, (*m.paths, *(-p for p in m.paths)))
+    assert calls == ["_projection_error", "_projection_error", "_pairwise_min_sq_distance"]
+    assert np.array_equal(scene.coords, lift_motion(m, ANTIPODAL).coords)
+
+
+def test_endpoint_return_allows_the_antipode_only_on_rp2():
+    # half the equator ends at its start's antipode: a loop of RP^2, not
+    # of the band
+    half = np.stack([[math.cos(a), math.sin(a), 0.0] for a in np.linspace(0.0, math.pi, 9)])
+    assert StrandMotion(1, "rp2", (half,)).n == 1
+    with pytest.raises(ValueError, match="endpoint does not return"):
+        StrandMotion(1, "annulus", (half,))
+    # two strands may end at each other's starts
+    swap = generator_motion(sigma(1), 2, "annulus")
+    assert StrandMotion(2, "annulus", tuple(p.copy() for p in swap.paths)).n == 2
 
 
 def test_antipodal_lift_inherits_its_source_checks(monkeypatch):
@@ -641,6 +703,13 @@ def test_read_diagram_rejects_coincident_strands():
     u = np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
     with pytest.raises(NonGenericScene, match="coincide"):
         _read_diagram(u, np.zeros_like(u))
+
+
+def test_read_diagram_reads_a_crossing_whose_product_underflows():
+    # the two u-differences around the crossing multiply to 0 in floats
+    u = np.array([[-1e-200, 1e-200, 0.1], [0.0, 0.0, 0.0]])
+    depth = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+    assert _read_diagram(u, depth) == parse_word("s1")
 
 
 def test_read_diagram_rejects_non_adjacent_crossing():
