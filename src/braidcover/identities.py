@@ -13,6 +13,27 @@ is banked as its proof in items that use earlier lemmas by reference.  A
 claim is certified by one checked move of its own banked lemma; the
 certificate is flattened to presentation relators and replays against the
 bare presentation.
+
+Every script step and every claim names its move: the label of a lemma or
+relator with word L, an inverse flag, a rotation k and a position q.  The
+engine inserts rotation k of L (of L^-1 if the flag is set) at q in the
+current word, reduces freely and checks the result against the step's
+stated word; it keeps no move table and looks nothing up.  The scripts
+compute each move from the lengths of their word pieces by one rule.  A
+step rewrites x to y in the current word P x Q, where x and y differ in
+their first and last letters, and y x^-1 is rotation k0 of L^-1 or of L.
+Inserting at |P| + j, for 0 <= j <= |x|, takes rotation k0 - j, so the
+step names rotation 0 at |P| + k0 if k0 <= |x|, else rotation k0 - |x| at
+|P| + |x|.  Rewriting a lemma's source to its target is thus the inverse
+at rotation 0 in front of the source, and a claim's move is its lemma's
+inverse at rotation 0, position 0.  Positions count letters of the freely
+reduced current word, so where a piece cancels against its neighbour
+(Delta begins and ends in s_1, for one) P and x shrink; where L is not
+cyclically reduced, two rotations reduce to the same word and the lesser
+is named.  The scripts write those cases out.  The rule gives the
+insertion that rewriting._hits, the one-move lookup, finds first, and the
+one that compiles shortest; a test checks every named move against it, so
+the certificates are those the lookup would compile.
 """
 
 from __future__ import annotations
@@ -40,9 +61,7 @@ from .rewriting import (
     _checked_derivation,
     _compile_move,
     _derivation,
-    _hits,
     _lemma_from_proof,
-    _MoveTable,
 )
 from .words import EMPTY, BraidWord, _trusted_word, rho, sigma
 
@@ -96,8 +115,9 @@ def paper_claims(n: int) -> list[Claim]:
 
 
 class ScriptError(ValueError):
-    """Raised when a lemma script step does not apply: no insertion of the
-    step's lemma or relator turns the current word into the stated one.
+    """Raised when a lemma script step does not apply: its label names no
+    lemma or relator, its rotation or position is out of range, or its
+    named insertion does not turn the current word into the stated one.
     _positive_script raises it for words that are not equal positive
     braids."""
 
@@ -122,7 +142,14 @@ def _positive_script(name: str, source: BraidWord, target: BraidWord):
     words that are not equal; then it raises ScriptError.  Working from the
     right keeps every move left of the suffix that already matches target,
     so no move falls in the part that the script check cancels against
-    target^-1.
+    target^-1, and each move's position is where its letters start in u.
+
+    Each step names its move.  comm_s_a_b is s_a s_b s_a^-1 s_b^-1 and
+    braid_a is s_a s_(a+1) s_a (s_(a+1) s_a s_(a+1))^-1, for a < b.
+    Rewriting x -> y, where x and y differ in their first and last
+    letters, is the insertion of y x^-1 before x: rotation 0 of the
+    relator's inverse if x is the relator's left side (its first letter
+    has the smaller index), else of the relator itself.
     """
     u, v = [], []
     for word, out in ((source, u), (target, v)):
@@ -132,11 +159,12 @@ def _positive_script(name: str, source: BraidWord, target: BraidWord):
             out.append(g.index)
     if len(u) != len(v):
         raise ScriptError(name, 0, "positive words of different lengths are not equal")
-    script: list[tuple[str, BraidWord]] = []
+    script: list[tuple[str, bool, int, int, BraidWord]] = []
     letter = {i: (sigma(i), 1) for i in {*u, *v}}
 
-    def record(label: str) -> None:
-        script.append((label, _trusted_word(tuple(map(letter.__getitem__, u)))))
+    def record(label: str, inverse: bool, position: int) -> None:
+        script.append((label, inverse, 0, position,
+                       _trusted_word(tuple(map(letter.__getitem__, u)))))
 
     for t in range(len(v), 0, -1):
         # make u[:t] end in s_(v[t-1]).  Tasks: ("pull", end, _, k) makes
@@ -153,14 +181,16 @@ def _positive_script(name: str, source: BraidWord, target: BraidWord):
                 if j != k:
                     tasks += [("swap", end, j, k), ("pull", end - 1, k, k)]
             elif kind == "swap" and abs(j - k) >= 2:
+                # s_k s_j -> s_j s_k
                 u[end - 2 : end] = [j, k]
-                record(f"comm_s_{min(j, k)}_{max(j, k)}")
+                record(f"comm_s_{min(j, k)}_{max(j, k)}", k < j, end - 2)
             elif kind == "swap":
                 # u[:end] ends in s_k s_j; make the part before them end in s_j
                 tasks += [("braid", end, j, k), ("pull", end - 2, j, j)]
             else:
+                # s_j s_k s_j -> s_k s_j s_k
                 u[end - 3 : end] = [k, j, k]
-                record(f"braid_{min(j, k)}")
+                record(f"braid_{min(j, k)}", j < k, end - 3)
     return script
 
 
@@ -182,47 +212,32 @@ class CertificateEngine:
         self.presentation: Presentation = van_buskirk(n)
         self.lemmas: dict[str, Lemma] = {}
         self.relator_ids = van_buskirk_relator_labels(n)
-        # one-label move tables of script steps; lemmas never change once banked
-        self._tables: dict[str, _MoveTable] = {}
         self._seeded = False
 
     # -- lemma plumbing -----------------------------------------------------
 
-    def _step_table(self, name: str, index: int, label: str) -> _MoveTable:
-        table = self._tables.get(label)
-        if table is None:
-            if label in self.lemmas:
-                table = _MoveTable(self.presentation, (self.lemmas[label],), ())
-            elif label in self.relator_ids:
-                table = _MoveTable(self.presentation, (), (self.relator_ids[label],))
-            else:
-                raise ScriptError(name, index, f"no lemma or relator {label}")
-            self._tables[label] = table
-        return table
-
     def add_scripted_lemma(self, name: str, source: BraidWord, target: BraidWord,
                            script) -> Lemma:
-        """Prove source = target from a script: (label, word) pairs whose
-        words run from source to target.
+        """Prove source = target from a script: steps (label, inverse,
+        rotation, position, word) whose words run from source to target.
 
-        A step inserts one rotation of the lemma or relator named by label,
-        or of its inverse, and reduces freely; it must turn the current word
-        into the stated one.  Words are compared as w target^-1, freely
-        reduced, so the proof runs from the lemma relator to the empty word;
-        a step whose word reduces to the current one needs no move.  The
-        insertions of the label that turn the current word into the next
-        are found by one lookup per position (rewriting._hits) within the
-        label's longest move, plus the drop in length, of where the two
-        words first and last differ; _move compiles the first.  That is a
-        bounded check, not a search.  A step that does not apply raises
-        ScriptError.
+        A step names its move: it inserts rotation `rotation` of the lemma
+        or relator named by label, or of its inverse, at position, and
+        reduces freely (_move).  That must turn the current word into the
+        stated one.  Words are compared as w target^-1, freely reduced, so
+        the proof runs from the lemma relator to the empty word, and a
+        position counts letters of that reduced word; a step whose word
+        reduces to the current one needs no move.  The steps name the
+        insertion that rewriting._hits, the one-move lookup, would find
+        first, so certificates do not depend on whether moves are named or
+        looked up.  A step that does not apply raises ScriptError.
         """
         tail = target.inverse()
         current = (source * tail).free_reduce()
         body = []
-        for index, (label, word) in enumerate(script):
-            following = (word * tail).free_reduce()
-            body += self._move(name, index, label, current, following, word)
+        for index, step in enumerate(script):
+            following = (step[-1] * tail).free_reduce()
+            body += self._move(name, index, step, current, following)
             current = following
         if current.letters:
             raise ScriptError(name, len(script), "the script does not end at the target")
@@ -234,21 +249,35 @@ class CertificateEngine:
         self.lemmas[name] = lemma
         return lemma
 
-    def _move(self, name: str, index: int, label: str, current: BraidWord,
-              following: BraidWord, word: BraidWord) -> list:
-        """The items of the first insertion of label, in (move, position)
-        order, that turns the freely reduced word current into following
-        (none if they are equal), or ScriptError.  It compiles shortest:
-        every hit rotates label's word L, or every hit rotates L^-1
-        (rewriting._hits), and rotation k costs k more FreeCancels, and for
-        a lemma k more FreeInserts, than rotation 0 of the same class."""
-        table = self._step_table(name, index, label)
+    def _move(self, name: str, index: int, step, current: BraidWord,
+              following: BraidWord) -> list:
+        """The items of step's named move, which must turn the freely
+        reduced word current into following (none if they are equal), or
+        ScriptError.  The move is applied once, with no table and no
+        lookup; a rotation outside label's word or a position outside
+        current is refused before anything is inserted."""
+        label, inverse, rotation, position, word = step
+        source = self.lemmas.get(label)
+        if source is not None:
+            length = len(source.relator)
+        elif label in self.relator_ids:
+            source = self.relator_ids[label]
+            length = len(self.presentation.relators[source])
+        else:
+            raise ScriptError(name, index, f"no lemma or relator {label}")
         if following == current:
             return []
-        hits = _hits(table, table.encode(current), table.encode(following))
-        if not hits:
-            raise ScriptError(name, index, f"no {label} move reaches {word}")
-        return _compile_move(table, current, hits[0])
+        if not 0 <= rotation < length:
+            raise ScriptError(name, index, f"rotation {rotation} of {label} is outside "
+                                           f"its {length} letters")
+        if not 0 <= position <= len(current):
+            raise ScriptError(name, index, f"position {position} is outside the current word "
+                                           f"of {len(current)} letters")
+        letters = list(current.letters)
+        items = _compile_move(self.presentation, letters, source, inverse, rotation, position)
+        if tuple(letters) != following.letters:
+            raise ScriptError(name, index, f"the named {label} move does not reach {word}")
+        return items
 
     def _add_disc_lemma(self, name: str, source: BraidWord, target: BraidWord) -> Lemma:
         return self.add_scripted_lemma(name, source, target,
@@ -275,17 +304,17 @@ class CertificateEngine:
             self._add_disc_lemma(f"twist_conj_{n}_{i}", _s(i) * d, d * _s(n - i))
         # rho_j expansion over sigma and rho_1
         for j in range(2, n + 1):
-            script = [(f"sirisi_{j - 1}", _s(j - 1, -1) * _r(j - 1) * _s(j - 1, -1))]
+            script = [(f"sirisi_{j - 1}", True, 0, 0, _s(j - 1, -1) * _r(j - 1) * _s(j - 1, -1))]
             if j >= 3:
-                script.append((f"rjr1_{j - 1}", rho_expanded(j)))
+                script.append((f"rjr1_{j - 1}", True, 0, 1, rho_expanded(j)))
             self.add_scripted_lemma(f"rjr1_{j}", _r(j), rho_expanded(j), script)
         # rho_n^-2 in terms of the sigmas
         rev_c = _chain_down(sigma, n - 1, 1)
         expanded = rev_c * _r(1, -1) * c
         self.add_scripted_lemma("rn2", _r(n, -1) * _r(n, -1), rev_c * c, [
-            (f"rjr1_{n}", expanded * _r(n, -1)),
-            (f"rjr1_{n}", expanded * expanded),
-            ("surface", rev_c * c),
+            (f"rjr1_{n}", False, 0, 1, expanded * _r(n, -1)),
+            (f"rjr1_{n}", False, 0, 2 * n, expanded * expanded),
+            ("surface", False, 0, n, rev_c * c),
         ])
 
     def seed_conjri(self) -> None:
@@ -301,26 +330,37 @@ class CertificateEngine:
         s_i^-1 through Delta, where it becomes s_m^-1 (twist_conj_n_i),
         conjugate rho_i (conjri_i), move the left s_i^-1 through Delta, and
         contract s_m^-1 rho_(m+1)^-1 s_m^-1 = rho_m^-1 (sirisi_m).
+
+        The named moves (see the module docstring) change where pieces
+        cancel: s_1^-1 Delta at i = 1, where twist_conj_n_1 is not
+        cyclically reduced either (it begins in s_1 and ends in s_1^-1),
+        Delta s_1^-1 at m = 1, and the whole of Delta s_1^-1 at n = 2.
         """
         n = self.n
         d = half_twist(n)
         di = d.inverse()
         c, rev_c, dn1 = _chain_up(sigma, 1, n - 1), _chain_down(sigma, n - 1, 1), half_twist(n - 1)
-        base = [("surface", dn1.inverse() * rev_c * _r(1, -1) * c * dn1),
-                (f"rjr1_{n}", dn1.inverse() * _r(n, -1) * dn1)]
+        k = len(dn1)
+        base = [("surface", True, 0, k + n - 1, dn1.inverse() * rev_c * _r(1, -1) * c * dn1),
+                (f"rjr1_{n}", True, 0, k + 2 * n - 1, dn1.inverse() * _r(n, -1) * dn1)]
         for t, (g, _e) in enumerate(dn1.letters):
-            base.append((f"comm_sr_{g.index}_{n}",
+            base.append((f"comm_sr_{g.index}_{n}", True, 0, k - t + 1,
                          dn1.inverse() * _trusted_word(dn1.letters[: t + 1]) * _r(n, -1)
                          * _trusted_word(dn1.letters[t + 1 :])))
         self.add_scripted_lemma("conjri_1", di * _r(1) * d, _r(n, -1), base)
+        k = len(d)
         for i in range(1, n):
             m = n - i
             self.add_scripted_lemma(f"conjri_{i + 1}", di * _r(i + 1) * d, _r(m, -1), [
-                (f"sirisi_{i}", di * _s(i, -1) * _r(i) * _s(i, -1) * d),
-                (f"twist_conj_{n}_{i}", di * _s(i, -1) * _r(i) * d * _s(m, -1)),
-                (f"conjri_{i}", di * _s(i, -1) * d * _r(m + 1, -1) * _s(m, -1)),
-                (f"twist_conj_{n}_{i}", _s(m, -1) * _r(m + 1, -1) * _s(m, -1)),
-                (f"sirisi_{m}", _r(m, -1)),
+                (f"sirisi_{i}", True, 0, k, di * _s(i, -1) * _r(i) * _s(i, -1) * d),
+                (f"twist_conj_{n}_{i}", False, int(i == 1), k + 2 + (i > 1),
+                 di * _s(i, -1) * _r(i) * d * _s(m, -1)),
+                (f"conjri_{i}", True,
+                 *((0, 1) if n == 2 else (1 + (m == 1), 2 * k + 2 - (m == 1))),
+                 di * _s(i, -1) * d * _r(m + 1, -1) * _s(m, -1)),
+                (f"twist_conj_{n}_{i}", False, int(i == 1), k + 1 - (i == 1),
+                 _s(m, -1) * _r(m + 1, -1) * _s(m, -1)),
+                (f"sirisi_{m}", False, 0, 2, _r(m, -1)),
             ])
 
     def seed_permute(self) -> None:
@@ -349,31 +389,33 @@ class CertificateEngine:
         c, ci = _chain_up(sigma, 1, n - 1), _chain_down(sigma, n - 1, 1, -1)
         for i in range(1, n - 1):
             self.add_scripted_lemma(f"permute_sigma_{i}", ai * _s(i) * a, _s(i + 1), [
-                (f"chain_up_{n - 1}_{i}", _r(1, -1) * _s(i + 1) * c * a),
-                (f"comm_sr_{i + 1}_1", _s(i + 1)),
+                (f"chain_up_{n - 1}_{i}", True, 0, 1, _r(1, -1) * _s(i + 1) * c * a),
+                (f"comm_sr_{i + 1}_1", True, 0, 1, _s(i + 1)),
             ])
         self.add_scripted_lemma("permute_rho_core", _r(1, -1) * _s(1) * _r(1) * _s(1, -1) * _r(1),
                                 _r(2), [
-            ("sirisi_1", _s(1, -1) * _r(2, -1) * _r(1) * _s(1, -1) * _r(1)),
-            ("sirisi_1", _s(1, -1) * _r(2, -1) * _r(1) * _r(2) * _s(1)),
-            ("rhocomm_1", _s(1, -1) * _r(1) * _s(1, -1)),
-            ("sirisi_1", _r(2)),
+            ("sirisi_1", True, 0, 2, _s(1, -1) * _r(2, -1) * _r(1) * _s(1, -1) * _r(1)),
+            ("sirisi_1", False, 0, 3, _s(1, -1) * _r(2, -1) * _r(1) * _r(2) * _s(1)),
+            ("rhocomm_1", False, 0, 4, _s(1, -1) * _r(1) * _s(1, -1)),
+            ("sirisi_1", False, 0, 0, _r(2)),
         ])
-        script = [(f"comm_sr_{j}_1", _r(1, -1) * _chain_up(sigma, 1, j - 1) * _r(1)
+        script = [(f"comm_sr_{j}_1", True, 0, j, _r(1, -1) * _chain_up(sigma, 1, j - 1) * _r(1)
                    * _chain_up(sigma, j, n - 1) * a) for j in range(n - 1, 1, -1)]
-        script.append(("permute_rho_core", _r(2)))
+        script.append(("permute_rho_core", True, 0, 0, _r(2)))
         self.add_scripted_lemma("permute_rho_1", ai * _r(1) * a, _r(2), script)
         for i in range(2, n):
             self.add_scripted_lemma(f"permute_rho_{i}", ai * _r(i) * a, _r(i + 1), [
-                (f"sirisi_{i - 1}", ai * _s(i - 1, -1) * _r(i - 1) * _s(i - 1, -1) * a),
-                (f"permute_sigma_{i - 1}", _s(i, -1) * ai * _r(i - 1) * _s(i - 1, -1) * a),
-                (f"permute_rho_{i - 1}", _s(i, -1) * _r(i) * ai * _s(i - 1, -1) * a),
-                (f"permute_sigma_{i - 1}", _s(i, -1) * _r(i) * _s(i, -1)),
-                (f"sirisi_{i}", _r(i + 1)),
+                (f"sirisi_{i - 1}", True, 0, n,
+                 ai * _s(i - 1, -1) * _r(i - 1) * _s(i - 1, -1) * a),
+                (f"permute_sigma_{i - 1}", False, n, n + 1,
+                 _s(i, -1) * ai * _r(i - 1) * _s(i - 1, -1) * a),
+                (f"permute_rho_{i - 1}", True, 0, 1, _s(i, -1) * _r(i) * ai * _s(i - 1, -1) * a),
+                (f"permute_sigma_{i - 1}", False, 0, 2 * n + 3, _s(i, -1) * _r(i) * _s(i, -1)),
+                (f"sirisi_{i}", False, 0, 0, _r(i + 1)),
             ])
         self.add_scripted_lemma("permute_rho_wrap", ai * _r(n) * a, _r(1, -1), [
-            (f"rjr1_{n}", ai * rho_expanded(n) * ci * _r(1)),
-            ("surface", _r(1, -1)),
+            (f"rjr1_{n}", True, 0, n, ai * rho_expanded(n) * ci * _r(1)),
+            ("surface", True, 0, 2 * n - 2, _r(1, -1)),
         ])
 
     def seed_power(self) -> None:
@@ -393,6 +435,10 @@ class CertificateEngine:
         (s_j..s_1) suffix(j+1) = (s_(j+1)..s_(k-1)) suffix(j), peels
         block_j suffix(j+1) to suffix(j) for j = k-2..1; N_0 suffix(1) is
         freely trivial.  The jstep lemmas follow _positive_script.
+
+        At j = 1 the sirisi_j step is the last of powstep_j, and what it
+        rewrites runs on into the part cancelled against the target, so
+        its move is rotation 0 one letter later than rotation 1 would be.
         """
         n = self.n
 
@@ -417,15 +463,19 @@ class CertificateEngine:
                 rho_j = _chain_down(rho, j, 1)
                 script = []
                 if j >= 2:
-                    script.append((f"powstep_{name}_{j - 1}", _r(j) * block(j - 1) * rho_j))
+                    script.append((f"powstep_{name}_{j - 1}", True, 0, 1,
+                                   _r(j) * block(j - 1) * rho_j))
                 for i in range(k - 1, j, -1):
-                    script.append((f"comm_sr_{i}_{j}", _chain_down(sigma, k - 1, i, -1) * _r(j)
+                    script.append((f"comm_sr_{i}_{j}", True, 1, k + 1 - i,
+                                   _chain_down(sigma, k - 1, i, -1) * _r(j)
                                    * _chain_down(sigma, i - 1, j, -1) * _chain_down(sigma, j - 1, 1)
                                    * rho_j))
-                script.append((f"sirisi_{j}", _chain_down(sigma, k - 1, j + 1, -1) * _s(j)
+                script.append((f"sirisi_{j}", False, int(j > 1), k + 1 - j + (j == 1),
+                               _chain_down(sigma, k - 1, j + 1, -1) * _s(j)
                                * _r(j + 1) * _chain_down(sigma, j - 1, 1) * rho_j))
                 for i in range(j - 1, 0, -1):
-                    script.append((f"comm_sr_{i}_{j + 1}", _chain_down(sigma, k - 1, j + 1, -1)
+                    script.append((f"comm_sr_{i}_{j + 1}", False, 0, k - 1 - i,
+                                   _chain_down(sigma, k - 1, j + 1, -1)
                                    * _chain_down(sigma, j, i) * _r(j + 1)
                                    * _chain_down(sigma, i - 1, 1) * rho_j))
                 self.add_scripted_lemma(f"powstep_{name}_{j}", rho_j * m,
@@ -434,10 +484,11 @@ class CertificateEngine:
             for j in range(k):
                 blocks.append(blocks[-1] * block(j))
             power = _chain_down(rho, k, 1)
-            script = [(f"powstep_{name}_{j}", blocks[j + 1] * _chain_down(rho, j + 1, 1)
-                       * m ** (k - 1 - j)) for j in range(1, k)]
-            script += [(f"jstep_{k}_{j}", blocks[j] * suffix(k, j) * power)
-                       for j in range(k - 2, 0, -1)]
+            script = [(f"powstep_{name}_{j}", True, 0, j * (k - 1),
+                       blocks[j + 1] * _chain_down(rho, j + 1, 1) * m ** (k - 1 - j))
+                      for j in range(1, k)]
+            script += [(f"jstep_{k}_{j}", True, 0, j * (k - 1) + k - 1 - j,
+                        blocks[j] * suffix(k, j) * power) for j in range(k - 2, 0, -1)]
             self.add_scripted_lemma(f"powerab_{name}", m**k, power, script)
 
     def seed_invsig(self) -> None:
@@ -456,15 +507,17 @@ class CertificateEngine:
         for j in range(1, n):
             core = _r(j + 1) * _r(j)
             self.add_scripted_lemma(f"invsig_mid_{j}", core.inverse() * _s(j) * core, _s(j, -1), [
-                (f"sirisi_{j}", _r(j, -1) * _r(j + 1, -1) * _r(j) * _s(j, -1) * _r(j)),
-                (f"rhocomm_{j}", _s(j, -1) * _s(j, -1) * _r(j + 1, -1) * _s(j, -1) * _r(j)),
-                (f"sirisi_{j}", _s(j, -1)),
+                (f"sirisi_{j}", True, 0, 3, _r(j, -1) * _r(j + 1, -1) * _r(j) * _s(j, -1) * _r(j)),
+                (f"rhocomm_{j}", False, 1, 3,
+                 _s(j, -1) * _s(j, -1) * _r(j + 1, -1) * _s(j, -1) * _r(j)),
+                (f"sirisi_{j}", False, 0, 3, _s(j, -1)),
             ])
-            script = [(f"comm_sr_{j}_{m}", w.inverse() * _chain_down(rho, n, m) * _s(j)
+            script = [(f"comm_sr_{j}_{m}", True, 0, m, w.inverse() * _chain_down(rho, n, m) * _s(j)
                        * _chain_down(rho, m - 1, 1)) for m in range(n, j + 1, -1)]
             low = _chain_down(rho, j - 1, 1)
-            script.append((f"invsig_mid_{j}", low.inverse() * _s(j, -1) * low))
-            script += [(f"comm_sr_{j}_{m}", low.inverse() * _chain_down(rho, j - 1, m) * _s(j, -1)
+            script.append((f"invsig_mid_{j}", True, 0, j - 1, low.inverse() * _s(j, -1) * low))
+            script += [(f"comm_sr_{j}_{m}", False, 0, m + 1,
+                        low.inverse() * _chain_down(rho, j - 1, m) * _s(j, -1)
                         * _chain_down(rho, m - 1, 1)) for m in range(j - 1, 0, -1)]
             self.add_scripted_lemma(f"invsig_{j}", w.inverse() * _s(j) * w, _s(j, -1), script)
 
@@ -494,6 +547,14 @@ class CertificateEngine:
         dconj_b does the same for a^-1 b a, which bconj gets letter by
         letter (permute_sigma_i, permute_rho_1), and realdic_b chains
         bconj, dconj_b and rjr1_(n-1).
+
+        The named moves of permute_sigma_wrap allow for the rho_1 rho_1^-1
+        that cancels where a^(n-2) meets w^-1, for n >= 3; at n = 2 that
+        power is empty.  Those of realdic_a and dconj_b allow for the s_1
+        that cancels in (s_1..s_(u-1))^-1 Delta at u = 2 in the current word,
+        in Delta s_(n-1-u)^-1 at u = n - 2 in the next word and at u = n - 1
+        in the current one, and for twist_conj_n_1, which is not cyclically
+        reduced.
         """
         n = self.n
         a = element_a(n)
@@ -502,10 +563,11 @@ class CertificateEngine:
         di = delta.inverse()
         w = _chain_down(rho, n, 1)
         wi = w.inverse()
+        half = len(delta)
         self._add_disc_lemma(f"pal_{n}", _trusted_word(tuple(reversed(delta.letters))), delta)
         # conjugation of w = rho_n..rho_1 by the half twist inverts it
         self.add_scripted_lemma("conjw", di * w * delta, wi, [
-            (f"conjri_{n + 1 - t}",
+            (f"conjri_{n + 1 - t}", True, 0, t - 1,
              _chain_up(rho, 1, t, -1) * di * _chain_down(rho, n - t, 1) * delta)
             for t in range(1, n + 1)
         ])
@@ -513,44 +575,55 @@ class CertificateEngine:
         script = []
         for k, (g, _e) in enumerate(delta.letters):
             inverted = _trusted_word(tuple((h, -e) for h, e in delta.letters[: k + 1]))
-            script.append((f"invsig_{g.index}",
+            script.append((f"invsig_{g.index}", True, 0, k,
                            inverted * wi * _trusted_word(delta.letters[k + 1 :]) * w))
-        script.append((f"pal_{n}", di))
+        script.append((f"pal_{n}", False, 2, half - 2, di))
         self.add_scripted_lemma("mirror", wi * delta * w, di, script)
         self.add_scripted_lemma("delta4", delta**4, EMPTY, [
-            ("conjw", w * delta * w * delta**3),
-            ("mirror", w * w * delta * delta),
-            ("conjw", w * delta * wi * delta),
-            ("mirror", EMPTY),
+            ("conjw", False, 0, half, w * delta * w * delta**3),
+            ("mirror", True, 0, 2 * half + 2 * n, w * w * delta * delta),
+            ("conjw", True, n, half + 2 * n, w * delta * wi * delta),
+            ("mirror", True, 0, half + n, EMPTY),
         ])
         # wrap-around entry (see the docstring)
-        script = [("powerab_a", a ** (n - 2) * wi * _s(n - 1) * a * a),
-                  ("powerab_a", a ** (n - 2) * wi * _s(n - 1) * w * ai ** (n - 2)),
-                  (f"invsig_{n - 1}", a ** (n - 2) * _s(n - 1, -1) * ai ** (n - 2))]
-        script += [(f"permute_sigma_{m}", a ** (m - 1) * _s(m, -1) * ai ** (m - 1))
-                   for m in range(n - 2, 0, -1)]
+        script = [("powerab_a", False, 0, 2 * n, a ** (n - 2) * wi * _s(n - 1) * a * a),
+                  ("powerab_a", True, *((1, 4) if n == 2 else (n * n - n, n * n + n - 3)),
+                   a ** (n - 2) * wi * _s(n - 1) * w * ai ** (n - 2)),
+                  (f"invsig_{n - 1}", True, *((0, 0) if n == 2 else (2, n * n - 2)),
+                   a ** (n - 2) * _s(n - 1, -1) * ai ** (n - 2))]
+        script += [(f"permute_sigma_{m}", True, 0, n * m + 1,
+                    a ** (m - 1) * _s(m, -1) * ai ** (m - 1)) for m in range(n - 2, 0, -1)]
         self.add_scripted_lemma("permute_sigma_wrap", ai * ai * _s(n - 1) * a * a, _s(1, -1),
                                 script)
-        script = [(f"twist_conj_{n}_{t}", _chain_up(sigma, 1, t, -1) * delta
-                   * _chain_down(sigma, n - 1 - t, 1, -1) * _r(1) * di * a) for t in range(1, n)]
-        script += [(f"conjri_{n}", _chain_up(sigma, 1, n - 1, -1) * _r(n, -1) * a),
-                   (f"rjr1_{n}", EMPTY)]
+        script = [(f"twist_conj_{n}_{u}", True,
+                   *((1, 0) if u == 1 else
+                     (half - (u == n - 2),
+                      half + u + (u == n - 2) - 2 * (u == 2) - 2 * (u == n - 1))),
+                   _chain_up(sigma, 1, u, -1) * delta * _chain_down(sigma, n - 1 - u, 1, -1)
+                   * _r(1) * di * a) for u in range(1, n)]
+        script += [(f"conjri_{n}", True, 0, half + n - 2 * (n == 2),
+                    _chain_up(sigma, 1, n - 1, -1) * _r(n, -1) * a),
+                   (f"rjr1_{n}", False, 0, n, EMPTY)]
         self.add_scripted_lemma("realdic_a", delta * a * di * a, EMPTY, script)
         b = element_b(n)
         da = delta * ai
         shifted_b = _chain_down(sigma, n - 1, 2, -1) * _r(2)
-        script = [(f"permute_sigma_{i}", _chain_down(sigma, n - 1, i + 1, -1) * ai
-                   * _chain_down(sigma, i - 1, 1, -1) * _r(1) * a) for i in range(n - 2, 0, -1)]
-        script.append(("permute_rho_1", shifted_b))
+        script = [(f"permute_sigma_{i}", False, n, 2 * n - 1 - i,
+                   _chain_down(sigma, n - 1, i + 1, -1) * ai * _chain_down(sigma, i - 1, 1, -1)
+                   * _r(1) * a) for i in range(n - 2, 0, -1)]
+        script.append(("permute_rho_1", True, 0, n - 2, shifted_b))
         self.add_scripted_lemma("bconj", ai * b * a, shifted_b, script)
         dconj_target = _chain_up(sigma, 1, n - 2, -1) * _r(n - 1, -1)
-        script = [(f"twist_conj_{n}_{t}", _chain_up(sigma, 1, t, -1) * delta
-                   * _chain_down(sigma, n - 1 - t, 2, -1) * _r(2) * di) for t in range(1, n - 1)]
-        script.append((f"conjri_{n - 1}", dconj_target))
+        script = [(f"twist_conj_{n}_{u}", True,
+                   *((1, 0) if u == 1 else (half, half + u - 2 * (u == 2))),
+                   _chain_up(sigma, 1, u, -1) * delta * _chain_down(sigma, n - 1 - u, 2, -1)
+                   * _r(2) * di) for u in range(1, n - 1)]
+        script.append((f"conjri_{n - 1}", True, 0, half + n - 1 - 2 * (n == 3), dconj_target))
         self.add_scripted_lemma("dconj_b", delta * shifted_b * di, dconj_target, script)
-        script = [("bconj", delta * shifted_b * di * b), ("dconj_b", dconj_target * b)]
+        script = [("bconj", True, 0, half, delta * shifted_b * di * b),
+                  ("dconj_b", True, 0, 0, dconj_target * b)]
         if n >= 3:
-            script.append((f"rjr1_{n - 1}", EMPTY))
+            script.append((f"rjr1_{n - 1}", False, 0, n - 1, EMPTY))
         self.add_scripted_lemma("realdic_b", da * b * da.inverse() * b, EMPTY, script)
 
     def seed_all(self) -> None:
@@ -569,11 +642,13 @@ class CertificateEngine:
         """A certificate for claim: one checked move of its banked lemma
         from the freely reduced source to the freely reduced target, none
         if they are equal, flattened and replayed against the bare
-        presentation."""
+        presentation.  The lemma's relator is the claim's source times its
+        target^-1, so the move inserts its inverse, target source^-1, at
+        rotation 0 in front of the source."""
         self.seed_all()
         source, target = claim.source.free_reduce(), claim.target.free_reduce()
         body = [] if source == target else \
-            self._move(claim.label, 0, claim.label, source, target, claim.target)
+            self._move(claim.label, 0, (claim.label, True, 0, 0, claim.target), source, target)
         return _checked_derivation(self.presentation, claim.source, claim.target, body)
 
     def certify_all(self) -> dict[str, Derivation]:

@@ -28,25 +28,28 @@ conjugator once, and builds the steps with no per-step check left to
 make; a certificate that fails a column check is read again step by
 step, which names the first bad step.
 
-The engine half of the module checks one move at a time.  A _MoveTable
-holds every cyclic rotation of chosen relators and of certified auxiliary
-identities (lemmas), and of their inverses; _hits finds, with one lookup
-per position, each insertion of one of them that turns a freely reduced
-word into a given next word, and _compile_move compiles one such hit.  A
-lemma L = 1 is banked with two bodies in items, its proof (L -> empty)
-and its build (empty -> L): an item is a step or a LemmaUse, which runs
-one of those bodies at an offset, so a lemma move costs one item however
-large the lemma's own proof is.  A move that inserts L^-1 free-inserts
-L^-1 L and uses the proof.  Only a certificate that is returned is
+The engine half of the module compiles one named move at a time:
+_compile_move inserts one cyclic rotation of a relator or of a certified
+auxiliary identity (a lemma), or of its inverse, at a given position of a
+freely reduced word, and reduces freely.  A lemma L = 1 is banked with two
+bodies in items, its proof (L -> empty) and its build (empty -> L): an
+item is a step or a LemmaUse, which runs one of those bodies at an offset,
+so a lemma move costs one item however large the lemma's own proof is.  A
+move that inserts L^-1 free-inserts L^-1 L and uses the proof.  Only a certificate that is returned is
 flattened into steps that reference presentation relators alone, and it
 is replayed flat before it is returned.
 
-find_equality is the same one-move check over every relator of a
-presentation: it certifies source = target when the two are freely equal
-or one relator move apart, and raises NotFound otherwise.  It decides
-nothing the certificate engine needs; it and NotFound keep their names
-because the benchmark harness (perfbench) wraps the one and catches the
-other.
+find_equality is a one-move check over every relator of a presentation:
+it certifies source = target when the two are freely equal or one relator
+move apart, and raises NotFound otherwise.  It finds its move: a
+_MoveTable holds every cyclic rotation of the relators and of their
+inverses, and _hits finds, with one lookup per position, each insertion
+that turns a freely reduced word into a given next word.  The certificate
+engine never looks a move up, because its scripts name theirs; the tests
+keep _hits as the reference those named moves are checked against.
+find_equality decides nothing the engine needs; it and NotFound keep their
+names because the benchmark harness (perfbench) wraps the one and catches
+the other.
 """
 
 from __future__ import annotations
@@ -596,24 +599,22 @@ def _lemma_from_proof(p: Presentation, name: str, relator: BraidWord, proof) -> 
 
 class _MoveTable:
     """Precompiled insertion moves: all cyclic rotations of the relators
-    of p with the given indices, of every lemma relator, and of their
-    inverses, encoded over small ints."""
+    of p and of their inverses, encoded over small ints.  find_equality is
+    its only user; the certificate engine names its moves instead."""
 
-    def __init__(self, p: Presentation, lemmas: tuple[Lemma, ...], relators):
+    def __init__(self, p: Presentation):
         self.presentation = p
         self.code = letter_codes(p.generators)
         self.moves: list[tuple[int, ...]] = []
-        # compile info per move: (kind, ref, inverse_flag, rotation)
-        self.origins: list[tuple[str, int, bool, int]] = []
+        # compile info per move: (relator index, inverse_flag, rotation)
+        self.origins: list[tuple[int, bool, int]] = []
         seen: set[tuple[int, ...]] = set()
-        sources = [("relator", i, p.relators[i]) for i in relators]
-        sources += [("lemma", i, l.relator) for i, l in enumerate(lemmas)]
         # the freely reduced form of each move is what _hits looks up.
         # Rotation k is x^-1 (rotation k - 1) x for x = enc[k - 1], so each
-        # source word is reduced once and each rotation's reduced form is
-        # the previous one conjugated
+        # relator is reduced once and each rotation's reduced form is the
+        # previous one conjugated
         self.reduced: list[tuple[int, ...]] = []
-        for kind, ref, base in sources:
+        for ref, base in enumerate(p.relators):
             for inv in (False, True):
                 word = base.inverse() if inv else base
                 enc = self.encode(word)
@@ -627,8 +628,7 @@ class _MoveTable:
                     seen.add(rot)
                     self.moves.append(rot)
                     self.reduced.append(red)
-                    self.origins.append((kind, ref, inv, k))
-        self.lemmas = lemmas
+                    self.origins.append((ref, inv, k))
         self.longest = max(map(len, self.reduced), default=0)
         self.by_reduced: dict[tuple[int, ...], list[int]] = {}
         for mi, red in enumerate(self.reduced):
@@ -671,7 +671,7 @@ def _hits(table: _MoveTable, w: tuple[int, ...], goal: tuple[int, ...]) -> list[
     lengths of w and goal, so lg - suf - len(mv) <= q <= pre + lw - lg +
     len(mv): only that window for the longest move is looked up.
 
-    If the table has one source word L, not freely trivial, the hits all
+    If the table has one relator L, not freely trivial, the hits all
     rotate L or all rotate L^-1: w[:q] X w[q:] = w[:q'] Y w[q':] for X
     conjugate to L and Y to L^-1 would give X = g Y g^-1, g = w[:q]^-1
     w[:q'], and no nontrivial free group element is conjugate to its
@@ -694,43 +694,45 @@ def _hits(table: _MoveTable, w: tuple[int, ...], goal: tuple[int, ...]) -> list[
     return hits
 
 
-def _compile_move(table: _MoveTable, word: BraidWord, hit: tuple[int, int]) -> list:
-    """The items of one (move, position) hit on word, followed by
-    canonical free reduction.
+def _compile_move(p: Presentation, letters: list[Letter], source, inverse: bool,
+                  rotation: int, position: int) -> list:
+    """The items of one named move on the freely reduced letter list,
+    which it edits in place into the move's result: rotation `rotation` of
+    source's word, or of its inverse, inserted at position, then canonical
+    free reduction.  source is a relator index of p or a banked Lemma;
+    rotation k of a word B is B[k:] B[:k] = c B c^-1 with c = B[:k]^-1.
+    The caller checks that rotation and position lie in range.
 
     A relator move is one step, applied with _apply's check.  A lemma move
-    inserts c L c^-1 (or c L^-1 c^-1 for the inverse) at the move's
-    position, where c is the rotation's conjugator.  The forward move
-    free-inserts c and uses the lemma's build just past c.  The inverse
-    move free-inserts c L^-1, which puts c L^-1 L c^-1 in place, and uses
-    the lemma's proof to delete the L.  Either way the lemma's body is one
-    use item, whatever its size.  The use is not applied here; its net
-    effect is written down, and _lemma_from_proof or, after flattening,
-    _checked_derivation replays the result.
+    inserts c L c^-1 (or c L^-1 c^-1 for the inverse) at position.  The
+    forward move free-inserts c and uses the lemma's build just past c.
+    The inverse move free-inserts c L^-1, which puts c L^-1 L c^-1 in
+    place, and uses the lemma's proof to delete the L.  Either way the
+    lemma's body is one use item, whatever its size.  The use is not
+    applied here; its net effect is written down, and _lemma_from_proof
+    or, after flattening, _checked_derivation replays the result.
 
-    word must be freely reduced.  That leaves no inverse pair left of the
-    junction at pos - 1, and the free reduction after the move scans from
-    there."""
-    p = table.presentation
-    mi, pos = hit
-    kind, ref, inv, rot = table.origins[mi]
-    base = p.relators[ref] if kind == "relator" else table.lemmas[ref].relator
-    if inv:
+    The list must be freely reduced.  That leaves no inverse pair left of
+    the junction at position - 1, and the free reduction after the move
+    scans from there."""
+    lemma = source if type(source) is Lemma else None
+    base = p.relators[source] if lemma is None else lemma.relator
+    if inverse:
         base = base.inverse()
-    prefix = _trusted_word(base.letters[:rot])
+    prefix = _trusted_word(base.letters[:rotation])
     c = prefix.inverse()
-    w = list(word.letters)
-    if kind == "relator":
-        items = [DerivationStep(INSERT_RELATOR, pos, ref, inv, c)]
-        _apply(p, w, items[0], 0)
+    if lemma is None:
+        items = [DerivationStep(INSERT_RELATOR, position, source, inverse, c)]
+        _apply(p, letters, items[0], 0)
     else:
-        if inv:
-            items = [*pair_insert_steps(c * base, pos),
-                     LemmaUse(table.lemmas[ref], PROOF, pos + rot + len(base))]
+        if inverse:
+            items = [*pair_insert_steps(c * base, position),
+                     LemmaUse(lemma, PROOF, position + rotation + len(base))]
         else:
-            items = [*pair_insert_steps(c, pos), LemmaUse(table.lemmas[ref], BUILD, pos + rot)]
-        w[pos:pos] = c.letters + base.letters + prefix.letters
-    return items + _reduction_steps(w, max(pos - 1, 0))
+            items = [*pair_insert_steps(c, position),
+                     LemmaUse(lemma, BUILD, position + rotation)]
+        letters[position:position] = c.letters + base.letters + prefix.letters
+    return items + _reduction_steps(letters, max(position - 1, 0))
 
 
 def _derivation(p: Presentation, source: BraidWord, target: BraidWord, body: list) -> list:
@@ -773,8 +775,10 @@ def find_equality(p: Presentation, source: BraidWord, target: BraidWord) -> Deri
     src_red, tgt_red = source.free_reduce(), target.free_reduce()
     if src_red == tgt_red:
         return _checked_derivation(p, source, target, [])
-    table = _MoveTable(p, (), range(len(p.relators)))
+    table = _MoveTable(p)
     hits = _hits(table, table.encode(src_red), table.encode(tgt_red))
     if not hits:
         raise NotFound(f"no single relator move of {p.name} reaches the target")
-    return _checked_derivation(p, source, target, _compile_move(table, src_red, hits[0]))
+    mi, position = hits[0]
+    body = _compile_move(p, list(src_red.letters), *table.origins[mi], position)
+    return _checked_derivation(p, source, target, body)

@@ -29,7 +29,6 @@ from braidcover.presentations import (
     finite_group_presentation,
     van_buskirk,
 )
-from braidcover.rewriting import _MoveTable
 from braidcover.words import EMPTY, format_word, letter_codes, parse_word, sigma
 
 
@@ -253,15 +252,12 @@ def test_abelian_invariants_validation():
     AbelianInvariants((2, 4, 0))
 
 
-def test_coset_table_and_move_table_share_letter_codes():
-    # walking the coset table along _MoveTable.encode's codes lands where
-    # the group table's own evaluation (generator ids and inverses) does,
-    # and both codes are words.letter_codes
+def test_coset_table_walks_letter_codes():
+    # walking the coset table along words.letter_codes lands where the
+    # group table's own evaluation (generator ids and inverses) does
     p = finite_group_presentation("Dic", 3)
     w = parse_word("s1 s2^-1 s1 s1 s2 s1^-1")
-    table = _MoveTable(p, (), range(len(p.relators)))
-    codes = table.encode(w)
-    assert list(codes) == [letter_codes(p.generators)[let] for let in w.letters]
+    codes = [letter_codes(p.generators)[let] for let in w.letters]
     t = coset_enumerate(p)
     c = 0
     for x in codes:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from braidcover import identities, rewriting
 from braidcover.identities import CertificateEngine, ScriptError, _positive_script, paper_claims
-from braidcover.presentations import half_twist, van_buskirk
+from braidcover.presentations import Presentation, half_twist, van_buskirk
 from braidcover.rewriting import Derivation, verify_derivation
 from braidcover.words import EMPTY, BraidWord, gen_word, permutation_image, rho, sigma
 
@@ -190,12 +190,15 @@ def test_certify_all_six_replays():
 
 
 def test_scripted_lemmas_never_search(monkeypatch):
-    # seeding and certifying never call find_equality, and the ladder is
+    # seeding and certifying name every move: neither the move table nor
+    # its lookup runs, and identities binds neither name.  The ladder is
     # proved once: a second certify_all proves no lemma again
-    def no_search(*args):
-        raise AssertionError("the engine called find_equality")
+    def no_lookup(*args):
+        raise AssertionError("the engine looked a move up")
 
-    monkeypatch.setattr(rewriting, "find_equality", no_search)
+    assert not hasattr(identities, "_hits") and not hasattr(identities, "_MoveTable")
+    monkeypatch.setattr(rewriting, "_hits", no_lookup)
+    monkeypatch.setattr(rewriting, "_MoveTable", no_lookup)
     proved = []
     real = CertificateEngine.add_scripted_lemma
 
@@ -204,52 +207,61 @@ def test_scripted_lemmas_never_search(monkeypatch):
         return real(self, name, *args)
 
     monkeypatch.setattr(CertificateEngine, "add_scripted_lemma", counting)
-    engine = CertificateEngine(5)
-    first = engine.certify_all()
-    assert sorted(proved) == sorted(engine.lemmas)
-    proved.clear()
-    second = engine.certify_all()
-    assert proved == []
-    assert {k: d.to_json() for k, d in first.items()} == {k: d.to_json() for k, d in second.items()}
+    for n in range(2, 7):
+        engine = CertificateEngine(n)
+        first = engine.certify_all()
+        assert sorted(proved) == sorted(engine.lemmas)
+        proved.clear()
+        second = engine.certify_all()
+        assert proved == []
+        assert {k: d.to_json() for k, d in first.items()} == \
+            {k: d.to_json() for k, d in second.items()}
 
 
-def _reference_move_cost(table, mi: int) -> int:
-    """The flat steps the compiler spends on move mi, up to a constant
+def _reference_move_cost(source, inverse: bool, rotation: int) -> int:
+    """The flat steps the compiler spends on a move, up to a constant
     shared by all moves that turn one word into the same next word.  A
     rotation by k adds a conjugator of k letters on each side, which costs
     k more FreeCancels; a lemma rotation also spends k FreeInserts on it
     and runs one of the lemma's bodies, proof_steps flat steps, and the
     inverse move spends len(L) more FreeInserts on L^-1."""
-    kind, ref, inv, rot = table.origins[mi]
-    if kind == "relator":
-        return rot
-    lemma = table.lemmas[ref]
-    return 2 * rot + lemma.proof_steps + inv * len(lemma.relator)
+    if type(source) is int:
+        return rotation
+    return 2 * rotation + source.proof_steps + inverse * len(source.relator)
 
 
-def test_first_hit_compiles_shortest(monkeypatch):
-    # the engine takes the first hit of every script and claim move; over
-    # the real moves of the ladder it must be one that a cost model would
-    # pick.  A claim move is its lemma's inverse at rotation 0, position 0
+def test_named_moves_are_the_first_hits(monkeypatch):
+    # every script and claim move names the insertion that the one-move
+    # lookup finds first on a table of its one lemma or relator, so
+    # certificates are those the lookup would compile; that hit is one a
+    # cost model would pick.  A claim move is its lemma's inverse at
+    # rotation 0, position 0
     moves = []
-    real = identities._hits
+    real = identities._compile_move
 
-    def recording(table, w, goal):
-        hits = real(table, w, goal)
-        moves.append((table, hits))
-        return hits
+    def recording(p, letters, source, inverse, rotation, position):
+        before = tuple(letters)
+        items = real(p, letters, source, inverse, rotation, position)
+        moves.append((p, source, before, tuple(letters), (inverse, rotation, position)))
+        return items
 
-    monkeypatch.setattr(identities, "_hits", recording)
+    monkeypatch.setattr(identities, "_compile_move", recording)
     for n in range(2, 9):
         engine = CertificateEngine(n)
         engine.seed_all()
         scripted = len(moves)
         engine.certify_all()
-        for k, (table, hits) in enumerate(moves):
-            costs = [_reference_move_cost(table, mi) for mi, _q in hits]
+        for k, (p, source, before, after, named) in enumerate(moves):
+            word = p.relators[source] if type(source) is int else source.relator
+            table = rewriting._MoveTable(Presentation("move", p.generators, (word,)))
+            hits = rewriting._hits(table, table.encode(BraidWord(before)),
+                                   table.encode(BraidWord(after)))
+            first = [(*table.origins[mi][1:], q) for mi, q in hits]
+            assert first and first[0] == named, (n, k)
+            costs = [_reference_move_cost(source, inv, rot) for inv, rot, _q in first]
             assert costs[0] == min(costs), (n, k)
             if k >= scripted:
-                assert table.origins[hits[0][0]] == ("lemma", 0, True, 0) and hits[0][1] == 0
+                assert type(source) is rewriting.Lemma and named == (True, 0, 0)
         assert len(moves) - scripted == sum(c.source.free_reduce() != c.target.free_reduce()
                                             for c in paper_claims(n))
         moves.clear()
@@ -296,7 +308,7 @@ def test_corrupted_lemma_proof_is_not_banked(monkeypatch, corrupt):
     s1, s2 = gen_word(sigma(1)), gen_word(sigma(2))
     with pytest.raises(AssertionError, match="failed replay"):
         engine.add_scripted_lemma("braid", s1 * s2 * s1, s2 * s1 * s2,
-                                  [("braid_1", s2 * s1 * s2)])
+                                  [("braid_1", True, 0, 0, s2 * s1 * s2)])
     assert "braid" not in engine.lemmas
 
 
@@ -328,9 +340,9 @@ def test_each_certificate_step_is_applied_once(monkeypatch):
         applied[0] += 1
         return real_apply(*args)
 
-    def counting_compile(table, word, hit):
-        relator_moves[0] += table.origins[hit[0]][0] == "relator"
-        return real_compile(table, word, hit)
+    def counting_compile(p, letters, source, *move):
+        relator_moves[0] += type(source) is int
+        return real_compile(p, letters, source, *move)
 
     monkeypatch.setattr(rewriting, "_apply", counting_apply)
     monkeypatch.setattr(rewriting, "_compile_move", counting_compile)
@@ -354,16 +366,42 @@ def test_script_step_that_does_not_apply():
     # sirisi_1 rewrites rho_2 to s1^-1 rho_1 s1^-1, never to rho_1
     with pytest.raises(ScriptError) as err:
         engine.add_scripted_lemma("bad", d.inverse() * r2 * d, r1, [
-            ("sirisi_1", d.inverse() * s1i * r1 * s1i * d),
-            ("sirisi_1", d.inverse() * r1 * d),
+            ("sirisi_1", True, 0, 3, d.inverse() * s1i * r1 * s1i * d),
+            ("sirisi_1", True, 0, 3, d.inverse() * r1 * d),
         ])
     assert err.value.lemma == "bad" and err.value.step == 1
     with pytest.raises(ScriptError) as err:
-        engine.add_scripted_lemma("bad", r2, r1, [("no_such_lemma", r1)])
+        engine.add_scripted_lemma("bad", r2, r1, [("no_such_lemma", True, 0, 0, r1)])
     assert err.value.step == 0
     with pytest.raises(ScriptError) as err:  # stops short of the target
-        engine.add_scripted_lemma("bad", r2, r1, [("sirisi_1", s1i * r1 * s1i)])
+        engine.add_scripted_lemma("bad", r2, r1, [("sirisi_1", True, 0, 0, s1i * r1 * s1i)])
     assert err.value.step == 1
+    # the move that applies, named at the wrong place, does not
+    with pytest.raises(ScriptError, match="does not reach") as err:
+        engine.add_scripted_lemma("bad", r2, s1i * r1 * s1i, [
+            ("sirisi_1", True, 0, 1, s1i * r1 * s1i)])
+    assert err.value.step == 0
+    assert "bad" not in engine.lemmas
+
+
+@pytest.mark.parametrize("label", ["sirisi_1", "rjr1_2"])
+@pytest.mark.parametrize("field, value, message", [
+    ("position", 5, "position 5 is outside"), ("position", -1, "position -1 is outside"),
+    ("rotation", 4, "rotation 4 of"), ("rotation", -1, "rotation -1 of")])
+def test_named_move_out_of_range(label, field, value, message):
+    # a lemma move would otherwise insert at a clamped position and fail
+    # only at the replay; both kinds of move are refused up front, naming
+    # the lemma and the step.  Both words of the labels have 4 letters, and
+    # the current word rho_3 s2 r2^-1 s2 has 4
+    engine = CertificateEngine(3)
+    engine.seed()
+    r3, s2 = gen_word(rho(3)), gen_word(sigma(2))
+    target = s2.inverse() * gen_word(rho(2)) * s2.inverse()
+    move = {"position": 0, "rotation": 0, field: value}
+    with pytest.raises(ScriptError, match=message) as err:
+        engine.add_scripted_lemma("bad", r3, target, [
+            (label, True, move["rotation"], move["position"], target)])
+    assert (err.value.lemma, err.value.step) == ("bad", 0)
     assert "bad" not in engine.lemmas
 
 
@@ -415,9 +453,12 @@ def test_positive_script_reaches_target_by_legal_moves(words):
     u, v = words
     script = _positive_script("w", _positive(u), _positive(v))
     current = u
-    for label, word in script:
+    for label, inverse, rotation, position, word in script:
         nxt = [g.index for g, _e in word]
         assert _legal_move(label, current, nxt)
+        # the named move inserts the relator at the moved letters
+        lo = next(q for q, (x, y) in enumerate(zip(current, nxt)) if x != y)
+        assert (inverse, rotation, position) == (current[lo] < current[lo + 1], 0, lo)
         current = nxt
     assert current == v
 

@@ -382,8 +382,7 @@ def hit_cases(draw):
     gens = VB3.generators
     letters = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
     relators = draw(st.lists(st.lists(letters, min_size=1, max_size=5), min_size=1, max_size=3))
-    table = _MoveTable(Presentation("random", gens, tuple(BraidWord(tuple(r)) for r in relators)),
-                       (), range(len(relators)))
+    table = _MoveTable(Presentation("random", gens, tuple(BraidWord(tuple(r)) for r in relators)))
     word_codes = st.lists(st.integers(0, 2 * len(gens) - 1), max_size=10).map(_reduce_enc)
     w = draw(word_codes)
     if draw(st.booleans()):
@@ -422,7 +421,7 @@ def one_source_hits(draw):
     relator = draw(st.lists(letters, min_size=1, max_size=6)
                    .map(lambda r: BraidWord(tuple(r)))
                    .filter(lambda r: r.free_reduce().letters))
-    table = _MoveTable(Presentation("random", gens, (relator,)), (), (0,))
+    table = _MoveTable(Presentation("random", gens, (relator,)))
     u = draw(st.lists(st.integers(0, 2 * len(gens) - 1), max_size=10).map(_reduce_enc))
     mi = draw(st.integers(0, len(table.moves) - 1))
     return table, u, mi, _splice(u, draw(st.integers(0, len(u))), table.reduced[mi])
@@ -436,8 +435,8 @@ def test_one_source_hits_come_from_one_class(case):
     table, u, mi, goal = case
     hits = _hits(table, u, goal)
     origins = [table.origins[mj] for mj, _q in hits]
-    assert {inv for _kind, _ref, inv, _k in origins} == {table.origins[mi][2]}
-    assert origins[0][3] == min(k for _kind, _ref, _inv, k in origins)
+    assert {inv for _ref, inv, _k in origins} == {table.origins[mi][1]}
+    assert origins[0][2] == min(k for _ref, _inv, k in origins)
     lu, lg = len(u), len(goal)
     pre = next((i for i, (x, y) in enumerate(zip(u, goal)) if x != y), min(lu, lg))
     suf = next((i for i, (x, y) in enumerate(zip(u[::-1], goal[::-1])) if x != y), min(lu, lg))
@@ -447,7 +446,7 @@ def test_one_source_hits_come_from_one_class(case):
 
 
 # move tables of every relator, as find_equality builds them
-ONE_MOVE_TABLES = [_MoveTable(p, (), range(len(p.relators)))
+ONE_MOVE_TABLES = [_MoveTable(p)
                    for p in (van_buskirk(3), sphere_presentation(4),
                              finite_group_presentation("Istar"))]
 
