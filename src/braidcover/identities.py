@@ -254,8 +254,9 @@ class CertificateEngine:
         """The items of step's named move, which must turn the freely
         reduced word current into following (none if they are equal), or
         ScriptError.  The move is applied once, with no table and no
-        lookup; a rotation outside label's word or a position outside
-        current is refused before anything is inserted."""
+        lookup.  A rotation outside label's word or a position outside
+        current is refused first, before anything is inserted, and also
+        where the step needs no move."""
         label, inverse, rotation, position, word = step
         source = self.lemmas.get(label)
         if source is not None:
@@ -265,14 +266,14 @@ class CertificateEngine:
             length = len(self.presentation.relators[source])
         else:
             raise ScriptError(name, index, f"no lemma or relator {label}")
+        if type(rotation) is not int or not 0 <= rotation < length:
+            raise ScriptError(name, index, f"rotation {rotation!r} of {label} is outside "
+                                           f"its {length} letters")
+        if type(position) is not int or not 0 <= position <= len(current):
+            raise ScriptError(name, index, f"position {position!r} is outside the current "
+                                           f"word of {len(current)} letters")
         if following == current:
             return []
-        if not 0 <= rotation < length:
-            raise ScriptError(name, index, f"rotation {rotation} of {label} is outside "
-                                           f"its {length} letters")
-        if not 0 <= position <= len(current):
-            raise ScriptError(name, index, f"position {position} is outside the current word "
-                                           f"of {len(current)} letters")
         letters = list(current.letters)
         items = _compile_move(self.presentation, letters, source, inverse, rotation, position)
         if tuple(letters) != following.letters:
@@ -533,7 +534,9 @@ class CertificateEngine:
         an induction on the letters of Delta: after k steps the word is
         s_(j1)^-1..s_(jk)^-1 w^-1 s_(j(k+1))..s_(jm) w, and step k + 1 moves
         the next letter out by w^-1 s_j w = s_j^-1 (invsig_j).  That leaves
-        rev(Delta)^-1, which is Delta^-1 by pal_n.  delta4, Delta^4 = 1:
+        rev(Delta)^-1, which is Delta^-1 by pal_n for n >= 4; for n <= 3,
+        rev(Delta) is Delta letter for letter and no step is stated.
+        delta4, Delta^4 = 1:
         Delta = w Delta w (conjw), Delta w Delta = w (mirror), w Delta =
         Delta w^-1 (conjw) and w Delta w^-1 Delta = 1 (mirror).
 
@@ -577,7 +580,8 @@ class CertificateEngine:
             inverted = _trusted_word(tuple((h, -e) for h, e in delta.letters[: k + 1]))
             script.append((f"invsig_{g.index}", True, 0, k,
                            inverted * wi * _trusted_word(delta.letters[k + 1 :]) * w))
-        script.append((f"pal_{n}", False, 2, half - 2, di))
+        if delta.letters[::-1] != delta.letters:  # n >= 4
+            script.append((f"pal_{n}", False, 2, half - 2, di))
         self.add_scripted_lemma("mirror", wi * delta * w, di, script)
         self.add_scripted_lemma("delta4", delta**4, EMPTY, [
             ("conjw", False, 0, half, w * delta * w * delta**3),

@@ -35,9 +35,12 @@ freely reduced word, and reduces freely.  A lemma L = 1 is banked with two
 bodies in items, its proof (L -> empty) and its build (empty -> L): an
 item is a step or a LemmaUse, which runs one of those bodies at an offset,
 so a lemma move costs one item however large the lemma's own proof is.  A
-move that inserts L^-1 free-inserts L^-1 L and uses the proof.  Only a certificate that is returned is
-flattened into steps that reference presentation relators alone, and it
-is replayed flat before it is returned.
+move that inserts L^-1 free-inserts L^-1 L and uses the proof.  The
+engine writes one FreeInsert for each word it inserts: a lemma move's
+conjugator is one step, and the inverse of a cascade of free cancels
+(p + k - 1, ..., p + 1, p) is one FreeInsert at p.  Only a certificate
+that is returned is flattened into steps that reference presentation
+relators alone, and it is replayed flat before it is returned.
 
 find_equality is a one-move check over every relator of a presentation:
 it certifies source = target when the two are freely equal or one relator
@@ -340,7 +343,7 @@ def _apply(p: Presentation, letters: list[Letter], step: DerivationStep, index: 
         return
     # FREE_INSERT
     word = c.letters
-    if len(word) == 1:  # every FreeInsert the engine writes
+    if len(word) == 1:  # a pair, as where a lone FreeCancel is undone
         g, e = letter = word[0]
         letters[pos:pos] = (letter, (g, -e))
         return
@@ -416,12 +419,6 @@ def reduction_steps(w: BraidWord) -> tuple[list[DerivationStep], BraidWord]:
     return steps, _trusted_word(tuple(letters))
 
 
-def pair_insert_steps(c: BraidWord, pos: int) -> list[DerivationStep]:
-    """Single-letter FreeInserts building the literal word c c^-1 at pos."""
-    return [DerivationStep(FREE_INSERT, pos + i, conjugator=_trusted_word((let,)))
-            for i, let in enumerate(c.letters)]
-
-
 BUILD = "build"
 PROOF = "proof"
 
@@ -434,23 +431,23 @@ class Lemma:
     """A certified auxiliary identity L = 1, banked by reference.
 
     proof_items take the relator word L to the empty word and build_items,
-    their item-wise inverse, take the empty word to L.  An item is a
+    their inverse item by item (each cascade of FreeCancels inverted to
+    one FreeInsert), take the empty word to L.  An item is a
     DerivationStep or a LemmaUse of an earlier lemma, so a body holds one
     item per move of the proof, not the flat steps of the lemmas it uses.
-    proof_steps counts the flat steps of the proof.  Every FreeInsert in a
-    proof is one letter, so each flat step inverts to exactly one step:
-    the build has proof_steps flat steps too, and inverting a flattened
-    build step by step gives back the flattened proof (inverting a use to
-    the use of the opposite body flattens to the same steps as inverting
-    its flat body would).  build is the flattened body empty -> L: len()
-    reads proof_steps, iterating flattens.  A lemma holds no use of
-    itself, so a bank is freed by reference counting alone."""
+    proof_steps and build_steps count the flat steps of each body.  They
+    differ, as a FreeInsert of k letters inverts to k FreeCancels and a
+    cascade of FreeCancels to one FreeInsert.  build is the
+    flattened body empty -> L: len() reads build_steps, iterating
+    flattens.  A lemma holds no use of itself, so a bank is freed by
+    reference counting alone."""
 
     name: str
     relator: BraidWord
     proof_items: tuple
     build_items: tuple
     proof_steps: int
+    build_steps: int
 
     @property
     def build(self) -> "LemmaUse":
@@ -463,7 +460,7 @@ class LemmaUse:
     (empty -> L) or proof (L -> empty).  L^-1 has no body of its own: it
     is free-inserted as L^-1 L, and the proof then deletes the L.  As a
     step sequence a use is its flattened body: len() reads the lemma's
-    stored count, iterating flattens."""
+    stored count of that body, iterating flattens."""
 
     lemma: Lemma
     kind: str
@@ -476,7 +473,7 @@ class LemmaUse:
             raise ValueError(f"offset must be an int >= 0, got {self.offset!r}")
 
     def __len__(self) -> int:
-        return self.lemma.proof_steps
+        return self.lemma.proof_steps if self.kind == PROOF else self.lemma.build_steps
 
     def __iter__(self):
         return iter(flatten((self,)))
@@ -538,34 +535,56 @@ def invert_steps(p: Presentation, start: BraidWord, steps) -> list[DerivationSte
     return _replay_inverted(p, start.letters, steps)[0]
 
 
+def _run_insert(run: list[Letter], pos: int) -> DerivationStep:
+    """The one FreeInsert at pos that undoes a cascade of FreeCancels,
+    from the letters they cancelled, innermost first."""
+    return _unchecked_step((FREE_INSERT, pos, 0, False, _trusted_word(tuple(reversed(run)))))
+
+
 def _replay_inverted(p: Presentation, letters, items) -> tuple[list, tuple[Letter, ...]]:
     """invert_steps on items from a letter sequence, together with the
     word the replay ends on.  The replay edits one list in place.  A use is
     inverted to the use of the opposite body at the same offset, with no
-    replay of the body."""
+    replay of the body.
+
+    A cascade of FreeCancels, at p + k - 1, ..., p + 1, p, inverts to one
+    FreeInsert at p of the k cancelled letters, read from left to right.
+    For one link: Insert(p, x) then Insert(p + 1, W) place x W W^-1 x^-1,
+    which is Insert(p, x W).  The cascade's letters are collected in run,
+    innermost first, and its one step is written when it ends."""
     letters = list(letters)
     out: list = []
+    run: list[Letter] = []  # the letters cancelled at run_pos + len(run) - 1, ..., run_pos
+    run_pos = 0
     for i, step in enumerate(items):
         if type(step) is LemmaUse:
+            action = None
+        else:
+            action, pos, ref, inv, c = step
+            # the letter a FreeCancel deletes, read before the step applies
+            cancelled = letters[pos : pos + 1] if action == FREE_CANCEL else None
+        if run and not (action == FREE_CANCEL and pos == run_pos - 1):
+            out.append(_run_insert(run, run_pos))
+            run = []
+        if action is None:
             step._apply(letters, i)
             out.append(LemmaUse(step.lemma, _INVERSE_KIND[step.kind], step.offset))
             continue
-        action, pos, ref, inv, c = step
-        # the letter a FreeCancel deletes, read before the step applies
-        cancelled = letters[pos : pos + 1] if action == FREE_CANCEL else None
         _apply(p, letters, step, i)
         # step passed _apply, so it is a checked DerivationStep, and its
         # inverse, built from its fields, needs no check
-        if action == INSERT_RELATOR:
+        if action == FREE_CANCEL:
+            run += cancelled
+            run_pos = pos
+        elif action == INSERT_RELATOR:
             out.append(_unchecked_step((DELETE_RELATOR, pos, ref, inv, c)))
         elif action == DELETE_RELATOR:
             out.append(_unchecked_step((INSERT_RELATOR, pos, ref, inv, c)))
-        elif action == FREE_CANCEL:
-            cancelled = _trusted_word(tuple(cancelled))
-            out.append(_unchecked_step((FREE_INSERT, pos, 0, False, cancelled)))
         else:  # FREE_INSERT of c c^-1: cancel from the innermost pair outwards
             out.extend(_unchecked_step((FREE_CANCEL, pos + j, 0, False, EMPTY))
                        for j in range(len(c)))
+    if run:
+        out.append(_run_insert(run, run_pos))
     out.reverse()
     return out, tuple(letters)
 
@@ -594,7 +613,7 @@ def _lemma_from_proof(p: Presentation, name: str, relator: BraidWord, proof) -> 
         raise AssertionError(f"lemma {name}: proof failed replay: {exc}") from None
     if end:
         raise AssertionError(f"lemma {name}: proof failed replay: it does not end on the empty word")
-    return Lemma(name, relator, tuple(proof), tuple(build), _flat_len(proof))
+    return Lemma(name, relator, tuple(proof), tuple(build), _flat_len(proof), _flat_len(build))
 
 
 class _MoveTable:
@@ -705,12 +724,13 @@ def _compile_move(p: Presentation, letters: list[Letter], source, inverse: bool,
 
     A relator move is one step, applied with _apply's check.  A lemma move
     inserts c L c^-1 (or c L^-1 c^-1 for the inverse) at position.  The
-    forward move free-inserts c and uses the lemma's build just past c.
-    The inverse move free-inserts c L^-1, which puts c L^-1 L c^-1 in
-    place, and uses the lemma's proof to delete the L.  Either way the
-    lemma's body is one use item, whatever its size.  The use is not
-    applied here; its net effect is written down, and _lemma_from_proof
-    or, after flattening, _checked_derivation replays the result.
+    forward move free-inserts c, one FreeInsert if c is not empty, and
+    uses the lemma's build just past c.  The inverse move free-inserts
+    c L^-1 in one FreeInsert, which puts c L^-1 L c^-1 in place, and uses
+    the lemma's proof to delete the L.  Either way the lemma's body is one
+    use item, whatever its size.  The use is not applied here; its net
+    effect is written down, and _lemma_from_proof or, after flattening,
+    _checked_derivation replays the result.
 
     The list must be freely reduced.  That leaves no inverse pair left of
     the junction at position - 1, and the free reduction after the move
@@ -725,12 +745,14 @@ def _compile_move(p: Presentation, letters: list[Letter], source, inverse: bool,
         items = [DerivationStep(INSERT_RELATOR, position, source, inverse, c)]
         _apply(p, letters, items[0], 0)
     else:
+        # the caller checked position, an int >= 0: the FreeInsert needs no check
         if inverse:
-            items = [*pair_insert_steps(c * base, position),
+            items = [_unchecked_step((FREE_INSERT, position, 0, False, c * base)),
                      LemmaUse(lemma, PROOF, position + rotation + len(base))]
         else:
-            items = [*pair_insert_steps(c, position),
-                     LemmaUse(lemma, BUILD, position + rotation)]
+            items = [LemmaUse(lemma, BUILD, position + rotation)]
+            if rotation:
+                items.insert(0, _unchecked_step((FREE_INSERT, position, 0, False, c)))
         letters[position:position] = c.letters + base.letters + prefix.letters
     return items + _reduction_steps(letters, max(position - 1, 0))
 

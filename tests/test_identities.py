@@ -43,13 +43,13 @@ def test_engine_certifies_and_replays(engine_factory):
             assert verify_derivation(p, d)
 
 
-@pytest.mark.parametrize("n, digest, steps", [(2, "9cdd91d135a5a900", 698),
-                                              (3, "618e8e4a6601b83a", 2657),
-                                              (4, "dc1dbad8fd008a38", 6917),
-                                              (5, "03078e5e3986decd", 15065),
-                                              (6, "d3f69b7584bf581c", 29066),
-                                              (7, "27820d8fdb2a9c68", 51269),
-                                              (8, "3a020939c95d07ba", 84425)])
+@pytest.mark.parametrize("n, digest, steps", [(2, "f17ebc69a4598a1c", 487),
+                                              (3, "0910654ba7097445", 1750),
+                                              (4, "9feb6698f3e22599", 4454),
+                                              (5, "87be5ab5192a91f4", 9635),
+                                              (6, "31b8bb1814bd038c", 18590),
+                                              (7, "3a4bf4aab26b57c2", 32880),
+                                              (8, "15439fd4b8c74e73", 54343)])
 def test_certificates_are_pinned(engine_factory, n, digest, steps):
     # a change to the scripts or the compiler that alters any certificate
     # shows here; one that does so on purpose updates the pin
@@ -105,19 +105,20 @@ def test_engine_validation():
 
 
 def _inverse_build(lemma) -> tuple:
-    # what an inverse lemma move runs at offset 0: free inserts of L^-1 L,
-    # then the lemma's proof deletes the L, leaving L^-1
+    # what an inverse lemma move runs at offset 0: one free insert of
+    # L^-1 L, then the lemma's proof deletes the L, leaving L^-1
     k = len(lemma.relator)
-    return tuple(rewriting.flatten([*rewriting.pair_insert_steps(lemma.relator.inverse(), 0),
-                                    rewriting.LemmaUse(lemma, rewriting.PROOF, k)]))
+    return tuple(rewriting.flatten([
+        rewriting.DerivationStep("FreeInsert", 0, conjugator=lemma.relator.inverse()),
+        rewriting.LemmaUse(lemma, rewriting.PROOF, k)]))
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_scripted_lemmas_replay(engine_factory, n):
     # every lemma is scripted, the two fixed-size cores included.  Flattened,
     # every banked lemma's build takes the empty word to L, and the inverse
-    # move's free inserts and proof take it to L^-1, against the bare
-    # presentation, in as many steps as the lemma's stored count says
+    # move's free insert and proof take it to L^-1, against the bare
+    # presentation, in as many steps as the lemma's stored counts say
     engine = engine_factory(n)
     p = van_buskirk(n)
     assert {"permute_rho_core", *(f"invsig_mid_{j}" for j in range(1, n)),
@@ -127,8 +128,8 @@ def test_scripted_lemmas_replay(engine_factory, n):
             "mirror", "delta4", "permute_rho_1", f"pal_{n}"} <= set(engine.lemmas)
     for lemma in engine.lemmas.values():
         build, build_inverse = tuple(lemma.build), _inverse_build(lemma)
-        k = len(lemma.relator)
-        assert (len(build), len(build_inverse)) == (lemma.proof_steps, lemma.proof_steps + k)
+        assert len(build) == lemma.build_steps
+        assert len(build_inverse) == lemma.proof_steps + 1
         assert verify_derivation(p, Derivation(EMPTY, lemma.relator, build))
         assert verify_derivation(p, Derivation(EMPTY, lemma.relator.inverse(), build_inverse))
 
@@ -141,10 +142,10 @@ def test_lemma_bank_is_pinned(engine_factory):
     text = "".join(Derivation(EMPTY, lemma.relator, tuple(lemma.build)).to_json()
                    + Derivation(EMPTY, lemma.relator.inverse(), _inverse_build(lemma)).to_json()
                    for _name, lemma in sorted(engine.lemmas.items()))
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "8a0ec2a5e721e3e3"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "b8d6f78c935886a1"
     assert len(engine.lemmas) == 33
     assert sum(len(lem.build) + len(_inverse_build(lem))
-               for lem in engine.lemmas.values()) == 6744
+               for lem in engine.lemmas.values()) == 4324
 
 
 def test_lemma_bank_frees_without_the_cycle_collector():
@@ -218,16 +219,53 @@ def test_scripted_lemmas_never_search(monkeypatch):
             {k: d.to_json() for k, d in second.items()}
 
 
+def test_a_step_that_needs_no_move_is_range_checked():
+    # a step whose word is the current one compiles nothing, but its
+    # rotation and position must still lie in range
+    engine = CertificateEngine(2)
+    w = gen_word(sigma(1))
+    for rotation, position in ((0, 1), (0, -1), (99, 0), (-1, 0), (0, True)):
+        with pytest.raises(ScriptError, match="outside"):
+            engine.add_scripted_lemma("noop", w, w, [("surface", False, rotation, position, w)])
+    engine.add_scripted_lemma("noop", w, w, [("surface", False, 0, 0, w)])
+
+
+def test_every_script_step_is_in_range(monkeypatch):
+    # every step the scripts state, the ones that need no move included,
+    # names a rotation of its lemma or relator and a position of the
+    # current word
+    steps = []
+    real = CertificateEngine._move
+
+    def recording(self, name, index, step, current, following):
+        label, _inverse, rotation, position, _word = step
+        lemma = self.lemmas.get(label)
+        word = lemma.relator if lemma is not None else \
+            self.presentation.relators[self.relator_ids[label]]
+        steps.append((self.n, name, index, rotation, len(word), position, len(current)))
+        return real(self, name, index, step, current, following)
+
+    monkeypatch.setattr(CertificateEngine, "_move", recording)
+    for n in range(2, 9):
+        CertificateEngine(n).certify_all()
+    assert {n for n, *_rest in steps} == set(range(2, 9))
+    for n, name, index, rotation, length, position, current in steps:
+        assert type(rotation) is int and 0 <= rotation < length, (n, name, index)
+        assert type(position) is int and 0 <= position <= current, (n, name, index)
+
+
 def _reference_move_cost(source, inverse: bool, rotation: int) -> int:
     """The flat steps the compiler spends on a move, up to a constant
     shared by all moves that turn one word into the same next word.  A
     rotation by k adds a conjugator of k letters on each side, which costs
-    k more FreeCancels; a lemma rotation also spends k FreeInserts on it
-    and runs one of the lemma's bodies, proof_steps flat steps, and the
-    inverse move spends len(L) more FreeInserts on L^-1."""
+    k more FreeCancels.  A lemma move also spends one FreeInsert on its
+    conjugator c, if it has one, or on c L^-1 for the inverse move, and
+    runs one of the lemma's bodies: the build forward, build_steps flat
+    steps, the proof for the inverse, proof_steps."""
     if type(source) is int:
         return rotation
-    return 2 * rotation + source.proof_steps + inverse * len(source.relator)
+    body = source.proof_steps if inverse else source.build_steps
+    return rotation + (rotation > 0 or inverse) + body
 
 
 def test_named_moves_are_the_first_hits(monkeypatch):

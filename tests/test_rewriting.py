@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from braidcover import rewriting
@@ -64,7 +64,7 @@ def test_find_equality_on_relator_conjugate(vb3):
 @pytest.fixture(scope="module")
 def rn2(engine_factory):
     """The engine's certificate of r3^-1 r3^-1 = s2 s1 s1 s2 at 3 strands
-    (claim rn2), 55 steps."""
+    (claim rn2), 34 steps."""
     (claim,) = [c for c in paper_claims(3) if c.label == "rn2"]
     return engine_factory(3).certify(claim)
 
@@ -525,6 +525,37 @@ def test_reduction_steps_match_leftmost_pair_scan():
 
 letter_lists = st.lists(st.tuples(st.sampled_from((sigma(1), sigma(2), rho(1))),
                                   st.sampled_from((1, -1))), max_size=8)
+
+
+reduced_words = letter_lists.map(lambda ls: BraidWord(tuple(ls)).free_reduce())
+
+
+@given(reduced_words, reduced_words.filter(len), reduced_words)
+@example(parse_word("s1 r1^-1"), parse_word("s2 r1 s1^-1"), parse_word("s2^-1"))
+def test_an_inverted_cascade_is_one_free_insert(u, c, v):
+    # the free reduction of u c c^-1 v, with u c, c^-1 v and u v freely
+    # reduced, cancels c from its innermost letter outwards; its inverse
+    # puts c c^-1 back in one step
+    assume(all(x * y == (x * y).free_reduce() for x, y in ((u, c), (c.inverse(), v), (u, v))))
+    w = u * c * c.inverse() * v
+    assert invert_steps(VB3, w, reduction_steps(w)[0]) == [
+        DerivationStep("FreeInsert", len(u), conjugator=c)]
+
+
+@given(st.lists(st.tuples(st.sampled_from((sigma(1), sigma(2), rho(1))),
+                          st.sampled_from((1, -1))), max_size=16))
+def test_inverted_reduction_has_one_free_insert_per_cascade(letters):
+    # inverting a free reduction gives only FreeInserts, one for each
+    # maximal run of cancels at p, p - 1, ..., and replays the reduced
+    # word back to the word
+    w = BraidWord(tuple(letters))
+    steps, reduced = reduction_steps(w)
+    inverse = invert_steps(VB3, w, steps)
+    runs = sum(1 for i, step in enumerate(steps)
+               if i == 0 or step.position != steps[i - 1].position - 1)
+    assert {step.action for step in inverse} <= {"FreeInsert"}
+    assert len(inverse) == runs
+    assert replay(VB3, Derivation(reduced, w, tuple(inverse))) == w
 
 
 @given(letter_lists, letter_lists, st.integers(0, 8))

@@ -141,7 +141,7 @@ def test_library_words_pass_the_constructor_check():
     from braidcover.enumeration import coset_enumerate, group_table, table_from_permutations
     from braidcover.oracles import annulus_to_disc
     from braidcover.presentations import finite_group_presentation, half_twist
-    from braidcover.rewriting import invert_steps, pair_insert_steps, reduction_steps
+    from braidcover.rewriting import invert_steps, reduction_steps
 
     w = parse_word("s1 r2^-1 s2^-1 s2 r3 s1^-1")
     annulus = parse_word("t1 s1 s2^-1 t1^-1 s1")
@@ -150,9 +150,12 @@ def test_library_words_pass_the_constructor_check():
     words += group_table(coset_enumerate(finite_group_presentation("Dic", 3))).words
     words += table_from_permutations("S3", [Permutation((2, 1, 3)),
                                             Permutation((1, 3, 2))]).words
-    # free inserts, and the inverses of a reduction's free cancels
-    steps = pair_insert_steps(w, 0) + invert_steps(None, w, reduction_steps(w)[0])
+    # the free inserts that undo a reduction's free cancels, one letter or
+    # a whole cascade's
+    cascade = parse_word("s1 r2 s2 s2^-1 r2^-1 r3")
+    steps = [step for v in (w, cascade) for step in invert_steps(None, v, reduction_steps(v)[0])]
     assert {step.action for step in steps} == {"FreeInsert"}
+    assert max(len(step.conjugator) for step in steps) == 2
     words += [step.conjugator for step in steps]
     for v in words:
         assert type(v) is BraidWord and v == BraidWord(v.letters)
