@@ -53,9 +53,11 @@ def cmd_derive(args) -> int:
               f"{' '.join(sorted(builders))}", file=sys.stderr)
         return EXIT_FAILURE
     d = CertificateEngine(args.n).certify(builders[args.claim_id]())
-    print(f"claim {args.claim_id}: certified in {len(d.steps)} steps")
+    # with --json, standard output is the one JSON document
     if args.json:
         print(d.to_json())
+    else:
+        print(f"claim {args.claim_id}: certified in {len(d.steps)} steps")
     return EXIT_OK
 
 
@@ -134,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derive", help="certify a named identity")
     p.add_argument("claim_id")
     p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true", help="print the derivation")
+    p.add_argument("--json", action="store_true",
+                   help="print only the derivation, as JSON")
     p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("wp", help="word problem verdict")

@@ -27,10 +27,15 @@ Letters of the two chains commute, their indices being at most n-1 and
 at least n+1, so any interleaving gives the same braid.  The one written
 (_rho_indices) is the order in which the diagram reader meets the
 crossings: it equals the extracted words letter for letter at least for
-n <= 19, and as braids beyond.  The image of a word is the concatenation
-of its letter images, and verify_relator_images decides every defining
-relator's image trivial with the exact sphere oracle, which makes the
-formula a homomorphism.
+n <= 19.  Beyond, and for the lifts of whole words, the lift and the
+formula differ only in the order of letters whose indices differ by at
+least 2: lifted . psi(w)^-1 cancels to the empty word by free
+cancellation across such letters (oracles._far_reduce), with no braid
+relation.  The tests check this for every generator with n <= 32 and for
+seeded words with n = 2..6 and 1 to 16 letters.  The image of a word is
+the concatenation of its letter images, and verify_relator_images
+decides every defining relator's image trivial with the exact sphere
+oracle, which makes the formula a homomorphism.
 
 The d-fold annulus cover's generator images come from geometric lifts,
 joined the same way.  One loop decides both covers' relator images, each
@@ -134,9 +139,9 @@ class RelatorImageReport:
 
 
 def _relator_report(n: int, relators, image, decide) -> RelatorImageReport:
-    """An entry per (label, r) in relators: decide(image(r).free_reduce())."""
-    entries = (RelatorImageEntry(label, rel, decide(image(rel).free_reduce()))
-               for label, rel in relators)
+    """An entry per (label, r) in relators: decide(image(r)).  The oracles
+    reduce the word themselves, modulo far commutation."""
+    entries = (RelatorImageEntry(label, rel, decide(image(rel))) for label, rel in relators)
     return RelatorImageReport(n, tuple(entries))
 
 

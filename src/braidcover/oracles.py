@@ -15,6 +15,15 @@ basis letter x_i or its inverse; words are kept reduced.  So a product of
 reduced words cancels only where one word meets the next (_join), and an
 Artin step, an endomorphism image or a substitution never re-reduces a
 whole word letter by letter.
+
+Before any Artin step, a braid word is reduced in the free partially
+commutative group in which sigma_i and sigma_j commute when |i - j| >= 2
+(_far_reduce, one linear pass).  Those commutations and free cancellation
+hold in the braid group, so the reduced word is the same braid, and the
+faithful action gives it the same reduced images.  A word that cancels to
+nothing, such as a whole-word lift against its closed-form image, never
+reaches the action; one that does not still costs exponential time on
+pure words.
 """
 
 from __future__ import annotations
@@ -84,25 +93,80 @@ def _artin_step(images: list[FreeWord], i: int, e: int) -> None:
         images[i] = _join(free_invert(b), a, b)
 
 
+def _far_reduce(m: int, w: BraidWord) -> list[int]:
+    """The sigma-only word w on m strands reduced in the free partially
+    commutative group where sigma_i and sigma_j commute when |i - j| >= 2,
+    as signed indices (+i is sigma_i, -i its inverse).  Raises ValueError
+    at the first letter that is not a sigma or whose index is outside
+    1..m-1.
+
+    One pass in reading order.  For each index a stack holds the output
+    positions of its live letters.  A letter s_i^e cancels the last live
+    s_i letter when that letter is s_i^-e and no live s_(i-1) or s_(i+1)
+    letter stands after it, so that every letter between them commutes
+    with s_i; otherwise it is appended.
+
+    One pass suffices: the output never holds a cancellable pair
+    s_i^e u s_i^-e, with u of letters 2 or more indices from i.  Appending
+    a letter can add only the pair it makes with the last live s_i, since
+    that letter blocks every earlier one, and the pass cancels that pair
+    when it can.  A cancellation never unblocks an earlier pair: if a
+    letter b of index j blocks a pair of index i, the pair's right letter
+    c stands after b.  For j = i +- 1, c is a neighbour of b standing after
+    it, so b cannot be cancelled; for j = i, c is a later s_i, so a
+    cancelling s_i meets c, not b.  A word with no cancellable pair is a
+    reduced form of its element in the free partially commutative group,
+    so the element is trivial exactly when the word is empty.
+    """
+    out: list[int] = []
+    live = [[] for _ in range(m + 1)]  # live[i]: positions of s_i letters; 0 and m stay empty
+    for g, e in w.letters:
+        kind, i = g
+        if kind != "s":
+            raise ValueError(f"disc action needs sigma-only words, got {g}")
+        if not 1 <= i <= m - 1:
+            raise ValueError(f"sigma index {i} out of bounds for m={m}")
+        x = i if e == 1 else -i
+        same = live[i]
+        if same:
+            p = same[-1]
+            below, above = live[i - 1], live[i + 1]
+            if out[p] == -x and not (below and below[-1] > p) and not (above and above[-1] > p):
+                same.pop()
+                out[p] = 0
+                continue
+        same.append(len(out))
+        out.append(x)
+    return [x for x in out if x]
+
+
+def _act(m: int, letters: list[int]) -> FreeEndo:
+    """The Artin action of the signed sigma indices `letters` on the free
+    group of rank m."""
+    images = list(FreeEndo.identity(m).images)
+    # accumulating E <- E o S per letter yields action(v) o action(u) for
+    # w = uv when letters are consumed last-to-first
+    for x in reversed(letters):
+        if x > 0:
+            _artin_step(images, x, 1)
+        else:
+            _artin_step(images, -x, -1)
+    return FreeEndo(m, tuple(images))
+
+
 def disc_action(m: int, w: BraidWord) -> FreeEndo:
     """Artin action of a sigma-only word on the free group of rank m.
 
     Faithful on B_m of the disc; temporal convention makes
-    disc_action(uv) = disc_action(v) o disc_action(u).
+    disc_action(uv) = disc_action(v) o disc_action(u).  It acts on the
+    far-commutation reduction of w (_far_reduce), which is the same braid:
+    by faithfulness the action is the same automorphism, and its images are
+    reduced words, so the result equals the action of w letter by letter,
+    image for image.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    images = list(FreeEndo.identity(m).images)
-    # accumulating E <- E o S per letter yields action(v) o action(u) for
-    # w = uv when letters are consumed last-to-first
-    for g, e in reversed(w.letters):
-        kind, i = g
-        if kind != "s":
-            raise ValueError(f"disc action needs sigma-only words, got {g}")
-        if not (1 <= i <= m - 1):
-            raise ValueError(f"sigma index {i} out of bounds for m={m}")
-        _artin_step(images, i, e)
-    return FreeEndo(m, tuple(images))
+    return _act(m, _far_reduce(m, w))
 
 
 def _drop_last_letter(w: FreeWord, m: int) -> FreeWord:
@@ -158,10 +222,16 @@ def sphere_action(m: int, w: BraidWord) -> FreeEndo:
     The sphere action is only defined up to inner automorphisms, so the
     result is the identity exactly when the action is inner (decided by
     _inner_conjugator), and otherwise the representative that the disc
-    action gives."""
+    action gives.  The word is reduced once (_far_reduce); a word that
+    cancels to nothing is the trivial braid, whose action is inner, and
+    any other is acted on as disc_action would, so the result is the same
+    as with the action of w itself."""
     if m < 2:
         raise ValueError("m must be >= 2")
-    full = disc_action(m, w)
+    letters = _far_reduce(m, w)
+    if not letters:
+        return FreeEndo.identity(m - 1)
+    full = _act(m, letters)
     e = FreeEndo(m - 1, tuple(_drop_last_letter(full.images[i], m) for i in range(m - 1)))
     return FreeEndo.identity(m - 1) if _inner_conjugator(e) is not None else e
 

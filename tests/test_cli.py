@@ -103,9 +103,11 @@ def test_wp_annulus_rejects_a_tau_index(capsys, word):
 
 
 def test_derive(capsys):
-    code, out, _ = run(capsys, "derive", "rn2", "2", "--json")
-    assert code == EXIT_OK
-    assert "certified in" in out and '"derivation-v1"' in out
+    # with --json, standard output is exactly one JSON document
+    code, out, err = run(capsys, "derive", "rn2", "2", "--json")
+    assert code == EXIT_OK and err == ""
+    doc = json.loads(out)
+    assert doc["format"] == "derivation-v1" and (doc["from"], doc["to"]) == ("r2^-1 r2^-1", "s1 s1")
     code, out, _ = run(capsys, "derive", "delta4", "3")
     assert code == EXIT_OK and out.startswith("claim delta4: certified in ")
     code, _out, err = run(capsys, "derive", "nonsense", "2")

@@ -38,6 +38,7 @@ from braidcover.covering import (
 from braidcover.geometry import generator_lift
 from braidcover.oracles import (
     Verdict,
+    _far_reduce,
     annulus_oracle,
     disc_action,
     sphere_action,
@@ -375,13 +376,15 @@ def _rp2_generators(n: int) -> list[Generator]:
 def test_psi_formula_matches_the_geometry(n):
     # letter for letter where the diagram reader meets the commuting
     # letters of the two chains in the formula's order (every n <= 19),
-    # and as sphere braids everywhere
+    # and everywhere up to the order of commuting letters, so as sphere
+    # braids
     for g in _rp2_generators(n):
         formula, lifted = psi(n, gen_word(g)), generator_lift(g, n, ANTIPODAL)
         if n <= 19:
             assert formula == lifted, (n, str(g))
         elif formula != lifted:
             diff = (formula * lifted.inverse()).free_reduce()
+            assert _far_reduce(2 * n, diff) == [], (n, str(g))
             assert sphere_word_problem(2 * n, diff).verdict == "Trivial", (n, str(g))
 
 
@@ -419,6 +422,25 @@ def test_whole_word_lift_equals_psi():
         lifted = extract_word(lift_motion(word_motion(w, n), ANTIPODAL))
         diff = (lifted * psi(n, w).inverse()).free_reduce()
         assert sphere_word_problem(2 * n, diff).verdict == "Trivial", (n, str(w))
+
+
+def test_whole_word_lifts_equal_psi_up_to_far_commutation():
+    # the claim of the covering docstring: a lift and psi(w) differ only
+    # in the order of letters whose indices differ by at least 2, so
+    # lifted . psi(w)^-1 cancels to the empty word with no braid relation
+    rng = random.Random("far-commutation witness")
+    reordered = 0
+    for n in range(2, 7):
+        gens = _rp2_generators(n)
+        for length in range(1, 17):
+            for _ in range(6):
+                w = BraidWord(tuple((rng.choice(gens), rng.choice((1, -1)))
+                                    for _ in range(length)))
+                lifted, image = extract_word(lift_motion(word_motion(w, n), ANTIPODAL)), psi(n, w)
+                assert _far_reduce(2 * n, lifted * image.inverse()) == [], (n, str(w))
+                reordered += lifted != image
+    # the check has force: some lifts are not psi(w) letter for letter
+    assert reordered > 0
 
 
 def _digest(lines) -> str:

@@ -14,6 +14,7 @@ from braidcover.oracles import (
     FreeEndo,
     Verdict,
     _drop_last_letter,
+    _far_reduce,
     _inner_conjugator,
     _join,
     annulus_oracle,
@@ -115,6 +116,78 @@ def test_artin_steps_match_full_reduction(case):
     assert disc_action(m, w).images == _disc_images_by_free_reduce(m, w)
 
 
+def _sigma_word(letters) -> BraidWord:
+    """The sigma word of signed indices: +i is sigma_i, -i its inverse."""
+    return _trusted_word(tuple((sigma(abs(x)), 1 if x > 0 else -1) for x in letters))
+
+
+def _cancellable_pairs(letters) -> list[tuple[int, int]]:
+    """Every pair p < q of inverse letters s_i^e, s_i^-e with only letters
+    at least 2 indices away from i between them, by brute force."""
+    return [(p, q) for p in range(len(letters)) for q in range(p + 1, len(letters))
+            if letters[q] == -letters[p]
+            and all(abs(abs(x) - abs(letters[p])) >= 2 for x in letters[p + 1:q])]
+
+
+def _brute_force_far_reduce(letters) -> list[int]:
+    """Cancel the first cancellable pair until none is left."""
+    letters = list(letters)
+    while pairs := _cancellable_pairs(letters):
+        p, q = pairs[0]
+        del letters[q], letters[p]
+    return letters
+
+
+@st.composite
+def planted_words(draw, m: int, base_len: int, filler: bool):
+    """Signed sigma indices on m strands: a random word with up to five
+    pairs s_i^e ... s_i^-e planted in it.  Each pair closes around a run of
+    the word's letters that commute with s_i and, with filler, up to three
+    new such letters.  Later pairs may close around earlier ones.  With
+    base_len 0 and no filler the word cancels to nothing: the last pair
+    planted is cancellable, and removing it leaves the word before."""
+    letter = st.integers(1, m - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    letters = draw(st.lists(letter, max_size=base_len))
+    for _ in range(draw(st.integers(0, 5))):
+        i, e = draw(st.integers(1, m - 1)), draw(st.sampled_from((1, -1)))
+        p = draw(st.integers(0, len(letters)))
+        run = p
+        while run < len(letters) and abs(abs(letters[run]) - i) >= 2:
+            run += 1
+        q = draw(st.integers(p, run))
+        far = [j for j in range(1, m) if abs(j - i) >= 2]
+        inner = draw(st.lists(st.sampled_from(far + [-j for j in far]), max_size=3)) \
+            if filler and far else []
+        letters[q:q] = inner + [-e * i]
+        letters[p:p] = [e * i]
+    return letters
+
+
+@given(st.integers(2, 6).flatmap(lambda m: st.tuples(st.just(m), planted_words(m, 12, True))))
+@example((4, [1, 3, -1, -3]))
+@example((5, [2, 4, 1, -4, -2, -1]))
+def test_far_reduction_is_reduced_and_keeps_the_action(case):
+    m, letters = case
+    w = _sigma_word(letters)
+    reduced = _far_reduce(m, w)
+    assert not _cancellable_pairs(reduced)
+    # every reduced form of an element has the same length
+    assert len(reduced) == len(_brute_force_far_reduce(letters))
+    reference = _disc_images_by_free_reduce(m, w)
+    assert _disc_images_by_free_reduce(m, _sigma_word(reduced)) == reference
+    assert disc_action(m, w).images == reference
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+@given(data=st.data())
+def test_words_that_cancel_act_as_the_identity(m, data):
+    letters = data.draw(planted_words(m, 0, False))
+    w = _sigma_word(letters)
+    assert _far_reduce(m, w) == []
+    assert sphere_action(m, w) == FreeEndo.identity(m - 1)
+    assert _disc_images_by_free_reduce(m, w) == FreeEndo.identity(m).images
+
+
 @given(free_words(3), free_words(3))
 def test_endo_apply_is_homomorphic(u, v):
     e = disc_action(3, parse_word("s1 s2 s1^-1"))
@@ -148,6 +221,18 @@ def test_disc_action_rejects_bad_words():
                      (0, BraidWord())):
             with pytest.raises(ValueError):
                 decide(m, w)
+
+
+@pytest.mark.parametrize("m, text, message", [
+    (3, "s1 r1 s3", "disc action needs sigma-only words, got r1"),
+    (3, "s3 s1 r1", "sigma index 3 out of bounds for m=3"),
+    # letters are checked as they are read, also where they cancel
+    (4, "s1 s4 s1^-1 t1", "sigma index 4 out of bounds for m=4"),
+    (4, "s1 s1^-1 r2 s5", "disc action needs sigma-only words, got r2")])
+def test_actions_report_the_first_bad_letter(m, text, message):
+    for act in (disc_action, sphere_action):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            act(m, parse_word(text))
 
 
 @pytest.mark.parametrize("m", range(2, 8))
