@@ -21,9 +21,9 @@ commutative group in which sigma_i and sigma_j commute when |i - j| >= 2
 (_far_reduce, one linear pass).  Those commutations and free cancellation
 hold in the braid group, so the reduced word is the same braid, and the
 faithful action gives it the same reduced images.  A word that cancels to
-nothing, such as a whole-word lift against its closed-form image, never
-reaches the action; one that does not still costs exponential time on
-pure words.
+nothing, such as a whole-word lift against its closed-form image, makes
+no Artin step; one that does not still costs exponential time on pure
+words.
 """
 
 from __future__ import annotations
@@ -140,20 +140,6 @@ def _far_reduce(m: int, w: BraidWord) -> list[int]:
     return [x for x in out if x]
 
 
-def _act(m: int, letters: list[int]) -> FreeEndo:
-    """The Artin action of the signed sigma indices `letters` on the free
-    group of rank m."""
-    images = list(FreeEndo.identity(m).images)
-    # accumulating E <- E o S per letter yields action(v) o action(u) for
-    # w = uv when letters are consumed last-to-first
-    for x in reversed(letters):
-        if x > 0:
-            _artin_step(images, x, 1)
-        else:
-            _artin_step(images, -x, -1)
-    return FreeEndo(m, tuple(images))
-
-
 def disc_action(m: int, w: BraidWord) -> FreeEndo:
     """Artin action of a sigma-only word on the free group of rank m.
 
@@ -162,11 +148,19 @@ def disc_action(m: int, w: BraidWord) -> FreeEndo:
     far-commutation reduction of w (_far_reduce), which is the same braid:
     by faithfulness the action is the same automorphism, and its images are
     reduced words, so the result equals the action of w letter by letter,
-    image for image.
+    image for image.  A word that cancels to nothing makes no Artin step.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _act(m, _far_reduce(m, w))
+    images = list(FreeEndo.identity(m).images)
+    # accumulating E <- E o S per letter yields action(v) o action(u) for
+    # w = uv when letters are consumed last-to-first
+    for x in reversed(_far_reduce(m, w)):
+        if x > 0:
+            _artin_step(images, x, 1)
+        else:
+            _artin_step(images, -x, -1)
+    return FreeEndo(m, tuple(images))
 
 
 def _drop_last_letter(w: FreeWord, m: int) -> FreeWord:
@@ -222,16 +216,14 @@ def sphere_action(m: int, w: BraidWord) -> FreeEndo:
     The sphere action is only defined up to inner automorphisms, so the
     result is the identity exactly when the action is inner (decided by
     _inner_conjugator), and otherwise the representative that the disc
-    action gives.  The word is reduced once (_far_reduce); a word that
-    cancels to nothing is the trivial braid, whose action is inner, and
-    any other is acted on as disc_action would, so the result is the same
-    as with the action of w itself."""
+    action gives.  A trivial disc action, as of a word that cancels to
+    nothing under the disc action's reduction, is returned as the identity
+    at once, without the O(m) substitution and conjugator test."""
     if m < 2:
         raise ValueError("m must be >= 2")
-    letters = _far_reduce(m, w)
-    if not letters:
+    full = disc_action(m, w)
+    if full.is_identity():
         return FreeEndo.identity(m - 1)
-    full = _act(m, letters)
     e = FreeEndo(m - 1, tuple(_drop_last_letter(full.images[i], m) for i in range(m - 1)))
     return FreeEndo.identity(m - 1) if _inner_conjugator(e) is not None else e
 
