@@ -30,10 +30,11 @@ inverse at rotation 0, position 0.  Positions count letters of the freely
 reduced current word, so where a piece cancels against its neighbour
 (Delta begins and ends in s_1, for one) P and x shrink; where L is not
 cyclically reduced, two rotations reduce to the same word and the lesser
-is named.  The scripts write those cases out.  The rule gives the
-insertion that rewriting._hits, the one-move lookup, finds first, and the
-one that compiles shortest; a test checks every named move against it, so
-the certificates are those the lookup would compile.
+is named.  The scripts write those cases out.  The rule gives the first
+insertion, in the order (inverse flag, rotation, position), that turns the
+current word into the stated one, and the one that compiles shortest; a
+test checks every named move against a reference in the tests
+(tests/moves.py) that lists every such insertion.
 """
 
 from __future__ import annotations
@@ -228,9 +229,9 @@ class CertificateEngine:
         the proof runs from the lemma relator to the empty word, and a
         position counts letters of that reduced word; a step whose word
         reduces to the current one needs no move.  The steps name the
-        insertion that rewriting._hits, the one-move lookup, would find
-        first, so certificates do not depend on whether moves are named or
-        looked up.  A step that does not apply raises ScriptError.
+        first insertion that the tests' reference (tests/moves.py) finds,
+        so certificates do not depend on whether moves are named or
+        found.  A step that does not apply raises ScriptError.
         """
         tail = target.inverse()
         current = (source * tail).free_reduce()

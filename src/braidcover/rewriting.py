@@ -44,15 +44,12 @@ relators alone, and it is replayed flat before it is returned.
 
 find_equality is a one-move check over every relator of a presentation:
 it certifies source = target when the two are freely equal or one relator
-move apart, and raises NotFound otherwise.  It finds its move: a
-_MoveTable holds every cyclic rotation of the relators and of their
-inverses, and _hits finds, with one lookup per position, each insertion
-that turns a freely reduced word into a given next word.  The certificate
-engine never looks a move up, because its scripts name theirs; the tests
-keep _hits as the reference those named moves are checked against.
-find_equality decides nothing the engine needs; it and NotFound keep their
-names because the benchmark harness (perfbench) wraps the one and catches
-the other.
+move apart, and raises NotFound otherwise.  It tries each relator move in
+turn with _compile_move, the compiler the engine uses, and keeps the first
+that reaches the target.  The certificate engine never tries moves, because
+its scripts name theirs, and find_equality decides nothing the engine
+needs; it and NotFound stay only because the benchmark harness (perfbench)
+wraps the one and catches the other.
 """
 
 from __future__ import annotations
@@ -71,7 +68,6 @@ from .words import (
     Letter,
     _trusted_word,
     format_word,
-    letter_codes,
     parse_word,
 )
 
@@ -616,103 +612,6 @@ def _lemma_from_proof(p: Presentation, name: str, relator: BraidWord, proof) -> 
     return Lemma(name, relator, tuple(proof), tuple(build), _flat_len(proof), _flat_len(build))
 
 
-class _MoveTable:
-    """Precompiled insertion moves: all cyclic rotations of the relators
-    of p and of their inverses, encoded over small ints.  find_equality is
-    its only user; the certificate engine names its moves instead."""
-
-    def __init__(self, p: Presentation):
-        self.presentation = p
-        self.code = letter_codes(p.generators)
-        self.moves: list[tuple[int, ...]] = []
-        # compile info per move: (relator index, inverse_flag, rotation)
-        self.origins: list[tuple[int, bool, int]] = []
-        seen: set[tuple[int, ...]] = set()
-        # the freely reduced form of each move is what _hits looks up.
-        # Rotation k is x^-1 (rotation k - 1) x for x = enc[k - 1], so each
-        # relator is reduced once and each rotation's reduced form is the
-        # previous one conjugated
-        self.reduced: list[tuple[int, ...]] = []
-        for ref, base in enumerate(p.relators):
-            for inv in (False, True):
-                word = base.inverse() if inv else base
-                enc = self.encode(word)
-                red = _reduce_enc(enc)
-                for k in range(len(enc)):
-                    if k:
-                        red = _conjugate_enc(red, enc[k - 1])
-                    rot = enc[k:] + enc[:k]
-                    if rot in seen:
-                        continue
-                    seen.add(rot)
-                    self.moves.append(rot)
-                    self.reduced.append(red)
-                    self.origins.append((ref, inv, k))
-        self.longest = max(map(len, self.reduced), default=0)
-        self.by_reduced: dict[tuple[int, ...], list[int]] = {}
-        for mi, red in enumerate(self.reduced):
-            self.by_reduced.setdefault(red, []).append(mi)
-
-    def encode(self, w: BraidWord) -> tuple[int, ...]:
-        return tuple(map(self.code.__getitem__, w.letters))
-
-
-def _reduce_enc(letters) -> tuple[int, ...]:
-    out: list[int] = []
-    for code in letters:
-        if out and out[-1] == code ^ 1:
-            out.pop()
-        else:
-            out.append(code)
-    return tuple(out)
-
-
-def _inverse_enc(letters: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(code ^ 1 for code in reversed(letters))
-
-
-def _conjugate_enc(key: tuple[int, ...], x: int) -> tuple[int, ...]:
-    """_reduce_enc(x^-1 key x) for a freely reduced key."""
-    key = key[1:] if key and key[0] == x else (x ^ 1,) + key
-    return key[:-1] if key and key[-1] == x ^ 1 else key + (x,)
-
-
-def _hits(table: _MoveTable, w: tuple[int, ...], goal: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Every (move, position) whose splice turns the reduced word w into
-    goal, in the order (move, position).  The splice of move mv at
-    position q is w[:q] mv w[q:], freely reduced.
-
-    That splice is goal exactly when mv is w[:q]^-1 goal w[q:]^-1 freely
-    reduced, because reduced words are normal forms: each q is one
-    lookup in table.by_reduced, and the key for q + 1 is the key for q
-    conjugated by w[q].  A hit replaces w[i:l] by part of mv, i <= q <= l,
-    with i <= pre and lw - l <= suf for the common prefix and suffix
-    lengths of w and goal, so lg - suf - len(mv) <= q <= pre + lw - lg +
-    len(mv): only that window for the longest move is looked up.
-
-    If the table has one relator L, not freely trivial, the hits all
-    rotate L or all rotate L^-1: w[:q] X w[q:] = w[:q'] Y w[q':] for X
-    conjugate to L and Y to L^-1 would give X = g Y g^-1, g = w[:q]^-1
-    w[:q'], and no nontrivial free group element is conjugate to its
-    inverse.  The table lists each class by increasing rotation, so the
-    first hit has the least."""
-    lw, lg = len(w), len(goal)
-    pre = next((i for i, (x, y) in enumerate(zip(w, goal)) if x != y), min(lw, lg))
-    suf = next((i for i, (x, y) in enumerate(zip(reversed(w), reversed(goal))) if x != y),
-               min(lw, lg))
-    lo, hi = max(0, lg - suf - table.longest), min(lw, pre + lw - lg + table.longest)
-    if lo > hi:
-        return []
-    key = _reduce_enc(_inverse_enc(w[:lo]) + goal + _inverse_enc(w[lo:]))
-    hits = []
-    for q in range(lo, hi + 1):
-        hits += ((mi, q) for mi in table.by_reduced.get(key, ()))
-        if q < hi:
-            key = _conjugate_enc(key, w[q])
-    hits.sort()
-    return hits
-
-
 def _compile_move(p: Presentation, letters: list[Letter], source, inverse: bool,
                   rotation: int, position: int) -> list:
     """The items of one named move on the freely reduced letter list,
@@ -786,10 +685,12 @@ def find_equality(p: Presentation, source: BraidWord, target: BraidWord) -> Deri
     relator move, or NotFound.
 
     Freely equal words get the free reduction of source and the undone
-    free reduction of target.  Otherwise the first hit of _hits on a move
-    table of every relator of p is compiled, and the certificate is
-    replayed before it is returned.  A source or target letter outside
-    p's generators raises ValueError.
+    free reduction of target.  Otherwise _compile_move tries each relator
+    move on the freely reduced source, in the order relator index, inverse
+    flag (False first), rotation, then position (0 to len(source reduced)),
+    and the first whose result is the freely reduced target is returned,
+    replayed.  A source or target letter outside p's generators raises
+    ValueError.
     """
     foreign = _foreign_letter(p, source, target)
     if foreign is not None:
@@ -797,10 +698,12 @@ def find_equality(p: Presentation, source: BraidWord, target: BraidWord) -> Deri
     src_red, tgt_red = source.free_reduce(), target.free_reduce()
     if src_red == tgt_red:
         return _checked_derivation(p, source, target, [])
-    table = _MoveTable(p)
-    hits = _hits(table, table.encode(src_red), table.encode(tgt_red))
-    if not hits:
-        raise NotFound(f"no single relator move of {p.name} reaches the target")
-    mi, position = hits[0]
-    body = _compile_move(p, list(src_red.letters), *table.origins[mi], position)
-    return _checked_derivation(p, source, target, body)
+    for ref, relator in enumerate(p.relators):
+        for inverse in (False, True):
+            for rotation in range(len(relator)):
+                for position in range(len(src_red) + 1):
+                    letters = list(src_red.letters)
+                    body = _compile_move(p, letters, ref, inverse, rotation, position)
+                    if tuple(letters) == tgt_red.letters:
+                        return _checked_derivation(p, source, target, body)
+    raise NotFound(f"no single relator move of {p.name} reaches the target")

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from braidcover import identities, rewriting
 from braidcover.identities import CertificateEngine, ScriptError, _positive_script, paper_claims
-from braidcover.presentations import Presentation, half_twist, van_buskirk
+from braidcover.presentations import half_twist, van_buskirk
 from braidcover.rewriting import Derivation, verify_derivation
 from braidcover.words import EMPTY, BraidWord, gen_word, permutation_image, rho, sigma
+
+from .moves import move_hits
 
 
 def test_claim_labels_unique():
@@ -191,15 +193,28 @@ def test_certify_all_six_replays():
 
 
 def test_scripted_lemmas_never_search(monkeypatch):
-    # seeding and certifying name every move: neither the move table nor
-    # its lookup runs, and identities binds neither name.  The ladder is
-    # proved once: a second certify_all proves no lemma again
-    def no_lookup(*args):
-        raise AssertionError("the engine looked a move up")
+    # seeding and certifying name every move: each step compiles its one
+    # named move, once, where its stated word differs from the current
+    # one, and not at all where it does not, so no step tries candidates.
+    # The ladder is proved once: a second certify_all proves no lemma again
+    compiles = [0]
+    real_compile = identities._compile_move
 
-    assert not hasattr(identities, "_hits") and not hasattr(identities, "_MoveTable")
-    monkeypatch.setattr(rewriting, "_hits", no_lookup)
-    monkeypatch.setattr(rewriting, "_MoveTable", no_lookup)
+    def counting_compile(*args):
+        compiles[0] += 1
+        return real_compile(*args)
+
+    steps = []
+    real_move = CertificateEngine._move
+
+    def counting_move(self, name, index, step, current, following):
+        before = compiles[0]
+        items = real_move(self, name, index, step, current, following)
+        steps.append((self.n, name, index, following != current, compiles[0] - before))
+        return items
+
+    monkeypatch.setattr(identities, "_compile_move", counting_compile)
+    monkeypatch.setattr(CertificateEngine, "_move", counting_move)
     proved = []
     real = CertificateEngine.add_scripted_lemma
 
@@ -217,6 +232,13 @@ def test_scripted_lemmas_never_search(monkeypatch):
         assert proved == []
         assert {k: d.to_json() for k, d in first.items()} == \
             {k: d.to_json() for k, d in second.items()}
+    assert {n for n, *_rest in steps} == set(range(2, 7))
+    assert any(moves for *_rest, moves, _compiled in steps)
+    assert not all(moves for *_rest, moves, _compiled in steps)
+    for n, name, index, moves, compiled in steps:
+        assert compiled == moves, (n, name, index)
+    # every compile is some step's own
+    assert compiles[0] == sum(compiled for *_rest, compiled in steps)
 
 
 def test_a_step_that_needs_no_move_is_range_checked():
@@ -269,11 +291,11 @@ def _reference_move_cost(source, inverse: bool, rotation: int) -> int:
 
 
 def test_named_moves_are_the_first_hits(monkeypatch):
-    # every script and claim move names the insertion that the one-move
-    # lookup finds first on a table of its one lemma or relator, so
-    # certificates are those the lookup would compile; that hit is one a
-    # cost model would pick.  A claim move is its lemma's inverse at
-    # rotation 0, position 0
+    # every script and claim move names the first insertion of its one
+    # lemma or relator that the tests' reference (tests/moves.py) finds, so
+    # certificates do not depend on whether moves are named or found; that
+    # hit is one a cost model would pick.  A claim move is its lemma's
+    # inverse at rotation 0, position 0
     moves = []
     real = identities._compile_move
 
@@ -291,12 +313,9 @@ def test_named_moves_are_the_first_hits(monkeypatch):
         engine.certify_all()
         for k, (p, source, before, after, named) in enumerate(moves):
             word = p.relators[source] if type(source) is int else source.relator
-            table = rewriting._MoveTable(Presentation("move", p.generators, (word,)))
-            hits = rewriting._hits(table, table.encode(BraidWord(before)),
-                                   table.encode(BraidWord(after)))
-            first = [(*table.origins[mi][1:], q) for mi, q in hits]
-            assert first and first[0] == named, (n, k)
-            costs = [_reference_move_cost(source, inv, rot) for inv, rot, _q in first]
+            hits = move_hits(BraidWord(before), BraidWord(after), word)
+            assert hits and hits[0] == named, (n, k)
+            costs = [_reference_move_cost(source, inv, rot) for inv, rot, _q in hits]
             assert costs[0] == min(costs), (n, k)
             if k >= scripted:
                 assert type(source) is rewriting.Lemma and named == (True, 0, 0)

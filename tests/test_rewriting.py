@@ -26,9 +26,6 @@ from braidcover.rewriting import (
     DerivationError,
     DerivationStep,
     NotFound,
-    _hits,
-    _MoveTable,
-    _reduce_enc,
     find_equality,
     invert_steps,
     reduction_steps,
@@ -36,6 +33,8 @@ from braidcover.rewriting import (
     verify_derivation,
 )
 from braidcover.words import EMPTY, BraidWord, format_word, parse_word, rho, sigma, tau
+
+from .moves import move_hits
 
 
 # the directory braidcover is imported from, for subprocesses
@@ -297,203 +296,119 @@ def test_trivial_equality_is_empty_certificate(vb3):
 
 
 # ---------------------------------------------------------------------------
-# junction-only splice: the reference the one-move checks are tested against
+# one-move checks against the tests' reference (tests/moves.py)
 
 
-def _splice(w: tuple[int, ...], q: int, mv: tuple[int, ...]) -> tuple[int, ...]:
-    """_reduce_enc(w[:q] + mv + w[q:]) for freely reduced w and mv.
-
-    Only the junctions can cancel: w[:q] against the head of mv, then the
-    tail of mv against w[q:], and, once mv is used up, w[:i] against w[l:].
-    Free reduction is confluent, so the result is the same word."""
-    lw, lm = len(w), len(mv)
-    i, j = q, 0
-    while i and j < lm and w[i - 1] == mv[j] ^ 1:
-        i -= 1
-        j += 1
-    k, l = lm, q
-    while l < lw and k > j and mv[k - 1] == w[l] ^ 1:
-        k -= 1
-        l += 1
-    if j == k:
-        while i and l < lw and w[i - 1] == w[l] ^ 1:
-            i -= 1
-            l += 1
-    return w[:i] + mv[j:k] + w[l:]
+def _reduced(letters) -> BraidWord:
+    return BraidWord(tuple(letters)).free_reduce()
 
 
-# codes over four generators: code ^ 1 is the inverse letter
-codes = st.integers(0, 7)
+def _insert(w: BraidWord, p: Presentation, ref: int, inverse: bool, k: int, q: int) -> BraidWord:
+    """Rotation k of relator ref of p, or of its inverse, inserted at
+    position q of w, freely reduced."""
+    base = p.relators[ref]
+    base = (base.inverse() if inverse else base).letters
+    return _reduced(w.letters[:q] + base[k:] + base[:k] + w.letters[q:])
 
 
-@st.composite
-def reduced_codes(draw, max_size=10):
-    return _reduce_enc(draw(st.lists(codes, max_size=max_size)))
-
-
-@st.composite
-def splice_cases(draw):
-    """A reduced word w and a raw move: reduced, unreduced, or one that
-    cancels completely or against w around a splice point."""
-    w = draw(reduced_codes())
-    kind = draw(st.sampled_from(("any", "reduced", "trivial", "against_w")))
-    if kind == "any":
-        mv = tuple(draw(st.lists(codes, max_size=8)))
-    elif kind == "reduced":
-        mv = draw(reduced_codes(8))
-    elif kind == "trivial":
-        half = draw(st.lists(codes, max_size=4))
-        mv = tuple(half) + tuple(c ^ 1 for c in reversed(half))
-    else:
-        # the inverse of a subword of w: it cancels across both junctions
-        # when spliced where that subword starts or ends
-        a = draw(st.integers(0, len(w)))
-        b = draw(st.integers(a, len(w)))
-        middle = tuple(draw(st.lists(codes, max_size=3)))
-        inv = tuple(c ^ 1 for c in reversed(w[a:b]))
-        mv = inv[: len(inv) // 2] + middle + inv[len(inv) // 2 :]
-    return w, mv
-
-
-@given(splice_cases())
-def test_splice_matches_full_reduction(case):
-    w, mv = case
-    red = _reduce_enc(mv)
-    for q in range(len(w) + 1):
-        assert _splice(w, q, red) == _reduce_enc(w[:q] + mv + w[q:])
-
-
-def test_splice_cancels_through_both_junctions():
-    a, A, b, B, c, C, d = 0, 1, 2, 3, 4, 5, 6
-    # the move cancels at the left junction, is used up, and w closes over it
-    assert _splice((a, b, A), 2, (B,)) == ()
-    # the same from the right junction
-    assert _splice((a, b, A), 1, (B,)) == ()
-    # both junctions cancel and part of the move survives
-    assert _splice((a, b, c), 1, (A, d, B)) == (d, c)
-    assert _splice((a, b, c), 3, ()) == (a, b, c)
-
-
-@st.composite
-def hit_cases(draw):
-    """A move table over random relators (some not cyclically or freely
-    reduced, so that moves share reduced forms), a reduced word w and a
-    goal: one splice of a move into w, or a random reduced word."""
-    gens = VB3.generators
-    letters = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
-    relators = draw(st.lists(st.lists(letters, min_size=1, max_size=5), min_size=1, max_size=3))
-    table = _MoveTable(Presentation("random", gens, tuple(BraidWord(tuple(r)) for r in relators)))
-    word_codes = st.lists(st.integers(0, 2 * len(gens) - 1), max_size=10).map(_reduce_enc)
-    w = draw(word_codes)
-    if draw(st.booleans()):
-        goal = draw(word_codes)
-    else:
-        mv = draw(st.sampled_from(table.reduced))
-        goal = _splice(w, draw(st.integers(0, len(w))), mv)
-    return table, w, goal
-
-
-@given(hit_cases())
-def test_move_table_reduces_every_rotation(case):
-    # each rotation's reduced form comes from the previous one by a
-    # conjugation; it must be the rotation reduced from scratch
-    table, _w, _goal = case
-    assert table.reduced == [_reduce_enc(mv) for mv in table.moves]
-    assert table.longest == max(map(len, table.reduced))
-
-
-@given(hit_cases())
-def test_hits_match_splice_scan(case):
-    # one lookup per position finds exactly the splices that reach goal,
-    # at any position, in (move, position) order
-    table, w, goal = case
-    scan = [(mi, q) for mi, mv in enumerate(table.reduced) for q in range(len(w) + 1)
-            if _splice(w, q, mv) == goal]
-    assert _hits(table, w, goal) == scan
+def _first_hit(p: Presentation, w: BraidWord, goal: BraidWord):
+    """(relator index, inverse, rotation, position) of the reference's
+    first hit over the relators of p in index order, or None."""
+    for ref, relator in enumerate(p.relators):
+        hits = move_hits(w, goal, relator)
+        if hits:
+            return (ref, *hits[0])
+    return None
 
 
 @st.composite
 def one_source_hits(draw):
-    """A move table of one relator L, not freely trivial, a reduced word u
-    and the word one of its moves spliced into u makes."""
+    """A relator L over VB3's generators, not freely trivial, a reduced
+    word u, the class (L or L^-1) of one insertion and the word that
+    insertion makes of u."""
     gens = VB3.generators
     letters = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
     relator = draw(st.lists(letters, min_size=1, max_size=6)
                    .map(lambda r: BraidWord(tuple(r)))
                    .filter(lambda r: r.free_reduce().letters))
-    table = _MoveTable(Presentation("random", gens, (relator,)))
-    u = draw(st.lists(st.integers(0, 2 * len(gens) - 1), max_size=10).map(_reduce_enc))
-    mi = draw(st.integers(0, len(table.moves) - 1))
-    return table, u, mi, _splice(u, draw(st.integers(0, len(u))), table.reduced[mi])
+    u = draw(st.lists(letters, max_size=10).map(_reduced))
+    p = Presentation("random", gens, (relator,))
+    inverse = draw(st.booleans())
+    k = draw(st.integers(0, len(relator) - 1))
+    return relator, u, inverse, _insert(u, p, 0, inverse, k, draw(st.integers(0, len(u))))
 
 
 @given(one_source_hits())
 def test_one_source_hits_come_from_one_class(case):
     # no nontrivial free group element is conjugate to its inverse, so the
-    # hits all rotate L or all rotate L^-1, the first by the least k; and
-    # each lies in its own move's window, which _hits does not check
-    table, u, mi, goal = case
-    hits = _hits(table, u, goal)
-    origins = [table.origins[mj] for mj, _q in hits]
-    assert {inv for _ref, inv, _k in origins} == {table.origins[mi][1]}
-    assert origins[0][2] == min(k for _ref, _inv, k in origins)
-    lu, lg = len(u), len(goal)
-    pre = next((i for i, (x, y) in enumerate(zip(u, goal)) if x != y), min(lu, lg))
-    suf = next((i for i, (x, y) in enumerate(zip(u[::-1], goal[::-1])) if x != y), min(lu, lg))
-    for mj, q in hits:
-        m = len(table.reduced[mj])
-        assert lg - suf - m <= q <= pre + lu - lg + m
+    # hits all rotate L or all rotate L^-1, the first by the least k
+    relator, u, inverse, goal = case
+    hits = move_hits(u, goal, relator)
+    assert {inv for inv, _k, _q in hits} == {inverse}
+    assert hits[0][1] == min(k for _inv, k, _q in hits)
 
 
-# move tables of every relator, as find_equality builds them
-ONE_MOVE_TABLES = [_MoveTable(p)
-                   for p in (van_buskirk(3), sphere_presentation(4),
-                             finite_group_presentation("Istar"))]
+# presentations find_equality is tested over, with every relator
+ONE_MOVE_PRESENTATIONS = (van_buskirk(3), sphere_presentation(4),
+                          finite_group_presentation("Istar"))
 
 
-def decode(table, codes) -> BraidWord:
-    letters = {code: letter for letter, code in table.code.items()}
-    return BraidWord(tuple(letters[code] for code in codes))
+@st.composite
+def random_insertions(draw, p: Presentation, w: BraidWord) -> BraidWord:
+    """A rotation of a relator of p, or of its inverse, inserted into w at
+    any position, freely reduced."""
+    ref = draw(st.integers(0, len(p.relators) - 1))
+    k = draw(st.integers(0, len(p.relators[ref]) - 1))
+    return _insert(w, p, ref, draw(st.booleans()), k, draw(st.integers(0, len(w))))
 
 
 @st.composite
 def one_move_cases(draw):
-    """A move table of every relator of a presentation, a random reduced
-    word u over it and the splice of any move into u at any position."""
-    table = draw(st.sampled_from(ONE_MOVE_TABLES))
-    top = 2 * len(table.presentation.generators) - 1
-    u = draw(st.lists(st.integers(0, top), max_size=12).map(_reduce_enc))
-    mi = draw(st.integers(0, len(table.moves) - 1))
-    return table, u, _splice(u, draw(st.integers(0, len(u))), table.reduced[mi])
+    """A presentation, a random reduced word u over it and a rotation of
+    any relator, or of its inverse, inserted into u at any position."""
+    p = draw(st.sampled_from(ONE_MOVE_PRESENTATIONS))
+    letters = st.tuples(st.sampled_from(p.generators), st.sampled_from((1, -1)))
+    u = draw(st.lists(letters, max_size=12).map(_reduced))
+    return p, u, draw(random_insertions(p, u))
+
+
+def _assert_names_first_hit(p: Presentation, d: Derivation) -> None:
+    # source and target are reduced, so no free move precedes the one
+    # relator step: it sits at the inserted position, with a conjugator as
+    # long as the rotation
+    (step,) = [s for s in d.steps if s.action == "InsertRelatorConjugate"]
+    named = (step.relator_index, step.inverse_flag, len(step.conjugator), step.position)
+    assert named == _first_hit(p, d.source, d.target)
 
 
 @given(one_move_cases())
 def test_find_equality_certifies_every_one_move_target(case):
-    table, u, goal = case
-    p = table.presentation
-    d = find_equality(p, decode(table, u), decode(table, goal))
+    p, u, goal = case
+    d = find_equality(p, u, goal)
     assert verify_derivation(p, d)
-    assert (d.source.letters, d.target.letters) == (decode(table, u).letters,
-                                                    decode(table, goal).letters)
+    assert (d.source.letters, d.target.letters) == (u.letters, goal.letters)
+    _assert_names_first_hit(p, d)
 
 
 @given(one_move_cases(), st.data())
 def test_find_equality_fails_only_without_a_hit(case, data):
-    # a second move spliced on may or may not be one move from u: the
-    # certificate must verify, and NotFound comes exactly when _hits finds
-    # nothing and the two words are not freely equal
-    table, u, goal = case
-    mj = data.draw(st.integers(0, len(table.moves) - 1))
-    goal = _splice(goal, data.draw(st.integers(0, len(goal))), table.reduced[mj])
-    p = table.presentation
-    hits = _hits(table, u, goal)
+    # a second insertion may or may not leave the goal one move from u:
+    # the certificate must verify and name the reference's first hit, and
+    # NotFound comes exactly when the reference finds no hit and the two
+    # words are not freely equal
+    p, u, goal = case
+    goal = data.draw(random_insertions(p, goal))
+    hit = _first_hit(p, u, goal)
     try:
-        d = find_equality(p, decode(table, u), decode(table, goal))
+        d = find_equality(p, u, goal)
     except NotFound:
-        assert not hits and u != goal
+        assert hit is None and u != goal
     else:
         assert verify_derivation(p, d)
-        assert hits or u == goal
+        if u == goal:
+            assert d.steps == ()
+        else:
+            _assert_names_first_hit(p, d)
 
 
 def test_find_equality_on_freely_equal_words(vb3):
